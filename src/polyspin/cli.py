@@ -71,7 +71,6 @@ def cmd_estimate(args) -> int:
     graph = load_graph(args.graph, oracle_only=args.relaxed)
     matrix = load_matrix(args.matrix)
     config = estimator.EstimatorConfig(
-        threads=args.threads,
         eps_override=args.eps_model,
         brute_force_budget=args.brute_force_budget,
         size_cap=args.size_cap,
@@ -99,7 +98,6 @@ def cmd_sample(args) -> int:
     graph = load_graph(args.graph, oracle_only=args.relaxed)
     matrix = load_matrix(args.matrix)
     config = estimator.EstimatorConfig(
-        threads=args.threads,
         eps_override=args.eps_model,
         brute_force_budget=args.brute_force_budget,
         size_cap=args.size_cap,
@@ -151,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, required=True)
     est.add_argument("--mode", choices=("lab", "strict"), default="lab")
     est.add_argument("--format", choices=("kv", "json"), default="kv")
-    est.add_argument("--threads", type=int, default=1)
     est.add_argument("--eps-model", type=float, default=None, help="override the model closeness eps")
     est.add_argument("--brute-force-budget", type=int, default=1 << 24)
     est.add_argument("--size-cap", type=int, default=None, help="truncate polymer size (default: floor(2 eps n))")
@@ -167,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     smp.add_argument("-o", "--out", required=True)
     smp.add_argument("--mode", choices=("lab", "strict"), default="lab")
     smp.add_argument("--format", choices=("kv", "json"), default="kv")
-    smp.add_argument("--threads", type=int, default=1)
     smp.add_argument("--eps-model", type=float, default=None)
     smp.add_argument("--brute-force-budget", type=int, default=1 << 24)
     smp.add_argument("--size-cap", type=int, default=None)

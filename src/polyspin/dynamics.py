@@ -6,7 +6,9 @@ resample the v-slot from {no polymer} u {allowed polymers through v,
 inside the region, of size <= size_cap, compatible with the rest} with
 probability proportional to 1 resp. the polymer weight. Each P_v is a
 conditional resampling, so the chain is reversible for the size-truncated
-polymer Gibbs distribution restricted to the region.
+polymer Gibbs distribution restricted to the region. That conditional is
+written once, in heat_bath_conditional; PolymerChain.run and
+oracle.exact_chain_analysis both evaluate it through chain.conditional.
 
 Polymer connectivity and compatibility always refer to G^3 of the full
 graph; the region only restricts which vertices polymers may occupy, which
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRangeError, InvalidSampleCountError
+from .errors import InvalidRangeError
 from .logspace import NEG_INF
 from .polymer import PolymerConfiguration, PolymerModel
 
@@ -32,14 +34,11 @@ class ChainParams:
     """Knobs for the polymer chain.
 
     size_cap truncates polymer generation (exact when >= floor(2 eps n));
-    steps_per_sample spaces retained samples when an estimator thins a
-    trajectory; burn_in is the per-sample run length for independent
-    draws. None picks defaults derived from the region size.
+    mixing_constant is C in the mixing-step formula of
+    default_mixing_steps.
     """
 
     size_cap: int = 4
-    steps_per_sample: int | None = None
-    burn_in: int | None = None
     mixing_constant: float = 10.0
 
     def __post_init__(self):
@@ -104,6 +103,35 @@ def candidate_table(model: PolymerModel, size_cap: int) -> CandidateTable:
     return table
 
 
+def heat_bath_conditional(table: CandidateTable, candidates):
+    """The heat-bath conditional at one vertex, bound to one chain's tables.
+
+    candidates maps each active vertex v to its (mask, weight, index)
+    triples. The returned function takes the table indices of the present
+    polymers and a vertex v; it drops the polymer covering v, lists the
+    candidates through v compatible with the polymers that stay, and
+    returns (kept, options, total): the next state is kept plus nothing
+    with probability 1/total, or kept plus polymer i with probability
+    w/total for each (w, i) in options.
+    """
+    masks = table.masks
+    blocks = table.blocks  # block zone already contains the vertex mask
+
+    def conditional(current, v: int):
+        vbit = 1 << v
+        kept = [i for i in current if not masks[i] & vbit]
+        blocked = 0
+        for i in kept:
+            blocked |= blocks[i]
+        options = [(w, i) for (m, w, i) in candidates[v] if not m & blocked]
+        total = 1.0
+        for w, _ in options:
+            total += w
+        return kept, options, total
+
+    return conditional
+
+
 class PolymerChain:
     """A single replica of the heat-bath chain, confined to one worker.
 
@@ -148,6 +176,7 @@ class PolymerChain:
                 active.append(v)
                 self._cands[v] = opts
         self._active = active
+        self.conditional = heat_bath_conditional(table, self._cands)
         self._current: list[int] = []  # table indices of present polymers
         self.steps_taken = 0
         self._rng = np.random.Generator(
@@ -163,53 +192,37 @@ class PolymerChain:
         self._unis = self._rng.random(_RNG_BUFFER)
         self._pos = 0
 
-    def step(self) -> None:
-        self.steps_taken += 1
+    def run(self, steps: int) -> None:
+        self.steps_taken += steps
         active = self._active
         if not active:
             return
-        if self._pos >= len(self._ints):
-            self._refill()
-        v = active[self._ints[self._pos]]
-        u = self._unis[self._pos]
-        self._pos += 1
-
-        table = self._table
-        masks = table.masks
-        blocks = table.blocks  # block zone already contains the vertex mask
-        vbit = 1 << v
-        kept = [i for i in self._current if not masks[i] & vbit]
-        blocked = 0
-        for i in kept:
-            blocked |= blocks[i]
-        options = [(w, i) for (m, w, i) in self._cands[v] if not m & blocked]
-        total = 1.0
-        for w, _ in options:
-            total += w
-        r = u * total
-        if r >= 1.0:
-            r -= 1.0
-            chosen = options[-1][1]
-            for w, i in options:
-                if r < w:
-                    chosen = i
-                    break
-                r -= w
-            kept.append(chosen)
-        self._current = kept
-
-    def run(self, steps: int, diagnostics=None) -> None:
-        if diagnostics is None:
-            for _ in range(steps):
-                self.step()
-            return
+        conditional = self.conditional
+        current = self._current
+        ints, unis, pos = self._ints, self._unis, self._pos
         for _ in range(steps):
-            self.step()
-            if self.steps_taken % 1000 == 0:
-                diagnostics.write(
-                    f"{self.steps_taken}\t{len(self._current)}\t"
-                    f"{self.covered_count()}\t{self.log_weight():.12g}\n"
-                )
+            if pos >= len(ints):
+                self._refill()
+                ints, unis, pos = self._ints, self._unis, 0
+            v = active[ints[pos]]
+            u = unis[pos]
+            pos += 1
+            current, options, total = conditional(current, v)
+            r = u * total
+            if r >= 1.0:
+                r -= 1.0
+                chosen = options[-1][1]
+                for w, i in options:
+                    if r < w:
+                        chosen = i
+                        break
+                    r -= w
+                current.append(chosen)
+        self._current = current
+        self._pos = pos
+
+    def step(self) -> None:
+        self.run(1)
 
     # -- state inspection ---------------------------------------------------
 
@@ -225,12 +238,6 @@ class PolymerChain:
     def covered(self, v: int) -> bool:
         vbit = 1 << v
         return any(self._table.masks[i] & vbit for i in self._current)
-
-    def covered_count(self) -> int:
-        return sum(self._table.polymers[i].size for i in self._current)
-
-    def log_weight(self) -> float:
-        return sum(self._table.log_weights[i] for i in self._current)
 
     def current_polymers(self):
         return tuple(self._table.polymers[i] for i in sorted(self._current))
@@ -274,38 +281,3 @@ def sample_polymer_config(
     chain.run(default_mixing_steps(params, len(chain.region), eps_sample))
     return chain.config()
 
-
-def uncovered_probability(
-    model: PolymerModel,
-    params: ChainParams,
-    v: int,
-    m: int,
-    seed: int,
-    *,
-    region=None,
-) -> float:
-    """Empirical frequency of {v uncovered} over m independent chain samples.
-
-    This estimates Z(region minus v) / Z(region): polymers of the region
-    avoiding v are exactly the polymers of the region without v. Each
-    sample is a fresh replica run for params.burn_in steps (default: the
-    mixing-step formula at accuracy 0.01). Returns 1.0 exactly when no
-    region polymer can contain v.
-    """
-    if m < 1:
-        raise InvalidSampleCountError(f"need m >= 1 samples, got {m}")
-    probe = PolymerChain(model, params, region=region, seed=seed, replica=0)
-    if v not in probe.region:
-        raise InvalidRangeError(f"vertex {v} is not in the region")
-    if not probe.can_cover(v):
-        return 1.0
-    burn = params.burn_in
-    if burn is None:
-        burn = default_mixing_steps(params, len(probe.region), 0.01)
-    hits = 0
-    for r in range(m):
-        chain = PolymerChain(model, params, region=region, seed=seed, replica=r)
-        chain.run(burn)
-        if not chain.covered(v):
-            hits += 1
-    return hits / m

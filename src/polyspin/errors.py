@@ -49,16 +49,12 @@ class InvalidRangeError(PolyspinError):
     """A numeric argument fell outside its admissible range."""
 
 
-class InvalidSampleCountError(PolyspinError):
-    """A sample count must be a positive integer."""
-
-
 class InvalidAccuracyError(PolyspinError):
     """A relative-accuracy target must lie in (0, 1)."""
 
 
 class DegenerateRatioError(PolyspinError):
-    """A telescoping ratio estimate stayed 0 after all retries."""
+    """A telescoping ratio estimate was 0: the vertex was covered in every sample."""
 
 
 class PremisesUnmetError(PolyspinError):

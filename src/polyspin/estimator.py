@@ -15,13 +15,17 @@ with P(j) proportional to prod of H[j, spin of covered neighbors].
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import oracle
-from .dynamics import ChainParams, PolymerChain, default_mixing_steps
+from .dynamics import (
+    ChainParams,
+    PolymerChain,
+    default_mixing_steps,
+    sample_polymer_config,
+)
 from .errors import (
     DegenerateRatioError,
     InvalidAccuracyError,
@@ -78,23 +82,14 @@ class EstimatorConfig:
     sample_factor: float = 8.0  # c in m_i = ceil(c n / eps^2)
     size_cap: int | None = None  # None -> floor(2 eps n), the exact truncation
     mixing_constant: float = 10.0
-    steps_per_sample: int | None = None  # None -> one sweep of the active region
-    burn_in: int | None = None
     inner_fraction: float | None = None  # per-biclique accuracy = fraction * eps*
     median_runs: int | None = None  # None -> schedule from the failure budget
     brute_force_budget: int = 1 << 24  # 0 disables the exact fallback entirely
     eps_override: float | None = None
-    max_ratio_retries: int = 3
-    threads: int = 1
 
     def chain_params(self, model: PolymerModel) -> ChainParams:
         cap = model.max_size if self.size_cap is None else min(self.size_cap, model.max_size)
-        return ChainParams(
-            size_cap=max(cap, 1),
-            steps_per_sample=self.steps_per_sample,
-            burn_in=self.burn_in,
-            mixing_constant=self.mixing_constant,
-        )
+        return ChainParams(size_cap=max(cap, 1), mixing_constant=self.mixing_constant)
 
 
 @dataclass(frozen=True)
@@ -124,7 +119,6 @@ def estimate_polymer_Z(
     *,
     sample_factor: float = 8.0,
     median_runs: int = 1,
-    max_ratio_retries: int = 3,
 ) -> LogEstimate:
     """ln Z of one polymer model via the telescoping ratio product.
 
@@ -132,7 +126,7 @@ def estimate_polymer_Z(
     vertex i-1 in region {0..i-1}, each estimated from
     m = ceil(sample_factor * n / eps_star^2) thinned chain samples.
     Vertices that no region polymer can cover contribute p_i = 1 exactly.
-    A ratio estimate of 0 is retried with 4x the samples before raising.
+    A ratio estimate of 0 raises DegenerateRatioError.
     Median-of-k amplification over independent runs via median_runs.
     """
     if not (0.0 < eps_star < 1.0):
@@ -140,10 +134,7 @@ def estimate_polymer_Z(
     if median_runs < 1:
         raise InvalidRangeError("median_runs must be >= 1")
     m = math.ceil(sample_factor * model.graph.n / eps_star**2)
-    values = [
-        _telescope(model, params, seed, m, run, max_ratio_retries)
-        for run in range(median_runs)
-    ]
+    values = [_telescope(model, params, seed, m, run) for run in range(median_runs)]
     ln_value = float(np.median(values))
     # Hoeffding on the median is vacuous for small k; never report below
     # the single-run success probability
@@ -151,50 +142,35 @@ def estimate_polymer_Z(
     return LogEstimate(ln_value=ln_value, rel_err_target=eps_star, confidence=confidence)
 
 
-def _telescope(
-    model: PolymerModel,
-    params: ChainParams,
-    seed: int,
-    m: int,
-    run: int,
-    max_ratio_retries: int,
-) -> float:
+def _telescope(model: PolymerModel, params: ChainParams, seed: int, m: int, run: int) -> float:
     num = model.graph.num_vertices
     ln_z = 0.0
     for i in range(1, num + 1):
-        v = i - 1
-        region = range(i)
-        p = _uncovered_ratio(model, params, region, v, m, seed, run, i, max_ratio_retries)
+        p = _uncovered_ratio(model, params, range(i), i - 1, m, seed, run, i)
         ln_z -= math.log(p)
     return ln_z
 
 
-def _uncovered_ratio(
-    model, params, region, v, m, seed, run, region_id, max_ratio_retries
-) -> float:
-    samples = m
-    for attempt in range(max_ratio_retries + 1):
-        replica = (run * 4096 + region_id) * 16 + attempt
-        chain = PolymerChain(model, params, region=region, seed=seed, replica=replica)
-        if not chain.can_cover(v):
-            return 1.0
-        spacing = params.steps_per_sample or max(1, len(chain.active_vertices))
-        burn = params.burn_in
-        if burn is None:
-            burn = default_mixing_steps(params, len(chain.region), 1e-3)
-        chain.run(burn)
-        hits = 0
-        for _ in range(samples):
-            chain.run(spacing)
-            if not chain.covered(v):
-                hits += 1
-        if hits:
-            return hits / samples
-        samples *= 4
-    raise DegenerateRatioError(
-        f"uncovered frequency stayed 0 for vertex {v} after "
-        f"{max_ratio_retries + 1} attempts"
-    )
+def _uncovered_ratio(model, params, region, v, m, seed, run, region_id) -> float:
+    """Fraction of m samples, one sweep of the active region apart after a
+    burn-in, in which v is uncovered."""
+    # the factor 16 is part of the fixed-seed contract of replica ids
+    replica = (run * 4096 + region_id) * 16
+    chain = PolymerChain(model, params, region=region, seed=seed, replica=replica)
+    if not chain.can_cover(v):
+        return 1.0
+    spacing = max(1, len(chain.active_vertices))
+    chain.run(default_mixing_steps(params, len(chain.region), 1e-3))
+    hits = 0
+    for _ in range(m):
+        chain.run(spacing)
+        if not chain.covered(v):
+            hits += 1
+    if not hits:
+        raise DegenerateRatioError(
+            f"vertex {v} was covered in all {m} samples; its ratio estimate is 0"
+        )
+    return hits / m
 
 
 def _median_schedule(eps_star: float, num_bicliques: int) -> int:
@@ -230,8 +206,10 @@ def build_mixture(
     inner_eps = min(0.999, inner_fraction * eps_star)
     n = graph.n
 
-    def one(item):
-        b_idx, biclique = item
+    records = []
+    acc = LogSumAccumulator()
+    confidence = 1.0
+    for b_idx, biclique in enumerate(bicliques):
         model = PolymerModel(graph, matrix, biclique, eps)
         prefactor = n * (math.log(len(biclique.b0)) + math.log(len(biclique.b1)))
         params = config.chain_params(model)
@@ -245,25 +223,11 @@ def build_mixture(
                 _subseed(seed, b_idx),
                 sample_factor=config.sample_factor,
                 median_runs=runs,
-                max_ratio_retries=config.max_ratio_retries,
             )
-        return MixtureRecord(biclique, prefactor, est.ln_value), est.confidence
-
-    items = list(enumerate(bicliques))
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one, items))
-    else:
-        results = [one(item) for item in items]
-
-    records = tuple(rec for rec, _ in results)
-    acc = LogSumAccumulator()
-    for rec in records:
-        acc.add(rec.ln_prefactor + rec.ln_polymer_z)
-    confidence = 1.0
-    for _, conf in results:
-        confidence *= conf
-    return MixtureTable(records=records, ln_total=acc.value, confidence=confidence)
+        records.append(MixtureRecord(biclique, prefactor, est.ln_value))
+        acc.add(prefactor + est.ln_value)
+        confidence *= est.confidence
+    return MixtureTable(records=tuple(records), ln_total=acc.value, confidence=confidence)
 
 
 # Hard cap for exactness forced by the eps-star condition alone. Small n
@@ -363,6 +327,11 @@ def approximate_Z(
         inner_fraction=inner_fraction,
         median_runs=median_runs,
     )
+    if all(rec.ln_polymer_z == 0.0 for rec in table.records):
+        warnings.append(
+            f"polymer correction is vacuous: every biclique's polymer ln Z is 0 "
+            f"at model eps={eps:.6g}, so lnZ counts ground states only"
+        )
     return ApproxResult(
         estimate=LogEstimate(table.ln_total, eps_star, table.confidence),
         mode=mode,
@@ -478,14 +447,13 @@ def spin_sample_many(
         if model.max_size < 1 or not model.active_vertices:
             polymers = ()
         else:
-            params = config.chain_params(model)
-            chain = PolymerChain(
-                model, params, seed=_subseed(seed, 3, b_idx), replica=d
-            )
-            chain.run(
-                default_mixing_steps(params, len(chain.region), eps_star / 6.0)
-            )
-            polymers = chain.current_polymers()
+            polymers = sample_polymer_config(
+                model,
+                config.chain_params(model),
+                eps_star / 6.0,
+                _subseed(seed, 3, b_idx),
+                replica=d,
+            ).polymers
         out[d] = spin_fill(graph, matrix, record.biclique, polymers, rng)
     return out
 

@@ -6,6 +6,11 @@ hand-rolled Jacobi eigensolver. Everything here is the independent side of
 a dual-route check, so none of it may share shortcuts with the estimators
 it verifies. All sums run in log-space through max-shifted accumulators in
 a fixed canonical order.
+
+One deliberate exception: exact_chain_analysis reads its transition rows
+from the chain's own heat-bath conditional, because the matrix it checks
+must be the implemented one. Its reference side, the Gibbs weights, is
+computed here from the polymer log-weights alone.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChainParams, PolymerChain
+from .dynamics import ChainParams, PolymerChain, candidate_table
 from .errors import InvalidRangeError, NoConvergenceError, ResourceLimitError
 from .logspace import NEG_INF, LogSumAccumulator
 from .polymer import Polymer, PolymerModel
@@ -320,14 +325,13 @@ def exact_chain_analysis(
 ) -> ChainAnalysis:
     """Build the full transition matrix of the implemented chain step.
 
-    Uses the chain's own candidate tables so that the matrix mirrors the
-    sampler exactly; compares its stationary behaviour against the
-    truncated polymer Gibbs distribution.
+    Each row comes from the chain's own heat-bath conditional, so the
+    matrix is the sampler's; its stationary behaviour is compared against
+    the truncated polymer Gibbs distribution.
     """
     probe = PolymerChain(model, params, region=region, seed=0)
-    table = probe._table
-    cands = probe._cands
-    active = probe._active
+    table = candidate_table(model, params.size_cap)
+    active = probe.active_vertices
 
     # reachable states, BFS from the empty configuration
     empty: frozenset[int] = frozenset()
@@ -337,15 +341,10 @@ def exact_chain_analysis(
     transitions: list[dict[int, float]] = []
 
     def outcomes(state: frozenset[int], v: int):
-        vbit = 1 << v
-        kept = frozenset(i for i in state if not table.masks[i] & vbit)
-        blocked = 0
-        for i in kept:
-            blocked |= table.blocks[i]
-        opts = [(w, i) for (m, w, i) in cands[v] if not m & blocked]
-        total = 1.0 + sum(w for w, _ in opts)
+        kept, options, total = probe.conditional(sorted(state), v)
+        kept = frozenset(kept)
         yield kept, 1.0 / total
-        for w, i in opts:
+        for w, i in options:
             yield kept | {i}, w / total
 
     while queue:

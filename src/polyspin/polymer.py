@@ -9,6 +9,7 @@ denominator; see `PolymerModel.weight_log`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -311,8 +312,9 @@ class PolymerModel:
         if cap < 1:
             return []
         active = self.active_vertices
+        active_set = set(active)
         host = {
-            v: tuple(u for u in self.graph.host_adjacency[v] if u in set(active))
+            v: tuple(u for u in self.graph.host_adjacency[v] if u in active_set)
             for v in active
         }
         rank = {v: v for v in active}
@@ -327,7 +329,7 @@ class PolymerModel:
                     raise ResourceLimitError(
                         f"polymer enumeration exceeded budget {budget}"
                     )
-                for combo in _product(options):
+                for combo in itertools.product(*options):
                     out.append(Polymer(vertex_set, combo))
         out.sort()
         return out
@@ -397,35 +399,6 @@ def dump_polymers(model: PolymerModel, polymers) -> str:
         body = ", ".join(f"{v}:{s}" for v, s in zip(poly.vertices, poly.spins))
         lines.append(f"gamma {{{body}}} logw={model.weight_log(poly):.12g}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def aggregate_size_min_n(eps: float, degree: int) -> float:
-    """n above which no >6*eps*n vertex set splits into <=2*eps*n host components.
-
-    Diagnostic threshold (needs eps >= lambda/Delta); not enforced anywhere.
-    """
-    return 1.0 / (2.0 * eps * eps * degree)
-
-
-def _product(options):
-    """itertools.product over spin tuples, kept explicit for empty guard."""
-    if not options:
-        return
-    counts = [len(o) for o in options]
-    if any(c == 0 for c in counts):
-        return
-    idx = [0] * len(options)
-    while True:
-        yield tuple(o[i] for o, i in zip(options, idx))
-        k = len(idx) - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < counts[k]:
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return
 
 
 def _assert_maximal(matrix: InteractionMatrix, biclique: Biclique) -> None:

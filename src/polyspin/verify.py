@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import oracle
-from .dynamics import ChainParams, PolymerChain, default_mixing_steps
+from .dynamics import ChainParams, sample_polymer_config
 from .estimator import EstimatorConfig, spin_sample_many
 from .graph import (
     check_expansion_inequalities,
@@ -236,11 +236,9 @@ def chain_tv_suite(draws: int = 40_000, seed: int = 29):
     configs, probs = oracle.exact_polymer_distribution(model, 1)
     key = {tuple(c): k for k, c in enumerate(configs)}
     counts = np.zeros(len(configs))
-    steps = default_mixing_steps(params, graph.num_vertices, 0.02)
     for r in range(draws):
-        chain = PolymerChain(model, params, seed=seed, replica=r)
-        chain.run(steps)
-        counts[key[chain.current_polymers()]] += 1
+        config = sample_polymer_config(model, params, 0.02, seed, replica=r)
+        counts[key[config.polymers]] += 1
     tv = 0.5 * float(np.abs(counts / draws - probs).sum())
     return [("chain-tv", tv <= 0.02, f"TV = {tv:.4f} over {draws} draws")]
 

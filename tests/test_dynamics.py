@@ -10,10 +10,11 @@ from polyspin import (
     ChainParams,
     PolymerChain,
     PolymerModel,
+    dynamics,
     sample_polymer_config,
-    uncovered_probability,
 )
-from polyspin.errors import InvalidRangeError, InvalidSampleCountError
+from polyspin.errors import InvalidRangeError
+from polyspin.estimator import _uncovered_ratio
 from polyspin.oracle import (
     exact_chain_analysis,
     exact_polymer_distribution,
@@ -110,6 +111,27 @@ def test_removal_paths_have_positive_probability(k33_model):
             current = smaller
 
 
+def test_analysis_reads_the_chain_kernel(k33_model, monkeypatch):
+    # a normaliser taken before the covering polymer is dropped breaks
+    # reversibility; the exact analysis must see it, because its rows come
+    # from the same kernel the chain runs
+    real = dynamics.heat_bath_conditional
+
+    def stale_normaliser(table, candidates):
+        conditional = real(table, candidates)
+
+        def wrong(current, v):
+            kept, options, total = conditional(current, v)
+            dropped = sum(table.weights[i] for i in current if i not in kept)
+            return kept, options, total + dropped
+
+        return wrong
+
+    monkeypatch.setattr(dynamics, "heat_bath_conditional", stale_normaliser)
+    analysis = exact_chain_analysis(k33_model, ChainParams(size_cap=2))
+    assert analysis.detailed_balance_violation > 1e-6
+
+
 def test_empty_model_analysis(empty_model):
     analysis = exact_chain_analysis(empty_model, ChainParams(size_cap=1))
     assert analysis.num_states == 1
@@ -164,34 +186,26 @@ def test_ergodic_average_matches_enumeration(k33_model):
     assert abs(mean - expect) <= 3.0 * stderr + 1e-3
 
 
-# -- uncovered probability ---------------------------------------------------------
+# -- uncovered ratio ---------------------------------------------------------------
 
 
-def test_uncovered_probability_no_polymers(empty_model):
-    p = uncovered_probability(empty_model, ChainParams(size_cap=1), 0, 10, seed=1)
+def test_uncovered_ratio_no_polymers(empty_model):
+    p = _uncovered_ratio(empty_model, ChainParams(size_cap=1), range(6), 0, 10, 1, 0, 6)
     assert p == 1.0
 
 
-def test_uncovered_probability_matches_exact(k33_model):
-    params = ChainParams(size_cap=1, burn_in=80)
+def test_uncovered_ratio_matches_exact(k33_model):
+    params = ChainParams(size_cap=1)
     configs, probs = exact_polymer_distribution(k33_model, 1)
     exact = float(
         sum(p for c, p in zip(configs, probs) if all(3 not in poly.vertices for poly in c))
     )
     assert exact == pytest.approx(10.0 / 11.0, abs=1e-12)
     m = 10_000
-    est = uncovered_probability(k33_model, params, 3, m, seed=6)
-    stderr = math.sqrt(exact * (1 - exact) / m)
-    assert abs(est - exact) <= 3.0 * stderr + 0.003  # burn-in bias allowance
-
-
-def test_uncovered_probability_argument_validation(k33_model):
-    with pytest.raises(InvalidSampleCountError):
-        uncovered_probability(k33_model, ChainParams(size_cap=1), 3, 0, seed=1)
-    with pytest.raises(InvalidRangeError):
-        uncovered_probability(
-            k33_model, ChainParams(size_cap=1), 5, 10, seed=1, region=range(3)
-        )
+    est = _uncovered_ratio(k33_model, params, range(6), 3, m, 6, 0, 6)
+    # samples one sweep apart are nearly independent; allow for correlation
+    stderr = 2.0 * math.sqrt(exact * (1 - exact) / m)
+    assert abs(est - exact) <= 3.0 * stderr
 
 
 def test_chain_params_validation():
@@ -199,17 +213,3 @@ def test_chain_params_validation():
         ChainParams(size_cap=0)
     with pytest.raises(InvalidRangeError):
         ChainParams(size_cap=1, mixing_constant=0.0)
-
-
-def test_diagnostics_stream(k33_model, tmp_path):
-    params = ChainParams(size_cap=1)
-    chain = PolymerChain(k33_model, params, seed=1)
-    out = tmp_path / "diag.tsv"
-    with open(out, "w") as fh:
-        chain.run(2500, diagnostics=fh)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 2
-    step, npoly, covered, lw = lines[0].split("\t")
-    assert step == "1000"
-    assert int(npoly) >= 0 and int(covered) >= 0
-    float(lw)

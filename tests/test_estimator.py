@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -24,6 +25,7 @@ from polyspin import (
     spin_sample_many,
 )
 from polyspin.errors import (
+    DegenerateRatioError,
     InvalidAccuracyError,
     PremisesUnmetError,
     ZeroNormalizerError,
@@ -125,23 +127,6 @@ def test_mixture_potts_small_delta_close_to_exact(k33):
     assert abs(table.ln_total - exact_Z(k33, potts)) <= 0.1
 
 
-def test_mixture_threads_do_not_change_result(k33, hardcore):
-    base = build_mixture(
-        k33, hardcore, 0.4, 0.2, seed=9, inner_fraction=1.0, median_runs=1
-    )
-    threaded = build_mixture(
-        k33,
-        hardcore,
-        0.4,
-        0.2,
-        seed=9,
-        inner_fraction=1.0,
-        median_runs=1,
-        config=EstimatorConfig(threads=4),
-    )
-    assert base.ln_total == threaded.ln_total
-
-
 # -- approximate_Z ---------------------------------------------------------------------
 
 
@@ -169,6 +154,37 @@ def test_lab_mode_matches_exact_mixture(k33, hardcore):
     assert result.eps == 0.4
     assert abs(result.ln_value - gt) <= 0.05
     assert any("lab mode" in w for w in result.warnings)
+
+
+def test_zero_hit_ratio_raises(k33, hardcore):
+    # one sample per ratio: a covered draw must fail loudly, not be retried
+    config = EstimatorConfig(brute_force_budget=0, eps_override=0.4, sample_factor=1e-6)
+    with pytest.raises(DegenerateRatioError):
+        approximate_Z(k33, hardcore, 0.05, 0, config=config)
+
+
+def test_vacuous_polymer_correction_warns(hardcore):
+    # the analysis eps gives floor(2 eps n) = 0 at n=64, so no polymers exist
+    graph = generate_random_regular_bipartite(64, 8, seed=1)
+    result = approximate_Z(graph, hardcore, 0.1, 0)
+    assert result.ln_value == 65 * math.log(2.0)
+    assert any("polymer correction is vacuous" in w for w in result.warnings)
+
+
+def test_fixed_seed_outputs_unchanged(k33, hardcore):
+    # the determinism contract: these values are pinned byte for byte
+    config = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
+    values = [approximate_Z(k33, hardcore, 0.05, s, config=config).ln_value for s in range(3)]
+    assert values == [3.3373241160599267, 3.3360321708802525, 3.3346804589271826]
+    config = EstimatorConfig(brute_force_budget=0, eps_override=0.5, mixing_constant=1.5)
+    samples = spin_sample_many(k33, hardcore, 0.05, 7, 3000, config=config)
+    assert (
+        hashlib.sha1(samples.tobytes()).hexdigest()
+        == "f2b3dcaadc8c28be00bfa9ef61ff9644ff82bad8"
+    )
+    graph = generate_random_regular_bipartite(16, 4, 1)
+    config = EstimatorConfig(brute_force_budget=0, eps_override=0.1, size_cap=2)
+    assert approximate_Z(graph, hardcore, 0.8, 1, config=config).ln_value == 12.845156906590931
 
 
 def test_strict_mode_refuses_at_desk_scale(hardcore):
