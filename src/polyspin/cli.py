@@ -67,17 +67,20 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_estimate(args) -> int:
-    graph = load_graph(args.graph, oracle_only=args.relaxed)
-    matrix = load_matrix(args.matrix)
-    config = estimator.EstimatorConfig(
+def _config(args) -> estimator.EstimatorConfig:
+    return estimator.EstimatorConfig(
         eps_override=args.eps_model,
         brute_force_budget=args.brute_force_budget,
         size_cap=args.size_cap,
     )
+
+
+def cmd_estimate(args) -> int:
+    graph = load_graph(args.graph, oracle_only=args.relaxed)
+    matrix = load_matrix(args.matrix)
     start = time.monotonic()
     result = estimator.approximate_Z(
-        graph, matrix, args.eps, args.seed, mode=args.mode, config=config
+        graph, matrix, args.eps, args.seed, mode=args.mode, config=_config(args)
     )
     elapsed_ms = int(1000 * (time.monotonic() - start))
     record = {
@@ -97,13 +100,8 @@ def cmd_estimate(args) -> int:
 def cmd_sample(args) -> int:
     graph = load_graph(args.graph, oracle_only=args.relaxed)
     matrix = load_matrix(args.matrix)
-    config = estimator.EstimatorConfig(
-        eps_override=args.eps_model,
-        brute_force_budget=args.brute_force_budget,
-        size_cap=args.size_cap,
-    )
     samples = estimator.spin_sample_many(
-        graph, matrix, args.eps, args.seed, args.count, mode=args.mode, config=config
+        graph, matrix, args.eps, args.seed, args.count, mode=args.mode, config=_config(args)
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         for row in samples:
@@ -126,6 +124,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
+def _add_run_args(cmd: argparse.ArgumentParser) -> None:
+    """The arguments estimate and sample share; _config reads them."""
+    cmd.add_argument("graph")
+    cmd.add_argument("matrix")
+    cmd.add_argument("-e", "--eps", type=float, required=True, help="relative accuracy target")
+    cmd.add_argument("--seed", type=int, required=True)
+    cmd.add_argument("--mode", choices=("lab", "strict"), default="lab")
+    cmd.add_argument("--format", choices=("kv", "json"), default="kv")
+    cmd.add_argument("--eps-model", type=float, default=None, help="override the model closeness eps")
+    cmd.add_argument("--brute-force-budget", type=int, default=1 << 24)
+    cmd.add_argument("--size-cap", type=int, default=None, help="truncate polymer size (default: floor(2 eps n))")
+    cmd.add_argument("--relaxed", action="store_true", help="accept oracle-only graphs")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyspin",
@@ -143,34 +155,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     est = sub.add_parser("estimate", help="approximate ln Z for a graph/matrix pair")
-    est.add_argument("graph")
-    est.add_argument("matrix")
-    est.add_argument("-e", "--eps", type=float, required=True, help="relative accuracy target")
-    est.add_argument("--seed", type=int, required=True)
-    est.add_argument("--mode", choices=("lab", "strict"), default="lab")
-    est.add_argument("--format", choices=("kv", "json"), default="kv")
-    est.add_argument("--eps-model", type=float, default=None, help="override the model closeness eps")
-    est.add_argument("--brute-force-budget", type=int, default=1 << 24)
-    est.add_argument("--size-cap", type=int, default=None, help="truncate polymer size (default: floor(2 eps n))")
-    est.add_argument("--relaxed", action="store_true", help="accept oracle-only graphs")
+    _add_run_args(est)
     est.set_defaults(func=cmd_estimate)
 
     smp = sub.add_parser("sample", help="draw approximate Gibbs configurations")
-    smp.add_argument("graph")
-    smp.add_argument("matrix")
+    _add_run_args(smp)
     smp.add_argument("-c", "--count", type=int, required=True)
-    smp.add_argument("-e", "--eps", type=float, required=True)
-    smp.add_argument("--seed", type=int, required=True)
     smp.add_argument("-o", "--out", required=True)
-    smp.add_argument("--mode", choices=("lab", "strict"), default="lab")
-    smp.add_argument("--format", choices=("kv", "json"), default="kv")
-    smp.add_argument("--eps-model", type=float, default=None)
-    smp.add_argument("--brute-force-budget", type=int, default=1 << 24)
-    smp.add_argument("--size-cap", type=int, default=None)
-    smp.add_argument("--relaxed", action="store_true")
     smp.set_defaults(func=cmd_sample)
 
-    ver = sub.add_parser("verify", help="run the invariant self-check suites")
+    ver = sub.add_parser("verify", help="run the acceptance checks (quick: c1 c2 c5-c8; full: all)")
     ver.add_argument("level", choices=("quick", "full"), nargs="?", default="quick")
     ver.set_defaults(func=cmd_verify)
 

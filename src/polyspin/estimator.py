@@ -50,7 +50,6 @@ class LogEstimate:
 
     ln_value: float
     rel_err_target: float
-    confidence: float
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ class MixtureRecord:
 class MixtureTable:
     records: tuple[MixtureRecord, ...]
     ln_total: float
-    confidence: float
 
     def biclique_log_masses(self) -> np.ndarray:
         return np.array([r.ln_prefactor + r.ln_polymer_z for r in self.records])
@@ -74,22 +72,33 @@ class MixtureTable:
 class EstimatorConfig:
     """Tunable constants; defaults follow the analysis-backed schedule.
 
-    Lab runs at desk scale usually override inner_fraction/median_runs
-    (mode="lab" does this automatically) because the worst-case error
-    split is far more sampling than small instances need.
+    The per-biclique error split and the median amplification are not
+    settable: approximate_Z takes them from the mode (strict: the
+    worst-case split, lab: one run at accuracy eps*).
     """
 
     sample_factor: float = 8.0  # c in m_i = ceil(c n / eps^2)
     size_cap: int | None = None  # None -> floor(2 eps n), the exact truncation
     mixing_constant: float = 10.0
-    inner_fraction: float | None = None  # per-biclique accuracy = fraction * eps*
-    median_runs: int | None = None  # None -> schedule from the failure budget
     brute_force_budget: int = 1 << 24  # 0 disables the exact fallback entirely
     eps_override: float | None = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.sample_factor) and self.sample_factor > 0):
+            raise InvalidRangeError(
+                f"sample_factor must be positive and finite, got {self.sample_factor}"
+            )
+        if self.size_cap is not None and self.size_cap < 1:
+            raise InvalidRangeError(f"size_cap must be >= 1, got {self.size_cap}")
+        if not (math.isfinite(self.mixing_constant) and self.mixing_constant > 0):
+            raise InvalidRangeError(
+                f"mixing_constant must be positive and finite, got {self.mixing_constant}"
+            )
+
     def chain_params(self, model: PolymerModel) -> ChainParams:
+        """Chain knobs for a model that admits polymers (max_size >= 1)."""
         cap = model.max_size if self.size_cap is None else min(self.size_cap, model.max_size)
-        return ChainParams(size_cap=max(cap, 1), mixing_constant=self.mixing_constant)
+        return ChainParams(size_cap=cap, mixing_constant=self.mixing_constant)
 
 
 @dataclass(frozen=True)
@@ -135,11 +144,7 @@ def estimate_polymer_Z(
         raise InvalidRangeError("median_runs must be >= 1")
     m = math.ceil(sample_factor * model.graph.n / eps_star**2)
     values = [_telescope(model, params, seed, m, run) for run in range(median_runs)]
-    ln_value = float(np.median(values))
-    # Hoeffding on the median is vacuous for small k; never report below
-    # the single-run success probability
-    confidence = max(0.75, 1.0 - math.exp(-median_runs / 8.0))
-    return LogEstimate(ln_value=ln_value, rel_err_target=eps_star, confidence=confidence)
+    return LogEstimate(ln_value=float(np.median(values)), rel_err_target=eps_star)
 
 
 def _telescope(model: PolymerModel, params: ChainParams, seed: int, m: int, run: int) -> float:
@@ -208,17 +213,15 @@ def build_mixture(
 
     records = []
     acc = LogSumAccumulator()
-    confidence = 1.0
     for b_idx, biclique in enumerate(bicliques):
         model = PolymerModel(graph, matrix, biclique, eps)
         prefactor = n * (math.log(len(biclique.b0)) + math.log(len(biclique.b1)))
-        params = config.chain_params(model)
         if model.max_size < 1 or not model.active_vertices:
-            est = LogEstimate(0.0, inner_eps, 1.0)
+            est = LogEstimate(0.0, inner_eps)
         else:
             est = estimate_polymer_Z(
                 model,
-                params,
+                config.chain_params(model),
                 inner_eps,
                 _subseed(seed, b_idx),
                 sample_factor=config.sample_factor,
@@ -226,8 +229,7 @@ def build_mixture(
             )
         records.append(MixtureRecord(biclique, prefactor, est.ln_value))
         acc.add(prefactor + est.ln_value)
-        confidence *= est.confidence
-    return MixtureTable(records=tuple(records), ln_total=acc.value, confidence=confidence)
+    return MixtureTable(records=tuple(records), ln_total=acc.value)
 
 
 # Hard cap for exactness forced by the eps-star condition alone. Small n
@@ -286,7 +288,7 @@ def approximate_Z(
             graph, matrix, budget=max(config.brute_force_budget, needed)
         )
         return ApproxResult(
-            estimate=LogEstimate(ln, eps_star, 1.0),
+            estimate=LogEstimate(ln, eps_star),
             mode="exact",
             bicliques=len(enumerate_maximal_bicliques(matrix)),
             eps=None,
@@ -310,12 +312,10 @@ def approximate_Z(
         report = check_premises(matrix, graph.degree, lam_used)
         if not report.all_ok:
             raise PremisesUnmetError("; ".join(report.details))
-        inner_fraction = config.inner_fraction if config.inner_fraction is not None else 0.125
-        median_runs = config.median_runs
+        inner_fraction, median_runs = 0.125, None  # None: _median_schedule
     else:
         warnings.append("lab mode: premises unchecked, no accuracy guarantee claimed")
-        inner_fraction = config.inner_fraction if config.inner_fraction is not None else 1.0
-        median_runs = config.median_runs if config.median_runs is not None else 1
+        inner_fraction, median_runs = 1.0, 1
 
     table = build_mixture(
         graph,
@@ -333,7 +333,7 @@ def approximate_Z(
             f"at model eps={eps:.6g}, so lnZ counts ground states only"
         )
     return ApproxResult(
-        estimate=LogEstimate(table.ln_total, eps_star, table.confidence),
+        estimate=LogEstimate(table.ln_total, eps_star),
         mode=mode,
         bicliques=len(table.records),
         eps=eps,

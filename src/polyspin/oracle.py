@@ -276,6 +276,19 @@ def exact_polymer_Z(
     return acc.value
 
 
+def exact_mixture_Z(graph, matrix: InteractionMatrix, eps: float) -> float:
+    """ln of the sum over maximal bicliques of |B_0|^n |B_1|^n times the
+    exact polymer Z at closeness eps: the quantity the estimator targets."""
+    acc = LogSumAccumulator()
+    for biclique in enumerate_maximal_bicliques(matrix):
+        model = PolymerModel(graph, matrix, biclique, eps)
+        acc.add(
+            graph.n * (math.log(len(biclique.b0)) + math.log(len(biclique.b1)))
+            + exact_polymer_Z(model)
+        )
+    return acc.value
+
+
 def exact_polymer_distribution(
     model: PolymerModel,
     size_cap: int | None = None,

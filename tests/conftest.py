@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from polyspin import (
@@ -11,20 +10,19 @@ from polyspin import (
     generate_random_regular_bipartite,
     normalize_matrix,
     single_edge,
+    verify,
 )
+from polyspin.verify import random_delta_matrix  # noqa: F401  (imported by test modules)
 
 
 @pytest.fixture(scope="session")
 def hardcore() -> InteractionMatrix:
-    matrix, _ = normalize_matrix([[0.0, 1.0], [1.0, 1.0]])
-    return matrix
+    return verify.hardcore()
 
 
 @pytest.fixture(scope="session")
 def potts3() -> InteractionMatrix:
-    return InteractionMatrix(
-        [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]], 0.5
-    )
+    return verify.potts3()
 
 
 @pytest.fixture(scope="session")
@@ -136,15 +134,3 @@ def brute_force_connected_sets(adj: dict[int, tuple[int, ...]], size_cap: int):
             if len(seen) == r:
                 found.add(combo)
     return found
-
-
-def random_delta_matrix(rng: np.random.Generator, q: int) -> InteractionMatrix:
-    """Random normalized matrix with a guaranteed strict maximum entry."""
-    while True:
-        raw = rng.random((q, q))
-        raw = 0.5 * (raw + raw.T)
-        i, j = rng.integers(0, q, size=2)
-        raw[i, j] = raw[j, i] = 2.0
-        if raw.max() > raw.min():
-            matrix, _ = normalize_matrix(raw)
-            return matrix

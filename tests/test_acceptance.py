@@ -1,277 +1,18 @@
-"""Acceptance criteria, one test per criterion, each printing a PASS line.
+"""Acceptance criteria c1-c8 and the chain-TV check, each printing a PASS line.
 
-The headline theorem regime needs degrees around 10^12, far beyond desk
-scale, so acceptance is property-based plus oracle equivalence in lab mode:
-exact identities at tight tolerances on small instances, and statistical
-checks with fixed seeds where sampling is involved.
+The checks themselves live in polyspin.verify, which `polyspin verify`
+runs too; see that module for what each criterion asserts.
 """
 
 from __future__ import annotations
 
-import math
+import pytest
 
-import numpy as np
-
-from polyspin import (
-    Biclique,
-    ChainParams,
-    EstimatorConfig,
-    PolymerModel,
-    approximate_Z,
-    check_expansion_inequalities,
-    check_premises,
-    complete_bipartite,
-    enumerate_maximal_bicliques,
-    even_cycle,
-    generate_random_regular_bipartite,
-    second_eigenvalue,
-    spin_sample_many,
-)
-from polyspin.logspace import NEG_INF, LogSumAccumulator
-from polyspin.oracle import (
-    dense_eigenvalues,
-    encode_configuration,
-    exact_chain_analysis,
-    exact_log_weights,
-    exact_polymer_Z,
-    ground_state_sum_log,
-)
-
-from conftest import random_delta_matrix
+from polyspin import verify
 
 
-def _hardcore():
-    from polyspin import normalize_matrix
-
-    matrix, _ = normalize_matrix([[0.0, 1.0], [1.0, 1.0]])
-    return matrix
-
-
-def _report(name: str, ok: bool, detail: str) -> None:
+@pytest.mark.parametrize("check", verify.FULL, ids=lambda f: f.__name__.replace("_", "-"))
+def test_acceptance(check):
+    name, ok, detail = check()
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{name}: {detail}"
-
-
-def _exact_mixture(graph, matrix, eps) -> float:
-    acc = LogSumAccumulator()
-    for biclique in enumerate_maximal_bicliques(matrix):
-        model = PolymerModel(graph, matrix, biclique, eps)
-        acc.add(
-            graph.n * (math.log(len(biclique.b0)) + math.log(len(biclique.b1)))
-            + exact_polymer_Z(model)
-        )
-    return acc.value
-
-
-def test_c1_weight_identity():
-    """50 randomized (G, H, B, Gamma) instances agree to relative 1e-10."""
-    rng = np.random.default_rng(101)
-    graphs = [
-        complete_bipartite(3),
-        even_cycle(8),
-        even_cycle(12),
-        generate_random_regular_bipartite(4, 3, seed=7),
-        generate_random_regular_bipartite(6, 3, seed=8),
-    ]
-    hardcore = _hardcore()
-    checked = 0
-    worst = 0.0
-    trial = 0
-    while checked < 50:
-        trial += 1
-        graph = graphs[trial % len(graphs)]
-        if trial % 3 == 0:
-            matrix = hardcore
-        else:
-            matrix = random_delta_matrix(rng, int(rng.integers(2, 4)))
-        bicliques = enumerate_maximal_bicliques(matrix)
-        biclique = bicliques[int(rng.integers(len(bicliques)))]
-        eps = float(rng.uniform(0.3, 0.9))
-        model = PolymerModel(graph, matrix, biclique, eps)
-        if model.max_size < 1 or not model.active_vertices:
-            continue
-        polymers = model.enumerate_allowed(min(model.max_size, 2))
-        chosen = []
-        for idx in rng.permutation(len(polymers)):
-            cand = polymers[idx]
-            if all(model.are_compatible(cand, p) for p in chosen):
-                chosen.append(cand)
-            if len(chosen) == 3:
-                break
-        lhs = graph.n * (
-            math.log(len(biclique.b0)) + math.log(len(biclique.b1))
-        ) + model.config_weight_log(chosen)
-        fixed = {}
-        for poly in chosen:
-            fixed.update(poly.spin_map())
-        rhs = ground_state_sum_log(graph, matrix, biclique, fixed)
-        checked += 1
-        if lhs == NEG_INF or rhs == NEG_INF:
-            assert lhs == rhs
-        else:
-            worst = max(worst, abs(lhs - rhs))
-    _report("1 weight-identity", worst <= 1e-10, f"50 instances, max |dlog| = {worst:.3e}")
-
-
-def test_c2_chain_correctness():
-    """Detailed balance and stationarity to 1e-10 on K33 hardcore."""
-    graph = complete_bipartite(3)
-    model = PolymerModel(graph, _hardcore(), Biclique((0, 1), (1,)), 0.4)
-    worst_db = 0.0
-    worst_stat = 0.0
-    for cap in (1, 2):
-        analysis = exact_chain_analysis(model, ChainParams(size_cap=cap))
-        worst_db = max(worst_db, analysis.detailed_balance_violation)
-        worst_stat = max(worst_stat, analysis.stationarity_violation)
-    ok = worst_db <= 1e-10 and worst_stat <= 1e-10
-    _report("2 chain-correctness", ok, f"db = {worst_db:.3e}, stationarity = {worst_stat:.3e}")
-
-
-def test_c3_counting_oracle_equivalence():
-    """Lab-mode approximate_Z within |dlnZ| <= 0.05 of the exact mixture
-    in at least 18 of 20 seeds, on K33 and a seeded n=4 degree-3 graph."""
-    hardcore = _hardcore()
-    config = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
-    results = []
-    for graph_name, graph in (
-        ("K33", complete_bipartite(3)),
-        ("rand-n4-d3", generate_random_regular_bipartite(4, 3, seed=42)),
-    ):
-        truth = _exact_mixture(graph, hardcore, 0.4)
-        hits = 0
-        worst = 0.0
-        for seed in range(20):
-            result = approximate_Z(graph, hardcore, 0.05, seed, mode="lab", config=config)
-            err = abs(result.ln_value - truth)
-            worst = max(worst, err)
-            hits += err <= 0.05
-        results.append((graph_name, hits, worst))
-    ok = all(hits >= 18 for _, hits, _ in results)
-    detail = "; ".join(f"{name}: {hits}/20, worst {worst:.4f}" for name, hits, worst in results)
-    _report("3 counting-oracle-equivalence", ok, detail)
-
-
-def test_c4_sampling_accuracy():
-    """TV distance of 1e5 spin samples to the exact 64-point Gibbs <= 0.02."""
-    graph = complete_bipartite(3)
-    hardcore = _hardcore()
-    config = EstimatorConfig(brute_force_budget=0, eps_override=0.5, mixing_constant=1.5)
-    draws = 100_000
-    samples = spin_sample_many(graph, hardcore, 0.05, seed=404, count=draws, config=config)
-    log_w = exact_log_weights(graph, hardcore)
-    probs = np.exp(log_w - log_w.max())
-    probs /= probs.sum()
-    counts = np.zeros(probs.size)
-    for row in samples:
-        counts[encode_configuration(row, 2)] += 1
-    tv = 0.5 * float(np.abs(counts / draws - probs).sum())
-    _report("4 sampling-accuracy", tv <= 0.02, f"TV = {tv:.4f} over {draws} draws")
-
-
-def test_c5_spectral_certificates():
-    """lambda <= 2 sqrt(8) for >= 9/10 seeds at n=64; dense-oracle
-    agreement to 1e-8 on every test graph with at most 24 vertices."""
-    bound = 2.0 * math.sqrt(8.0)
-    hits = 0
-    for s in range(10):
-        graph = generate_random_regular_bipartite(64, 8, seed=1000 + s)
-        if second_eigenvalue(graph).lam <= bound:
-            hits += 1
-    small = [
-        complete_bipartite(3),
-        even_cycle(8),
-        even_cycle(16),
-        even_cycle(24),
-        generate_random_regular_bipartite(8, 3, seed=2),
-        generate_random_regular_bipartite(10, 3, seed=9),
-        generate_random_regular_bipartite(12, 4, seed=3),
-        generate_random_regular_bipartite(12, 5, seed=4),
-    ]
-    worst = 0.0
-    for graph in small:
-        assert graph.num_vertices <= 24
-        cert = second_eigenvalue(graph)
-        spectrum = dense_eigenvalues(graph.adjacency_matrix())
-        worst = max(worst, abs(cert.lam - float(spectrum[1])))
-    ok = hits >= 9 and worst <= 1e-8
-    _report("5 spectral-certificates", ok, f"{hits}/10 seeds under 2*sqrt(8); oracle gap {worst:.2e}")
-
-
-def test_c6_expansion_theorems():
-    """Zero violations of the mixing/edge/vertex bounds over 1000 draws
-    per generated graph, with certified lambda."""
-    cases = [
-        complete_bipartite(3),
-        generate_random_regular_bipartite(16, 4, seed=5),
-        generate_random_regular_bipartite(12, 3, seed=6),
-    ]
-    total_violations = 0
-    for graph in cases:
-        cert = second_eigenvalue(graph)
-        report = check_expansion_inequalities(graph, cert.lam, trials=1000, seed=31)
-        total_violations += len(report.violations)
-    _report(
-        "6 expansion-theorems",
-        total_violations == 0,
-        f"{total_violations} violations over {1000 * len(cases)} draws",
-    )
-
-
-def test_c7_sampling_condition_diagnostics():
-    """F_u <= |B_i| - 1 + delta and w <= 1 over all polymers of size <= 3."""
-    from polyspin import InteractionMatrix
-
-    hardcore = _hardcore()
-    potts3 = InteractionMatrix(
-        [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]], 0.5
-    )
-    all_ones = InteractionMatrix([[1.0, 1.0], [1.0, 1.0]], 0.5)
-    instances = [
-        (complete_bipartite(3), hardcore),
-        (complete_bipartite(3), potts3),
-        (complete_bipartite(3), all_ones),
-        (even_cycle(8), hardcore),
-        (generate_random_regular_bipartite(4, 3, seed=42), hardcore),
-        (generate_random_regular_bipartite(4, 3, seed=42), potts3),
-    ]
-    checked = 0
-    boundary_bad = 0
-    weight_bad = 0
-    for graph, matrix in instances:
-        for biclique in enumerate_maximal_bicliques(matrix):
-            model = PolymerModel(graph, matrix, biclique, 0.5)
-            cap = min(3, model.max_size)
-            if cap < 1:
-                continue
-            report = model.verify_sampling_condition(cap)
-            checked += report.polymers_checked
-            boundary_bad += len(report.boundary_violations)
-            for poly in model.enumerate_allowed(cap):
-                if model.weight_log(poly) > 1e-9:
-                    weight_bad += 1
-    ok = boundary_bad == 0 and weight_bad == 0
-    _report(
-        "7 sampling-condition-diagnostics",
-        ok,
-        f"{checked} polymers, {boundary_bad} boundary / {weight_bad} weight violations",
-    )
-
-
-def test_c8_premise_checker():
-    """Hand-derived pass/fail table and the epsilon formula to 1e-9."""
-    hardcore = _hardcore()
-    big = check_premises(hardcore, 10**13, 2.0 * math.sqrt(10**13))
-    small = check_premises(hardcore, 100, 20.0)
-    expected_eps = 0.5 / (100.0 * math.log(200.0))
-    ok = (
-        big.degree_gap_ok
-        and big.degree_ok
-        and big.tau_ok
-        and not small.degree_ok
-        and abs(small.epsilon - expected_eps) <= 1e-9
-    )
-    _report(
-        "8 premise-checker",
-        ok,
-        f"degree 1e13 pass, degree 100 fail, |eps - formula| = {abs(small.epsilon - expected_eps):.2e}",
-    )

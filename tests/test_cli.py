@@ -116,6 +116,17 @@ def test_estimate_parse_error_exit_1(tmp_path, capsys, hardcore_path):
     assert "error" in err
 
 
+def test_estimate_size_cap_zero_exit_1(tmp_path, capsys, hardcore_path):
+    gpath = tmp_path / "k33.txt"
+    run(["gen", "-n", "3", "-d", "3", "--seed", "1", "-o", str(gpath)], capsys)
+    code, _, err = run(
+        ["estimate", str(gpath), hardcore_path, "-e", "0.5", "--seed", "3", "--size-cap", "0"],
+        capsys,
+    )
+    assert code == 1
+    assert "error: size_cap" in err
+
+
 def test_missing_seed_is_a_usage_error(tmp_path, capsys, hardcore_path):
     code, _, _ = run(["gen", "-n", "3", "-d", "3", "-o", str(tmp_path / "g")], capsys)
     assert code == 1
@@ -206,7 +217,7 @@ def test_verify_quick_passes(capsys):
 
 
 def test_verify_detects_injected_weight_fault(monkeypatch):
-    # perturbing the weight formula must trip the weight-identity suite
+    # perturbing the weight formula must trip the weight-identity check c1
     original = PolymerModel.weight_log
 
     def crooked(self, poly):
@@ -214,5 +225,5 @@ def test_verify_detects_injected_weight_fault(monkeypatch):
         return value if value == float("-inf") else value + 1e-6
 
     monkeypatch.setattr(PolymerModel, "weight_log", crooked)
-    rows = verify_mod.weight_identity_suite()
-    assert any(not ok for _, ok, _ in rows)
+    _, ok, _ = verify_mod.c1()
+    assert not ok

