@@ -44,8 +44,10 @@ class ChainParams:
     def __post_init__(self):
         if self.size_cap < 1:
             raise InvalidRangeError("size_cap must be >= 1")
-        if self.mixing_constant <= 0:
-            raise InvalidRangeError("mixing_constant must be positive")
+        if not (math.isfinite(self.mixing_constant) and self.mixing_constant > 0):
+            raise InvalidRangeError(
+                f"mixing_constant must be positive and finite, got {self.mixing_constant}"
+            )
 
 
 class CandidateTable:
@@ -59,7 +61,13 @@ class CandidateTable:
 
     def __init__(self, model: PolymerModel, size_cap: int):
         polymers = model.enumerate_allowed(size_cap)
-        host = model.graph.host_adjacency
+        # closed G^3 zone of each vertex: itself plus its host neighbors
+        zones = []
+        for v, nbrs in enumerate(model.graph.host_adjacency):
+            zone = 1 << v
+            for u in nbrs:
+                zone |= 1 << u
+            zones.append(zone)
         self.polymers = []
         self.masks: list[int] = []
         self.blocks: list[int] = []
@@ -77,9 +85,7 @@ class CandidateTable:
             block = 0
             for v in poly.vertices:
                 mask |= 1 << v
-                block |= 1 << v
-                for u in host[v]:
-                    block |= 1 << u
+                block |= zones[v]
             idx = len(self.polymers)
             self.polymers.append(poly)
             self.masks.append(mask)

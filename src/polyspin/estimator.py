@@ -297,9 +297,13 @@ def approximate_Z(
 
     warnings: list[str] = []
     if eps_star < 9.0 * math.exp(-graph.n / (4.0 * matrix.q)):
+        if config.brute_force_budget <= 0:
+            reason = f"exact path is disabled (brute_force_budget={config.brute_force_budget})"
+        else:
+            reason = "exact path exceeds its cap"
         warnings.append(
             "accuracy target is below the small-instance threshold but the "
-            "exact path exceeds its cap; polymer estimate carries no bound"
+            f"{reason}; polymer estimate carries no bound"
         )
     eps = config.eps_override
     if eps is None:

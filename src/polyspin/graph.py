@@ -9,7 +9,6 @@ enforces the working class (connected, Delta-regular with Delta >= 3);
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -66,7 +65,6 @@ class BipartiteRegularGraph:
         self.edge_array = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
         self.num_edges = self.edge_array.shape[0]
         self._host = None
-        self._host_lock = threading.Lock()
 
     # -- basic structure -------------------------------------------------
 
@@ -102,12 +100,10 @@ class BipartiteRegularGraph:
     def host_adjacency(self) -> tuple[tuple[int, ...], ...]:
         """For each v, the sorted vertices at G-distance 1..3 (host graph G^3).
 
-        Built once under a lock, then read-only shared.
+        Built on first use, then read-only.
         """
         if self._host is None:
-            with self._host_lock:
-                if self._host is None:
-                    self._host = self._build_host()
+            self._host = self._build_host()
         return self._host
 
     def _build_host(self):

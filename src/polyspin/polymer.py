@@ -124,6 +124,10 @@ def connected_vertex_sets(neighbors, root: int, size_cap: int, rank) -> list[tup
         out.append(tuple(sorted(members)))
         if len(members) == size_cap:
             return
+        if len(members) + 1 == size_cap:
+            # the children are leaves: they need no extension pool
+            out.extend(tuple(sorted(members + [w])) for w in ext)
+            return
         for i, w in enumerate(ext):
             fresh = [
                 u
@@ -196,6 +200,8 @@ class PolymerModel:
         )
         self.tau = (1.0 - matrix.delta) / (4.0 * eps * q)
         self._tables: dict[int, "object"] = {}
+        # (side, adjacent spins) -> (F_u, ln F_u); see _boundary_entry
+        self._boundary_memo: dict[tuple[int, tuple[int, ...]], tuple[float, float]] = {}
 
     # -- spins ------------------------------------------------------------
 
@@ -245,36 +251,29 @@ class PolymerModel:
         Denominator: |B_i| to the power |side-i part of region + boundary|.
         """
         graph = self.graph
-        h = self.matrix.entries
+        n = graph.n
         logh = self.matrix.log_entries
         spin = dict(zip(poly.vertices, poly.spins))
-        inside = set(poly.vertices)
         acc = 0.0
         boundary: dict[int, list[int]] = {}
-        for v in poly.vertices:
-            sv = spin[v]
-            for u in graph.neighbors(v):
-                if u in inside:
-                    if u < v:
-                        term = logh[spin[u], sv]
-                        if term == NEG_INF:
-                            return NEG_INF
-                        acc += term
-                else:
+        for v, sv in spin.items():
+            for u in graph.adjacency[v]:
+                su = spin.get(u)
+                if su is None:
                     boundary.setdefault(u, []).append(sv)
+                elif u < v:
+                    term = logh[su, sv]
+                    if term == NEG_INF:
+                        return NEG_INF
+                    acc += term
         for u, adjacent_spins in boundary.items():
-            side = graph.side(u)
-            f_u = float(
-                np.prod(h[np.ix_(list(self.biclique.side(side)), adjacent_spins)], axis=1).sum()
-            )
-            if f_u <= 0.0:
+            ln_f_u = self._boundary_entry(0 if u < n else 1, tuple(adjacent_spins))[1]
+            if ln_f_u == NEG_INF:
                 return NEG_INF
-            acc += math.log(f_u)
-        plus = inside | boundary.keys()
-        n = graph.n
-        count0 = sum(1 for v in plus if v < n)
+            acc += ln_f_u
+        count0 = sum(v < n for v in spin) + sum(u < n for u in boundary)
         acc -= count0 * math.log(len(self.biclique.b0))
-        acc -= (len(plus) - count0) * math.log(len(self.biclique.b1))
+        acc -= (len(spin) + len(boundary) - count0) * math.log(len(self.biclique.b1))
         return acc
 
     def boundary_factor(self, poly: Polymer, u: int) -> float:
@@ -283,11 +282,24 @@ class PolymerModel:
         adjacent = [spin[v] for v in self.graph.neighbors(u) if v in spin]
         if not adjacent:
             raise InvalidRangeError(f"vertex {u} is not on the polymer boundary")
-        side = self.graph.side(u)
-        h = self.matrix.entries
-        return float(
-            np.prod(h[np.ix_(list(self.biclique.side(side)), adjacent)], axis=1).sum()
-        )
+        return self._boundary_entry(self.graph.side(u), tuple(adjacent))[0]
+
+    def _boundary_entry(self, side: int, adjacent: tuple[int, ...]) -> tuple[float, float]:
+        """(F_u, ln F_u) for u on `side` with region-neighbor spins `adjacent`.
+
+        F_u = sum_{j in B_side} prod_k H[j, adjacent[k]]; ln F_u is -inf when
+        F_u vanishes. Memoised per model: the key keeps the spin order, so
+        the product multiplies exactly as an uncached evaluation would.
+        """
+        key = (side, adjacent)
+        entry = self._boundary_memo.get(key)
+        if entry is None:
+            h = self.matrix.entries
+            rows = list(self.biclique.side(side))
+            f_u = float(np.prod(h[np.ix_(rows, list(adjacent))], axis=1).sum())
+            entry = (f_u, math.log(f_u) if f_u > 0.0 else NEG_INF)
+            self._boundary_memo[key] = entry
+        return entry
 
     def config_weight_log(self, polymers) -> float:
         total = 0.0
@@ -318,7 +330,7 @@ class PolymerModel:
             for v in active
         }
         rank = {v: v for v in active}
-        out: list[Polymer] = []
+        out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for root in active:
             for vertex_set in connected_vertex_sets(host, root, cap, rank):
                 options = [self.allowed_spins(v) for v in vertex_set]
@@ -329,10 +341,10 @@ class PolymerModel:
                     raise ResourceLimitError(
                         f"polymer enumeration exceeded budget {budget}"
                     )
-                for combo in itertools.product(*options):
-                    out.append(Polymer(vertex_set, combo))
+                out.extend((vertex_set, combo) for combo in itertools.product(*options))
+        # (vertices, spins) tuples sort as the Polymers do, without __lt__ calls
         out.sort()
-        return out
+        return [Polymer(vertices, spins) for vertices, spins in out]
 
     # -- sampling-condition verification ------------------------------------
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from polyspin import (
     PolymerChain,
     PolymerModel,
     dynamics,
+    enumerate_maximal_bicliques,
+    generate_random_regular_bipartite,
     sample_polymer_config,
 )
 from polyspin.errors import InvalidRangeError
@@ -211,5 +214,32 @@ def test_uncovered_ratio_matches_exact(k33_model):
 def test_chain_params_validation():
     with pytest.raises(InvalidRangeError):
         ChainParams(size_cap=0)
-    with pytest.raises(InvalidRangeError):
-        ChainParams(size_cap=1, mixing_constant=0.0)
+    for bad in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidRangeError):
+            ChainParams(size_cap=1, mixing_constant=bad)
+
+
+# sha1 of (masks, blocks, log weights as float.hex) over every maximal
+# biclique and caps 1-3 at eps=0.5, pinned from the uncached weight_log
+_TABLE_DIGESTS = {
+    ("k33", "hardcore"): "031d0d9e3dcd1f490cc6b9ea71ecb96fb2253aed",
+    ("k33", "potts3"): "8f7da48595dbfc21a27c28e133492e81694d67bc",
+    ("c8", "hardcore"): "688fb4203f92b72a251f77169b1d1e2aab657056",
+    ("c8", "potts3"): "bc72376e1d02d17e71452eb3248daa981d41eb7d",
+    ("g12", "hardcore"): "e191b9167fd96e9e134dadf9996df8a35e4909db",
+    ("g12", "potts3"): "05f3a2fd55ecd6161cd852cb628ee9255af91ae3",
+}
+
+
+def test_candidate_tables_pinned(k33, c8, hardcore, potts3):
+    graphs = {"k33": k33, "c8": c8, "g12": generate_random_regular_bipartite(12, 4, 1)}
+    matrices = {"hardcore": hardcore, "potts3": potts3}
+    for (gname, mname), expected in _TABLE_DIGESTS.items():
+        digest = hashlib.sha1()
+        for biclique in enumerate_maximal_bicliques(matrices[mname]):
+            model = PolymerModel(graphs[gname], matrices[mname], biclique, 0.5)
+            for cap in (1, 2, 3):
+                table = dynamics.CandidateTable(model, cap)
+                lws = [float(lw).hex() for lw in table.log_weights]
+                digest.update(repr((table.masks, table.blocks, lws)).encode())
+        assert digest.hexdigest() == expected, (gname, mname)

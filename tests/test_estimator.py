@@ -160,6 +160,19 @@ def test_estimator_config_rejects_out_of_range(kwargs):
         EstimatorConfig(**kwargs)
 
 
+def test_exact_path_warning_names_the_cause(k33, hardcore):
+    # eps*=0.3 is below the small-instance threshold on both graphs
+    config = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
+    notes = approximate_Z(k33, hardcore, 0.3, 0, config=config).warnings
+    assert any("exact path is disabled (brute_force_budget=0)" in w for w in notes)
+    assert not any("exceeds its cap" in w for w in notes)
+    # q^{2n} = 2^28 exceeds the exact path's cap
+    graph = generate_random_regular_bipartite(14, 3, 1)
+    config = EstimatorConfig(eps_override=0.1, size_cap=1)
+    notes = approximate_Z(graph, hardcore, 0.9, 0, config=config).warnings
+    assert any("exact path exceeds its cap" in w for w in notes)
+
+
 def test_zero_hit_ratio_raises(k33, hardcore):
     # one sample per ratio: a covered draw must fail loudly, not be retried
     config = EstimatorConfig(brute_force_budget=0, eps_override=0.4, sample_factor=1e-6)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -75,6 +76,39 @@ def test_weight_zero_internal_edge(c8):
     with_edge = Polymer((0, 4), (1, 2))
     assert model.is_polymer(with_edge)
     assert model.weight_log(with_edge) == NEG_INF
+
+
+def test_zero_boundary_factor_stays_neg_inf(c8):
+    # spin 2 is off the ground biclique and H[0,2] = H[1,2] = 0, so the
+    # boundary factor of any left neighbor of a spin-2 vertex vanishes
+    matrix = InteractionMatrix([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 0.5)
+    model = PolymerModel(c8, matrix, Biclique((0, 1), (0, 1)), 0.4)
+    poly = Polymer((4,), (2,))
+    assert model.weight_log(poly) == NEG_INF
+    assert model.weight_log(poly) == NEG_INF
+    assert model.boundary_factor(poly, c8.neighbors(4)[0]) == 0.0
+
+
+def test_boundary_memo_is_per_model(c8):
+    # three bicliques on one graph share boundary keys (side, spins) whose
+    # F_u differ, e.g. side 0 with spin 1: H[0,1] = 0.5 vs H[1,1] = 0.3;
+    # interleaved calls must still give each model the uncached weights
+    matrix = InteractionMatrix([[1.0, 0.5, 0.2], [0.5, 0.3, 1.0], [0.2, 1.0, 0.4]], 0.6)
+    bicliques = enumerate_maximal_bicliques(matrix)
+    assert bicliques == [Biclique((0,), (0,)), Biclique((1,), (2,)), Biclique((2,), (1,))]
+    models = [PolymerModel(c8, matrix, b, 0.4) for b in bicliques]
+    polymers = [model.enumerate_allowed(2) for model in models]
+    assert [len(p) for p in polymers] == [112, 112, 112]
+    weights = [[], [], []]
+    for k in range(112):
+        for model, polys, out in zip(models, polymers, weights):
+            out.append(float(model.weight_log(polys[k])).hex())
+    digests = [hashlib.sha1(repr(out).encode()).hexdigest() for out in weights]
+    assert digests == [
+        "5d79464263042a24306b77977ff681d81a15368e",
+        "f0a25880b6801ba62ff475968ca850abeaea085e",
+        "9c095de73c9c6a332b776dee05f86646fc413ddf",
+    ]
 
 
 def test_weights_never_exceed_one(k33, c8, rand43, hardcore, potts3):
