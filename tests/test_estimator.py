@@ -9,6 +9,7 @@ import pytest
 
 from polyspin import (
     Biclique,
+    PremiseReport,
     ChainParams,
     EstimatorConfig,
     InteractionMatrix,
@@ -23,6 +24,7 @@ from polyspin import (
     spin_sample,
     spin_sample_many,
 )
+from polyspin import estimator
 from polyspin.errors import (
     DegenerateRatioError,
     InvalidAccuracyError,
@@ -208,6 +210,17 @@ def test_strict_mode_refuses_at_desk_scale(hardcore):
     graph = generate_random_regular_bipartite(64, 8, seed=1)
     with pytest.raises(PremisesUnmetError):
         approximate_Z(graph, hardcore, 0.5, seed=1, mode="strict")
+
+
+def test_strict_run_branch_pinned(k33, hardcore, monkeypatch):
+    # no desk-scale input passes the premises, so stub the check to reach
+    # strict mode's schedule (inner eps = eps*/8, median of 29 runs here)
+    passing = PremiseReport(True, True, 0.1, 10.0, True)
+    monkeypatch.setattr(estimator, "check_premises", lambda *args: passing)
+    config = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
+    result = approximate_Z(k33, hardcore, 0.9, 1, mode="strict", config=config)
+    assert result.mode == "strict"
+    assert result.ln_value == 3.334105750277681
 
 
 def test_invalid_accuracy(k33, hardcore):
