@@ -18,7 +18,7 @@ is what makes region partition functions telescope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,24 +30,40 @@ _RNG_BUFFER = 4096
 
 
 @dataclass(frozen=True)
-class ChainParams:
-    """Knobs for the polymer chain.
+class EstimatorConfig:
+    """The one validated set of knobs for the estimator, the chain, the
+    sampler and the oracle's chain analysis.
 
-    size_cap truncates polymer generation (exact when >= floor(2 eps n));
-    mixing_constant is C in the mixing-step formula of
-    default_mixing_steps.
+    size_cap truncates polymer generation (None -> floor(2 eps n), the
+    exact truncation; see chain_params); mixing_constant is C in
+    default_mixing_steps; brute_force_budget bounds the exact path (0
+    disables it); eps_override replaces the analysis closeness eps. The
+    per-ratio sample count is estimator.SAMPLE_FACTOR; the per-biclique
+    error split and the median amplification come from the mode in
+    estimator.build_mixture (strict: the worst-case split, lab: one run
+    at accuracy eps*).
     """
 
-    size_cap: int = 4
+    size_cap: int | None = None
     mixing_constant: float = 10.0
+    brute_force_budget: int = 1 << 24
+    eps_override: float | None = None
 
     def __post_init__(self):
-        if self.size_cap < 1:
-            raise InvalidRangeError("size_cap must be >= 1")
+        if self.size_cap is not None and self.size_cap < 1:
+            raise InvalidRangeError(f"size_cap must be >= 1, got {self.size_cap}")
         if not (math.isfinite(self.mixing_constant) and self.mixing_constant > 0):
             raise InvalidRangeError(
                 f"mixing_constant must be positive and finite, got {self.mixing_constant}"
             )
+        if self.eps_override is not None and not (0.0 < self.eps_override < 1.0):
+            raise InvalidRangeError(f"eps_override must lie in (0,1), got {self.eps_override}")
+
+    def chain_params(self, model: PolymerModel) -> EstimatorConfig:
+        """This config with size_cap resolved against model.max_size, for a
+        model that admits polymers (max_size >= 1)."""
+        cap = model.max_size if self.size_cap is None else min(self.size_cap, model.max_size)
+        return replace(self, size_cap=cap)
 
 
 class CandidateTable:
@@ -149,14 +165,13 @@ class PolymerChain:
     def __init__(
         self,
         model: PolymerModel,
-        params: ChainParams,
+        config: EstimatorConfig,
         *,
         region=None,
         seed: int = 0,
         replica: int = 0,
     ):
         self.model = model
-        self.params = params
         self.seed = seed
         self.replica = replica
         self.region = frozenset(
@@ -168,7 +183,7 @@ class PolymerChain:
         region_mask = 0
         for v in self.region:
             region_mask |= 1 << v
-        table = candidate_table(model, params.size_cap)
+        table = candidate_table(model, config.size_cap)
         self._table = table
         self._cands: dict[int, list[tuple[int, float, int]]] = {}
         active = []
@@ -227,9 +242,6 @@ class PolymerChain:
         self._current = current
         self._pos = pos
 
-    def step(self) -> None:
-        self.run(1)
-
     # -- state inspection ---------------------------------------------------
 
     @property
@@ -252,21 +264,21 @@ class PolymerChain:
         return PolymerConfiguration(self.current_polymers())
 
 
-def default_mixing_steps(params: ChainParams, region_size: int, eps_sample: float) -> int:
+def default_mixing_steps(config: EstimatorConfig, region_size: int, eps_sample: float) -> int:
     """ceil(C * |region| * ln(|region| / eps_sample)), at least 1."""
     if region_size < 1:
         return 0
     return max(
         1,
         math.ceil(
-            params.mixing_constant * region_size * math.log(region_size / eps_sample)
+            config.mixing_constant * region_size * math.log(region_size / eps_sample)
         ),
     )
 
 
 def sample_polymer_config(
     model: PolymerModel,
-    params: ChainParams,
+    config: EstimatorConfig,
     eps_sample: float,
     seed: int,
     *,
@@ -283,7 +295,7 @@ def sample_polymer_config(
     """
     if not (0.0 < eps_sample < 1.0):
         raise InvalidRangeError(f"eps_sample must lie in (0,1), got {eps_sample}")
-    chain = PolymerChain(model, params, region=region, seed=seed, replica=replica)
-    chain.run(default_mixing_steps(params, len(chain.region), eps_sample))
+    chain = PolymerChain(model, config, region=region, seed=seed, replica=replica)
+    chain.run(default_mixing_steps(config, len(chain.region), eps_sample))
     return chain.config()
 

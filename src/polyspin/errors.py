@@ -41,10 +41,6 @@ class NoConvergenceError(PolyspinError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
 
 
-class SideViolationError(PolyspinError):
-    """A vertex appeared on the wrong side of the bipartition."""
-
-
 class InvalidRangeError(PolyspinError):
     """A numeric argument fell outside its admissible range."""
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import oracle
 from .dynamics import (
-    ChainParams,
+    EstimatorConfig,
     PolymerChain,
     default_mixing_steps,
     sample_polymer_config,
@@ -44,12 +44,8 @@ from .spin_model import (
 )
 
 
-@dataclass(frozen=True)
-class LogEstimate:
-    """A partition-function value carried as a natural log."""
-
-    ln_value: float
-    rel_err_target: float
+# c in the per-ratio sample count m = ceil(c n / eps^2)
+SAMPLE_FACTOR = 8.0
 
 
 @dataclass(frozen=True)
@@ -69,50 +65,13 @@ class MixtureTable:
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
-    """Tunable constants; defaults follow the analysis-backed schedule.
-
-    The per-biclique error split and the median amplification are not
-    settable: approximate_Z takes them from the mode (strict: the
-    worst-case split, lab: one run at accuracy eps*).
-    """
-
-    sample_factor: float = 8.0  # c in m_i = ceil(c n / eps^2)
-    size_cap: int | None = None  # None -> floor(2 eps n), the exact truncation
-    mixing_constant: float = 10.0
-    brute_force_budget: int = 1 << 24  # 0 disables the exact fallback entirely
-    eps_override: float | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sample_factor) and self.sample_factor > 0):
-            raise InvalidRangeError(
-                f"sample_factor must be positive and finite, got {self.sample_factor}"
-            )
-        if self.size_cap is not None and self.size_cap < 1:
-            raise InvalidRangeError(f"size_cap must be >= 1, got {self.size_cap}")
-        if not (math.isfinite(self.mixing_constant) and self.mixing_constant > 0):
-            raise InvalidRangeError(
-                f"mixing_constant must be positive and finite, got {self.mixing_constant}"
-            )
-
-    def chain_params(self, model: PolymerModel) -> ChainParams:
-        """Chain knobs for a model that admits polymers (max_size >= 1)."""
-        cap = model.max_size if self.size_cap is None else min(self.size_cap, model.max_size)
-        return ChainParams(size_cap=cap, mixing_constant=self.mixing_constant)
-
-
-@dataclass(frozen=True)
 class ApproxResult:
-    estimate: LogEstimate
+    ln_value: float
     mode: str  # "exact" | "lab" | "strict"
     bicliques: int
     eps: float | None
     table: MixtureTable | None
     warnings: tuple[str, ...] = field(default=())
-
-    @property
-    def ln_value(self) -> float:
-        return self.estimate.ln_value
 
 
 def _subseed(seed: int, *path: int) -> int:
@@ -122,18 +81,18 @@ def _subseed(seed: int, *path: int) -> int:
 
 def estimate_polymer_Z(
     model: PolymerModel,
-    params: ChainParams,
+    config: EstimatorConfig,
     eps_star: float,
     seed: int,
     *,
-    sample_factor: float = 8.0,
     median_runs: int = 1,
-) -> LogEstimate:
+) -> float:
     """ln Z of one polymer model via the telescoping ratio product.
 
     ln Z = -sum over i of ln p_i, where p_i is the uncovered probability of
     vertex i-1 in region {0..i-1}, each estimated from
-    m = ceil(sample_factor * n / eps_star^2) thinned chain samples.
+    m = ceil(SAMPLE_FACTOR * n / eps_star^2) thinned chain samples on a
+    chain built from config (size_cap resolved; see chain_params).
     Vertices that no region polymer can cover contribute p_i = 1 exactly.
     A ratio estimate of 0 raises DegenerateRatioError.
     Median-of-k amplification over independent runs via median_runs.
@@ -142,30 +101,30 @@ def estimate_polymer_Z(
         raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
     if median_runs < 1:
         raise InvalidRangeError("median_runs must be >= 1")
-    m = math.ceil(sample_factor * model.graph.n / eps_star**2)
-    values = [_telescope(model, params, seed, m, run) for run in range(median_runs)]
-    return LogEstimate(ln_value=float(np.median(values)), rel_err_target=eps_star)
+    m = math.ceil(SAMPLE_FACTOR * model.graph.n / eps_star**2)
+    values = [_telescope(model, config, seed, m, run) for run in range(median_runs)]
+    return float(np.median(values))
 
 
-def _telescope(model: PolymerModel, params: ChainParams, seed: int, m: int, run: int) -> float:
+def _telescope(model: PolymerModel, config: EstimatorConfig, seed: int, m: int, run: int) -> float:
     num = model.graph.num_vertices
     ln_z = 0.0
     for i in range(1, num + 1):
-        p = _uncovered_ratio(model, params, range(i), i - 1, m, seed, run, i)
+        p = _uncovered_ratio(model, config, range(i), i - 1, m, seed, run, i)
         ln_z -= math.log(p)
     return ln_z
 
 
-def _uncovered_ratio(model, params, region, v, m, seed, run, region_id) -> float:
+def _uncovered_ratio(model, config, region, v, m, seed, run, region_id) -> float:
     """Fraction of m samples, one sweep of the active region apart after a
     burn-in, in which v is uncovered."""
     # the factor 16 is part of the fixed-seed contract of replica ids
     replica = (run * 4096 + region_id) * 16
-    chain = PolymerChain(model, params, region=region, seed=seed, replica=replica)
+    chain = PolymerChain(model, config, region=region, seed=seed, replica=replica)
     if not chain.can_cover(v):
         return 1.0
     spacing = max(1, len(chain.active_vertices))
-    chain.run(default_mixing_steps(params, len(chain.region), 1e-3))
+    chain.run(default_mixing_steps(config, len(chain.region), 1e-3))
     hits = 0
     for _ in range(m):
         chain.run(spacing)
@@ -193,22 +152,26 @@ def build_mixture(
     seed: int,
     *,
     config: EstimatorConfig | None = None,
-    inner_fraction: float = 0.125,
-    median_runs: int | None = None,
+    mode: str = "lab",
 ) -> MixtureTable:
     """Per-maximal-biclique estimates assembled by log-sum-exp.
 
-    Each biclique is estimated at accuracy inner_fraction * eps_star with
-    median amplification sized so the union failure mass stays below
-    eps_star/16 (overridable). A biclique whose model admits no polymers
-    contributes ln Z = 0 exactly.
+    The mode sets the schedule. Strict: each biclique at accuracy
+    eps_star/8, with median amplification sized so the union failure mass
+    stays below eps_star/16. Lab: each biclique in one run at accuracy
+    eps_star. A biclique whose model admits no polymers contributes
+    ln Z = 0 exactly.
     """
     if not (0.0 < eps_star < 1.0):
         raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
     config = config or EstimatorConfig()
     bicliques = enumerate_maximal_bicliques(matrix)
-    runs = median_runs if median_runs is not None else _median_schedule(eps_star, len(bicliques))
-    inner_eps = min(0.999, inner_fraction * eps_star)
+    if mode == "strict":
+        inner_eps, runs = 0.125 * eps_star, _median_schedule(eps_star, len(bicliques))
+    elif mode == "lab":
+        inner_eps, runs = eps_star, 1
+    else:
+        raise InvalidRangeError(f"mode must be 'lab' or 'strict', got {mode!r}")
     n = graph.n
 
     records = []
@@ -217,18 +180,17 @@ def build_mixture(
         model = PolymerModel(graph, matrix, biclique, eps)
         prefactor = n * (math.log(len(biclique.b0)) + math.log(len(biclique.b1)))
         if model.max_size < 1 or not model.active_vertices:
-            est = LogEstimate(0.0, inner_eps)
+            ln_z = 0.0
         else:
-            est = estimate_polymer_Z(
+            ln_z = estimate_polymer_Z(
                 model,
                 config.chain_params(model),
                 inner_eps,
                 _subseed(seed, b_idx),
-                sample_factor=config.sample_factor,
                 median_runs=runs,
             )
-        records.append(MixtureRecord(biclique, prefactor, est.ln_value))
-        acc.add(prefactor + est.ln_value)
+        records.append(MixtureRecord(biclique, prefactor, ln_z))
+        acc.add(prefactor + ln_z)
     return MixtureTable(records=tuple(records), ln_total=acc.value)
 
 
@@ -263,7 +225,6 @@ def approximate_Z(
     *,
     mode: str = "lab",
     config: EstimatorConfig | None = None,
-    lam: float | None = None,
 ) -> ApproxResult:
     """Estimate ln Z_{G,H} to relative accuracy eps_star.
 
@@ -288,7 +249,7 @@ def approximate_Z(
             graph, matrix, budget=max(config.brute_force_budget, needed)
         )
         return ApproxResult(
-            estimate=LogEstimate(ln, eps_star),
+            ln_value=ln,
             mode="exact",
             bicliques=len(enumerate_maximal_bicliques(matrix)),
             eps=None,
@@ -311,33 +272,20 @@ def approximate_Z(
     if mode == "strict":
         cert = second_eigenvalue(graph)
         lam_used = max(cert.lam, 1e-300)  # lambda=0 means perfect expansion
-        if lam is not None:
-            warnings.append(f"declared lambda={lam:.6g}, certified {cert.lam:.6g}")
         report = check_premises(matrix, graph.degree, lam_used)
         if not report.all_ok:
             raise PremisesUnmetError("; ".join(report.details))
-        inner_fraction, median_runs = 0.125, None  # None: _median_schedule
     else:
         warnings.append("lab mode: premises unchecked, no accuracy guarantee claimed")
-        inner_fraction, median_runs = 1.0, 1
 
-    table = build_mixture(
-        graph,
-        matrix,
-        eps,
-        eps_star,
-        seed,
-        config=config,
-        inner_fraction=inner_fraction,
-        median_runs=median_runs,
-    )
+    table = build_mixture(graph, matrix, eps, eps_star, seed, config=config, mode=mode)
     if all(rec.ln_polymer_z == 0.0 for rec in table.records):
         warnings.append(
             f"polymer correction is vacuous: every biclique's polymer ln Z is 0 "
             f"at model eps={eps:.6g}, so lnZ counts ground states only"
         )
     return ApproxResult(
-        estimate=LogEstimate(table.ln_total, eps_star),
+        ln_value=table.ln_total,
         mode=mode,
         bicliques=len(table.records),
         eps=eps,
@@ -349,14 +297,17 @@ def approximate_Z(
 # -- configuration sampling ------------------------------------------------------
 
 
-def spin_fill(graph, matrix, biclique: Biclique, polymers, rng) -> np.ndarray:
-    """Complete a polymer configuration to a full spin configuration.
+def spin_fill(model: PolymerModel, polymers, rng) -> np.ndarray:
+    """Complete a polymer configuration of the model to a full spin configuration.
 
     Covered vertices keep their polymer spins; vertices away from the
     covered region draw uniformly from their ground set; boundary vertices
     u on side i take j in B_i with probability proportional to the product
-    of H[j, spin] over covered neighbors (normalizer F_u).
+    of H[j, spin] over covered neighbors (normalizer F_u, from the model's
+    memo).
     """
+    graph = model.graph
+    biclique = model.biclique
     n = graph.n
     sigma = np.full(graph.num_vertices, -1, dtype=np.int64)
     spin_map: dict[int, int] = {}
@@ -365,13 +316,11 @@ def spin_fill(graph, matrix, biclique: Biclique, polymers, rng) -> np.ndarray:
     for v, s in spin_map.items():
         sigma[v] = s
     boundary = sorted(graph.boundary(spin_map.keys()))
-    h = matrix.entries
     for u in boundary:
         side = graph.side(u)
-        ground = list(biclique.side(side))
-        adjacent = [spin_map[v] for v in graph.neighbors(u) if v in spin_map]
-        weights = np.prod(h[np.ix_(ground, adjacent)], axis=1)
-        total = float(weights.sum())
+        ground = biclique.side(side)
+        adjacent = tuple(spin_map[v] for v in graph.neighbors(u) if v in spin_map)
+        total, _, weights = model.boundary_entry(side, adjacent)
         if total <= 0.0:
             raise ZeroNormalizerError(f"boundary vertex {u} has F_u = 0")
         r = rng.random() * total
@@ -458,18 +407,5 @@ def spin_sample_many(
                 _subseed(seed, 3, b_idx),
                 replica=d,
             ).polymers
-        out[d] = spin_fill(graph, matrix, record.biclique, polymers, rng)
+        out[d] = spin_fill(model, polymers, rng)
     return out
-
-
-def spin_sample(
-    graph: BipartiteRegularGraph,
-    matrix: InteractionMatrix,
-    eps_star: float,
-    seed: int,
-    *,
-    mode: str = "lab",
-    config: EstimatorConfig | None = None,
-) -> np.ndarray:
-    """One approximate Gibbs configuration (see spin_sample_many)."""
-    return spin_sample_many(graph, matrix, eps_star, seed, 1, mode=mode, config=config)[0]

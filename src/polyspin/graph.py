@@ -20,7 +20,6 @@ from .errors import (
     InvalidRangeError,
     NoConvergenceError,
     ResourceLimitError,
-    SideViolationError,
 )
 
 
@@ -71,14 +70,8 @@ class BipartiteRegularGraph:
     def side(self, v: int) -> int:
         return 0 if v < self.n else 1
 
-    def side_vertices(self, i: int) -> range:
-        return range(0, self.n) if i == 0 else range(self.n, 2 * self.n)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
-
-    def is_connected(self) -> bool:
-        return _is_connected(self.adjacency)
 
     def biadjacency(self) -> np.ndarray:
         """Dense n x n 0/1 matrix B with B[i, j] = 1 iff {i, n+j} is an edge."""
@@ -121,10 +114,7 @@ class BipartiteRegularGraph:
             host.append(tuple(sorted(reach)))
         return tuple(host)
 
-    def host_neighbors(self, v: int) -> tuple[int, ...]:
-        return self.host_adjacency[v]
-
-    # -- boundaries and edge counts ---------------------------------------
+    # -- boundaries ---------------------------------------------------------
 
     def boundary(self, vertices) -> frozenset[int]:
         """Vertices outside the set with a G-neighbor inside it."""
@@ -135,21 +125,6 @@ class BipartiteRegularGraph:
                 if u not in inside:
                     out.add(u)
         return frozenset(out)
-
-    def closed_set(self, vertices) -> frozenset[int]:
-        """The set together with its boundary (S^+)."""
-        return frozenset(vertices) | self.boundary(vertices)
-
-    def edge_count_between(self, left_set, right_set) -> int:
-        s0 = set(left_set)
-        s1 = set(right_set)
-        for v in s0:
-            if v >= self.n:
-                raise SideViolationError(f"vertex {v} is not on the left side")
-        for v in s1:
-            if v < self.n:
-                raise SideViolationError(f"vertex {v} is not on the right side")
-        return sum(1 for v in s0 for u in self.adjacency[v] if u in s1)
 
 
 def _is_connected(adjacency) -> bool:

@@ -8,29 +8,10 @@ overflow doubles long before n gets interesting.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 
 import numpy as np
 
 NEG_INF = float("-inf")
-
-
-def log_add(a: float, b: float) -> float:
-    """ln(e^a + e^b) with max-shift; tolerates -inf on either side."""
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    m = a if a >= b else b
-    return m + math.log(math.exp(a - m) + math.exp(b - m))
-
-
-def log_sum(values: Iterable[float]) -> float:
-    """ln sum(e^v) over an iterable, consumed in its given (canonical) order."""
-    acc = LogSumAccumulator()
-    for v in values:
-        acc.add(v)
-    return acc.value
 
 
 class LogSumAccumulator:

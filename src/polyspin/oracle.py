@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChainParams, PolymerChain, candidate_table
+from .dynamics import EstimatorConfig, PolymerChain, candidate_table
 from .errors import InvalidRangeError, NoConvergenceError, ResourceLimitError
 from .logspace import NEG_INF, LogSumAccumulator
 from .polymer import Polymer, PolymerModel
@@ -331,7 +331,7 @@ class ChainAnalysis:
 
 def exact_chain_analysis(
     model: PolymerModel,
-    params: ChainParams,
+    config: EstimatorConfig,
     *,
     region=None,
     state_budget: int = 10_000,
@@ -342,8 +342,8 @@ def exact_chain_analysis(
     matrix is the sampler's; its stationary behaviour is compared against
     the truncated polymer Gibbs distribution.
     """
-    probe = PolymerChain(model, params, region=region, seed=0)
-    table = candidate_table(model, params.size_cap)
+    probe = PolymerChain(model, config, region=region, seed=0)
+    table = candidate_table(model, config.size_cap)
     active = probe.active_vertices
 
     # reachable states, BFS from the empty configuration

@@ -95,9 +95,6 @@ class PolymerConfiguration:
     def __hash__(self) -> int:
         return hash(self.polymers)
 
-    def union_vertices(self) -> frozenset[int]:
-        return frozenset(self.cover)
-
     def spin_map(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for p in self.polymers:
@@ -200,8 +197,8 @@ class PolymerModel:
         )
         self.tau = (1.0 - matrix.delta) / (4.0 * eps * q)
         self._tables: dict[int, "object"] = {}
-        # (side, adjacent spins) -> (F_u, ln F_u); see _boundary_entry
-        self._boundary_memo: dict[tuple[int, tuple[int, ...]], tuple[float, float]] = {}
+        # (side, adjacent spins) -> (F_u, ln F_u, per-spin weights); see boundary_entry
+        self._boundary_memo: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     # -- spins ------------------------------------------------------------
 
@@ -262,12 +259,12 @@ class PolymerModel:
                 if su is None:
                     boundary.setdefault(u, []).append(sv)
                 elif u < v:
-                    term = logh[su, sv]
+                    term = float(logh[su, sv])
                     if term == NEG_INF:
                         return NEG_INF
                     acc += term
         for u, adjacent_spins in boundary.items():
-            ln_f_u = self._boundary_entry(0 if u < n else 1, tuple(adjacent_spins))[1]
+            ln_f_u = self.boundary_entry(0 if u < n else 1, tuple(adjacent_spins))[1]
             if ln_f_u == NEG_INF:
                 return NEG_INF
             acc += ln_f_u
@@ -282,22 +279,27 @@ class PolymerModel:
         adjacent = [spin[v] for v in self.graph.neighbors(u) if v in spin]
         if not adjacent:
             raise InvalidRangeError(f"vertex {u} is not on the polymer boundary")
-        return self._boundary_entry(self.graph.side(u), tuple(adjacent))[0]
+        return self.boundary_entry(self.graph.side(u), tuple(adjacent))[0]
 
-    def _boundary_entry(self, side: int, adjacent: tuple[int, ...]) -> tuple[float, float]:
-        """(F_u, ln F_u) for u on `side` with region-neighbor spins `adjacent`.
+    def boundary_entry(
+        self, side: int, adjacent: tuple[int, ...]
+    ) -> tuple[float, float, tuple[float, ...]]:
+        """(F_u, ln F_u, weights) for u on `side` with region-neighbor spins
+        `adjacent`.
 
-        F_u = sum_{j in B_side} prod_k H[j, adjacent[k]]; ln F_u is -inf when
-        F_u vanishes. Memoised per model: the key keeps the spin order, so
-        the product multiplies exactly as an uncached evaluation would.
+        weights[k] = prod_m H[B_side[k], adjacent[m]] for the k-th ground
+        spin, and F_u is their sum; ln F_u is -inf when F_u vanishes.
+        Memoised per model: the key keeps the spin order, so the product
+        multiplies exactly as an uncached evaluation would.
         """
         key = (side, adjacent)
         entry = self._boundary_memo.get(key)
         if entry is None:
             h = self.matrix.entries
             rows = list(self.biclique.side(side))
-            f_u = float(np.prod(h[np.ix_(rows, list(adjacent))], axis=1).sum())
-            entry = (f_u, math.log(f_u) if f_u > 0.0 else NEG_INF)
+            weights = np.prod(h[np.ix_(rows, list(adjacent))], axis=1)
+            f_u = float(weights.sum())
+            entry = (f_u, math.log(f_u) if f_u > 0.0 else NEG_INF, tuple(weights.tolist()))
             self._boundary_memo[key] = entry
         return entry
 

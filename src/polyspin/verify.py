@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from . import oracle
-from .dynamics import ChainParams, sample_polymer_config
-from .estimator import EstimatorConfig, approximate_Z, spin_sample_many
+from .dynamics import EstimatorConfig, sample_polymer_config
+from .estimator import approximate_Z, spin_sample_many
 from .graph import (
     check_expansion_inequalities,
     complete_bipartite,
@@ -120,7 +120,7 @@ def c2():
     worst_stat = 0.0
     gap = math.inf
     for cap in (1, 2):
-        analysis = oracle.exact_chain_analysis(model, ChainParams(size_cap=cap))
+        analysis = oracle.exact_chain_analysis(model, EstimatorConfig(size_cap=cap))
         worst_db = max(worst_db, analysis.detailed_balance_violation)
         worst_stat = max(worst_stat, analysis.stationarity_violation)
         gap = min(gap, analysis.spectral_gap or 0.0)  # None: too many states
@@ -290,14 +290,14 @@ def chain_tv():
     """Fresh-chain draws from sample_polymer_config on K33 hard-core, cap 1,
     against the enumerated truncated polymer Gibbs law: TV <= 0.02."""
     model = PolymerModel(complete_bipartite(3), hardcore(), Biclique((0, 1), (1,)), 0.4)
-    params = ChainParams(size_cap=1, mixing_constant=2.0)
+    config = EstimatorConfig(size_cap=1, mixing_constant=2.0)
     configs, probs = oracle.exact_polymer_distribution(model, 1)
     key = {tuple(c): k for k, c in enumerate(configs)}
     draws = 40_000
     counts = np.zeros(len(configs))
     for r in range(draws):
-        config = sample_polymer_config(model, params, 0.02, 29, replica=r)
-        counts[key[config.polymers]] += 1
+        draw = sample_polymer_config(model, config, 0.02, 29, replica=r)
+        counts[key[draw.polymers]] += 1
     tv = 0.5 * float(np.abs(counts / draws - probs).sum())
     return ("chain-tv", tv <= 0.02, f"polymer chain draws, TV = {tv:.4f} over {draws} draws")
 

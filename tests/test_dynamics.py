@@ -8,7 +8,7 @@ import pytest
 
 from polyspin import (
     Biclique,
-    ChainParams,
+    EstimatorConfig,
     PolymerChain,
     PolymerModel,
     dynamics,
@@ -38,7 +38,7 @@ def empty_model(k33, all_ones2) -> PolymerModel:
 
 
 def test_no_polymers_means_empty_forever(empty_model):
-    chain = PolymerChain(empty_model, ChainParams(size_cap=1), seed=3)
+    chain = PolymerChain(empty_model, EstimatorConfig(size_cap=1), seed=3)
     chain.run(500)
     assert chain.current_polymers() == ()
     assert chain.steps_taken == 500
@@ -47,14 +47,14 @@ def test_no_polymers_means_empty_forever(empty_model):
 def test_left_vertices_admit_no_polymers(k33_model):
     # ground set on the left is the whole spin space, so only right
     # vertices are ever proposed
-    chain = PolymerChain(k33_model, ChainParams(size_cap=1), seed=3)
+    chain = PolymerChain(k33_model, EstimatorConfig(size_cap=1), seed=3)
     assert chain.active_vertices == (3, 4, 5)
     assert not chain.can_cover(0)
 
 
 def test_region_restricts_membership(k33_model):
     chain = PolymerChain(
-        k33_model, ChainParams(size_cap=2), region=range(4), seed=0
+        k33_model, EstimatorConfig(size_cap=2), region=range(4), seed=0
     )
     # only vertex 3 on the right is available; pairs exceed the region
     assert chain.active_vertices == (3,)
@@ -64,7 +64,7 @@ def test_region_restricts_membership(k33_model):
 
 
 def test_chain_reproducible(k33_model):
-    params = ChainParams(size_cap=2)
+    params = EstimatorConfig(size_cap=2)
     a = PolymerChain(k33_model, params, seed=11, replica=5)
     b = PolymerChain(k33_model, params, seed=11, replica=5)
     a.run(997)
@@ -81,7 +81,7 @@ def test_chain_reproducible(k33_model):
 
 @pytest.mark.parametrize("cap", [1, 2])
 def test_detailed_balance_and_stationarity(k33_model, cap):
-    analysis = exact_chain_analysis(k33_model, ChainParams(size_cap=cap))
+    analysis = exact_chain_analysis(k33_model, EstimatorConfig(size_cap=cap))
     assert analysis.detailed_balance_violation <= 1e-12
     assert analysis.stationarity_violation <= 1e-10
     assert analysis.spectral_gap is not None and analysis.spectral_gap > 0.0
@@ -89,13 +89,13 @@ def test_detailed_balance_and_stationarity(k33_model, cap):
 
 def test_state_space_size_cap2(k33_model):
     # 3 singletons + 3 connected pairs, all mutually incompatible
-    analysis = exact_chain_analysis(k33_model, ChainParams(size_cap=2))
+    analysis = exact_chain_analysis(k33_model, EstimatorConfig(size_cap=2))
     assert analysis.num_states == 7
 
 
 def test_detailed_balance_three_spins(rand43, potts3):
     model = PolymerModel(rand43, potts3, Biclique((0,), (0,)), 0.4)
-    analysis = exact_chain_analysis(model, ChainParams(size_cap=2))
+    analysis = exact_chain_analysis(model, EstimatorConfig(size_cap=2))
     assert analysis.num_states <= 200
     assert analysis.detailed_balance_violation <= 1e-12
     assert analysis.stationarity_violation <= 1e-10
@@ -104,7 +104,7 @@ def test_detailed_balance_three_spins(rand43, potts3):
 def test_removal_paths_have_positive_probability(k33_model):
     # irreducibility: each reachable state walks to the empty configuration
     # by dropping one polymer at a time, every step with positive probability
-    analysis = exact_chain_analysis(k33_model, ChainParams(size_cap=2))
+    analysis = exact_chain_analysis(k33_model, EstimatorConfig(size_cap=2))
     index = {state: i for i, state in enumerate(analysis.states)}
     for state in analysis.states:
         current = state
@@ -131,12 +131,12 @@ def test_analysis_reads_the_chain_kernel(k33_model, monkeypatch):
         return wrong
 
     monkeypatch.setattr(dynamics, "heat_bath_conditional", stale_normaliser)
-    analysis = exact_chain_analysis(k33_model, ChainParams(size_cap=2))
+    analysis = exact_chain_analysis(k33_model, EstimatorConfig(size_cap=2))
     assert analysis.detailed_balance_violation > 1e-6
 
 
 def test_empty_model_analysis(empty_model):
-    analysis = exact_chain_analysis(empty_model, ChainParams(size_cap=1))
+    analysis = exact_chain_analysis(empty_model, EstimatorConfig(size_cap=1))
     assert analysis.num_states == 1
     assert analysis.detailed_balance_violation == 0.0
 
@@ -145,19 +145,19 @@ def test_empty_model_analysis(empty_model):
 
 
 def test_sample_polymer_config_empty_model(empty_model):
-    config = sample_polymer_config(empty_model, ChainParams(size_cap=1), 0.1, seed=4)
+    config = sample_polymer_config(empty_model, EstimatorConfig(size_cap=1), 0.1, seed=4)
     assert len(config) == 0
 
 
 def test_sample_reproducible(k33_model):
-    params = ChainParams(size_cap=2)
+    params = EstimatorConfig(size_cap=2)
     a = sample_polymer_config(k33_model, params, 0.05, seed=9)
     b = sample_polymer_config(k33_model, params, 0.05, seed=9)
     assert a == b
 
 
 def test_sampled_distribution_matches_enumeration(k33_model):
-    params = ChainParams(size_cap=1, mixing_constant=2.0)
+    params = EstimatorConfig(size_cap=1, mixing_constant=2.0)
     configs, probs = exact_polymer_distribution(k33_model, 1)
     key = {tuple(c): i for i, c in enumerate(configs)}
     draws = 50_000
@@ -172,7 +172,7 @@ def test_sampled_distribution_matches_enumeration(k33_model):
 
 def test_ergodic_average_matches_enumeration(k33_model):
     # long-run mean of the polymer count against the exact expectation
-    params = ChainParams(size_cap=2)
+    params = EstimatorConfig(size_cap=2)
     configs, probs = exact_polymer_distribution(k33_model, 2)
     expect = float(sum(p * len(c) for c, p in zip(configs, probs)))
     chain = PolymerChain(k33_model, params, seed=2)
@@ -180,7 +180,7 @@ def test_ergodic_average_matches_enumeration(k33_model):
     total = 0
     steps = 60_000
     for _ in range(steps):
-        chain.step()
+        chain.run(1)
         total += len(chain.current_polymers())
     mean = total / steps
     # 3 standard errors with a generous correlation allowance
@@ -193,12 +193,12 @@ def test_ergodic_average_matches_enumeration(k33_model):
 
 
 def test_uncovered_ratio_no_polymers(empty_model):
-    p = _uncovered_ratio(empty_model, ChainParams(size_cap=1), range(6), 0, 10, 1, 0, 6)
+    p = _uncovered_ratio(empty_model, EstimatorConfig(size_cap=1), range(6), 0, 10, 1, 0, 6)
     assert p == 1.0
 
 
 def test_uncovered_ratio_matches_exact(k33_model):
-    params = ChainParams(size_cap=1)
+    params = EstimatorConfig(size_cap=1)
     configs, probs = exact_polymer_distribution(k33_model, 1)
     exact = float(
         sum(p for c, p in zip(configs, probs) if all(3 not in poly.vertices for poly in c))
@@ -211,12 +211,18 @@ def test_uncovered_ratio_matches_exact(k33_model):
     assert abs(est - exact) <= 3.0 * stderr
 
 
-def test_chain_params_validation():
+def test_chain_params_validation(k33, hardcore, k33_model):
+    # the one place the cap is resolved against the model
+    assert k33_model.max_size == 2
+    assert EstimatorConfig().chain_params(k33_model).size_cap == 2
+    assert EstimatorConfig(size_cap=5).chain_params(k33_model).size_cap == 2
+    config = EstimatorConfig(size_cap=1, mixing_constant=2.0, eps_override=0.4)
+    assert config.chain_params(k33_model) == config
+    # a model that admits no polymers resolves to an out-of-range cap
+    tiny = PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), 0.1)
+    assert tiny.max_size == 0
     with pytest.raises(InvalidRangeError):
-        ChainParams(size_cap=0)
-    for bad in (0.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(InvalidRangeError):
-            ChainParams(size_cap=1, mixing_constant=bad)
+        EstimatorConfig().chain_params(tiny)
 
 
 # sha1 of (masks, blocks, log weights as float.hex) over every maximal

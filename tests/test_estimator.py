@@ -10,7 +10,6 @@ import pytest
 from polyspin import (
     Biclique,
     PremiseReport,
-    ChainParams,
     EstimatorConfig,
     InteractionMatrix,
     PolymerModel,
@@ -21,7 +20,6 @@ from polyspin import (
     estimate_polymer_Z,
     generate_random_regular_bipartite,
     spin_fill,
-    spin_sample,
     spin_sample_many,
 )
 from polyspin import estimator
@@ -46,8 +44,7 @@ from polyspin.polymer import Polymer
 
 def test_estimate_no_polymers_is_exact_zero(k33, all_ones2):
     model = PolymerModel(k33, all_ones2, Biclique((0, 1), (0, 1)), 0.4)
-    est = estimate_polymer_Z(model, ChainParams(size_cap=1), 0.2, seed=5)
-    assert est.ln_value == 0.0
+    assert estimate_polymer_Z(model, EstimatorConfig(size_cap=1), 0.2, seed=5) == 0.0
 
 
 def test_estimate_matches_oracle_on_k33(k33, hardcore):
@@ -56,33 +53,33 @@ def test_estimate_matches_oracle_on_k33(k33, hardcore):
     hits = 0
     for seed in range(10):
         est = estimate_polymer_Z(
-            model, ChainParams(size_cap=model.max_size), 0.05, seed=seed
+            model, EstimatorConfig(size_cap=model.max_size), 0.05, seed=seed
         )
-        hits += abs(est.ln_value - exact) <= 0.05
+        hits += abs(est - exact) <= 0.05
     assert hits >= 9
 
 
 def test_estimate_rejects_bad_accuracy(k33, hardcore):
     model = PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), 0.4)
     with pytest.raises(InvalidAccuracyError):
-        estimate_polymer_Z(model, ChainParams(size_cap=1), 0.0, seed=1)
+        estimate_polymer_Z(model, EstimatorConfig(size_cap=1), 0.0, seed=1)
     with pytest.raises(InvalidAccuracyError):
-        estimate_polymer_Z(model, ChainParams(size_cap=1), 1.0, seed=1)
+        estimate_polymer_Z(model, EstimatorConfig(size_cap=1), 1.0, seed=1)
 
 
 def test_median_amplification_runs(k33, hardcore):
     model = PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), 0.4)
     est = estimate_polymer_Z(
-        model, ChainParams(size_cap=2), 0.2, seed=3, median_runs=3
+        model, EstimatorConfig(size_cap=2), 0.2, seed=3, median_runs=3
     )
-    assert abs(est.ln_value - exact_polymer_Z(model)) <= 0.2
+    assert abs(est - exact_polymer_Z(model)) <= 0.2
 
 
 # -- build_mixture ------------------------------------------------------------------
 
 
 def test_mixture_all_ones_exact(k33, all_ones2):
-    table = build_mixture(k33, all_ones2, 0.4, 0.25, seed=2, median_runs=1)
+    table = build_mixture(k33, all_ones2, 0.4, 0.25, seed=2, mode="lab")
     assert len(table.records) == 1
     assert table.ln_total == pytest.approx(6 * math.log(2.0), rel=1e-14)
     assert table.ln_total == pytest.approx(exact_Z(k33, all_ones2), rel=1e-14)
@@ -90,7 +87,7 @@ def test_mixture_all_ones_exact(k33, all_ones2):
 
 def test_mixture_log_sum_exp_consistency(k33, hardcore):
     table = build_mixture(
-        k33, hardcore, 0.4, 0.1, seed=4, inner_fraction=1.0, median_runs=1
+        k33, hardcore, 0.4, 0.1, seed=4, mode="lab"
     )
     direct = sum(math.exp(r.ln_prefactor + r.ln_polymer_z) for r in table.records)
     assert math.exp(table.ln_total) == pytest.approx(direct, rel=1e-12)
@@ -98,7 +95,7 @@ def test_mixture_log_sum_exp_consistency(k33, hardcore):
 
 def test_mixture_hardcore_symmetry(k33, hardcore):
     table = build_mixture(
-        k33, hardcore, 0.4, 0.1, seed=4, inner_fraction=1.0, median_runs=1
+        k33, hardcore, 0.4, 0.1, seed=4, mode="lab"
     )
     assert len(table.records) == 2
     pref = sorted(r.ln_prefactor for r in table.records)
@@ -111,7 +108,7 @@ def test_mixture_potts_small_delta_close_to_exact(k33):
         [[1.0, 0.1, 0.1], [0.1, 1.0, 0.1], [0.1, 0.1, 1.0]], 0.1
     )
     table = build_mixture(
-        k33, potts, 0.4, 0.1, seed=6, inner_fraction=1.0, median_runs=1
+        k33, potts, 0.4, 0.1, seed=6, mode="lab"
     )
     assert abs(table.ln_total - exact_Z(k33, potts)) <= 0.1
 
@@ -147,10 +144,10 @@ def test_lab_mode_matches_exact_mixture(k33, hardcore):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"sample_factor": 0.0},
-        {"sample_factor": -1.0},
-        {"sample_factor": math.inf},
-        {"sample_factor": math.nan},
+        {"eps_override": 0.0},
+        {"eps_override": 1.0},
+        {"mixing_constant": math.inf},
+        {"mixing_constant": -math.inf},
         {"size_cap": 0},
         {"size_cap": -3},
         {"mixing_constant": 0.0},
@@ -175,9 +172,10 @@ def test_exact_path_warning_names_the_cause(k33, hardcore):
     assert any("exact path exceeds its cap" in w for w in notes)
 
 
-def test_zero_hit_ratio_raises(k33, hardcore):
+def test_zero_hit_ratio_raises(k33, hardcore, monkeypatch):
     # one sample per ratio: a covered draw must fail loudly, not be retried
-    config = EstimatorConfig(brute_force_budget=0, eps_override=0.4, sample_factor=1e-6)
+    monkeypatch.setattr(estimator, "SAMPLE_FACTOR", 1e-6)
+    config = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
     with pytest.raises(DegenerateRatioError):
         approximate_Z(k33, hardcore, 0.05, 0, config=config)
 
@@ -228,9 +226,10 @@ def test_invalid_accuracy(k33, hardcore):
         approximate_Z(k33, hardcore, 0.0, seed=1)
 
 
-def test_monotone_accuracy(k33, hardcore):
+def test_monotone_accuracy(k33, hardcore, monkeypatch):
+    monkeypatch.setattr(estimator, "SAMPLE_FACTOR", 1.0)
     gt = exact_mixture_Z(k33, hardcore, 0.4)
-    config = EstimatorConfig(brute_force_budget=0, eps_override=0.4, sample_factor=1.0)
+    config = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
     errs = {}
     for eps_star in (0.4, 0.2):
         runs = [
@@ -251,10 +250,11 @@ def test_monotone_accuracy(k33, hardcore):
 
 def test_spin_fill_boundary_rule_is_forced(c8, hardcore):
     # a covered right vertex at spin 0 forces spin 1 on its two neighbors
+    model = PolymerModel(c8, hardcore, Biclique((0, 1), (1,)), 0.9)
     rng = np.random.default_rng(0)
     poly = Polymer((4,), (0,))
     for _ in range(50):
-        sigma = spin_fill(c8, hardcore, Biclique((0, 1), (1,)), (poly,), rng)
+        sigma = spin_fill(model, (poly,), rng)
         assert sigma[4] == 0
         for u in c8.neighbors(4):
             assert sigma[u] == 1
@@ -266,10 +266,11 @@ def test_spin_fill_zero_normalizer_raises(c8):
     )
     # boundary vertices sit on side 0 with ground {0}; a covered neighbor
     # at spin 2 gives F_u = H[0,2] = 0
+    model = PolymerModel(c8, matrix, Biclique((0,), (0,)), 0.9)
     rng = np.random.default_rng(0)
     poly = Polymer((4,), (2,))
     with pytest.raises(ZeroNormalizerError):
-        spin_fill(c8, matrix, Biclique((0,), (0,)), (poly,), rng)
+        spin_fill(model, (poly,), rng)
 
 
 def _spin_fill_law(graph, matrix, biclique, polymers):
@@ -364,8 +365,8 @@ def test_spin_sample_reproducible(k33, hardcore):
     a = spin_sample_many(k33, hardcore, 0.3, seed=5, count=10)
     b = spin_sample_many(k33, hardcore, 0.3, seed=5, count=10)
     assert np.array_equal(a, b)
-    single = spin_sample(k33, hardcore, 0.3, seed=5)
-    assert np.array_equal(single, a[0])
+    single = spin_sample_many(k33, hardcore, 0.3, seed=5, count=1)
+    assert np.array_equal(single[0], a[0])
 
 
 def test_spin_sample_zero_count(k33, hardcore):

@@ -18,9 +18,8 @@ from polyspin.errors import (
     InfeasibleError,
     InvalidRangeError,
     NoConvergenceError,
-    SideViolationError,
 )
-from polyspin.graph import BipartiteRegularGraph, format_graph
+from polyspin.graph import BipartiteRegularGraph, _is_connected, format_graph
 from polyspin.oracle import dense_eigenvalues
 
 from conftest import bfs_distances
@@ -47,7 +46,7 @@ def test_generated_graph_invariants():
     assert graph.degree == 8
     assert graph.num_edges == 64 * 8
     assert graph.is_regular
-    assert graph.is_connected()
+    assert _is_connected(graph.adjacency)
     seen = set()
     for v, nbrs in enumerate(graph.adjacency):
         assert len(nbrs) == 8
@@ -150,31 +149,12 @@ def test_boundary_empty_set(k33):
 
 def test_boundary_k33_single_left(k33):
     assert k33.boundary({0}) == frozenset({3, 4, 5})
-    assert k33.closed_set({0}) == frozenset({0, 3, 4, 5})
 
 
 def test_boundary_c8_adjacent_pair(c8):
     # left vertex 0 and right vertex 4 are adjacent; the path boundary is 2
     assert 4 in c8.neighbors(0)
     assert len(c8.boundary({0, 4})) == 2
-
-
-def test_edge_count_k33(k33):
-    assert k33.edge_count_between({0, 1}, {3, 4}) == 4
-    assert k33.edge_count_between(set(), {3, 4}) == 0
-
-
-def test_edge_count_c8_neighbors(c8):
-    v = 4
-    nbrs = c8.neighbors(v)
-    assert c8.edge_count_between(set(nbrs), {v}) == 2
-
-
-def test_edge_count_side_violation(k33):
-    with pytest.raises(SideViolationError):
-        k33.edge_count_between({3}, {4})
-    with pytest.raises(SideViolationError):
-        k33.edge_count_between({0}, {1})
 
 
 # -- expansion inequalities ----------------------------------------------------------
@@ -218,7 +198,7 @@ def test_class_invariants_enforced():
         BipartiteRegularGraph(2, [(2,), (3,), (0,), (1,)])  # degree 1 < 3
     # same adjacency is fine as an oracle-only graph
     graph = BipartiteRegularGraph(2, [(2,), (3,), (0,), (1,)], oracle_only=True)
-    assert not graph.is_connected()
+    assert not _is_connected(graph.adjacency)
 
 
 def test_graph_round_trip(k33, c8):

@@ -35,7 +35,7 @@ def test_is_allowed_size_bound(k33, hardcore):
     # n=10 stand-in: eps=0.1 and n=10 gives the cap 2*eps*n = 2
     model = PolymerModel(even_cycle(20), hardcore, Biclique((0, 1), (1,)), 0.1)
     assert model.max_size == 2
-    right = list(model.graph.side_vertices(1))
+    right = list(range(model.graph.n, 2 * model.graph.n))
     single = Polymer((right[0],), (0,))
     assert model.is_allowed(single)
     triple = Polymer(tuple(right[:3]), (0, 0, 0))
@@ -111,6 +111,15 @@ def test_boundary_memo_is_per_model(c8):
     ]
 
 
+def test_weight_log_is_a_float(k33, potts3):
+    # polymers with and without an internal edge both occur at cap 3
+    for biclique in enumerate_maximal_bicliques(potts3):
+        model = PolymerModel(k33, potts3, biclique, 0.5)
+        polymers = model.enumerate_allowed(3)
+        assert any(len(set(p.vertices) & set(k33.adjacency[p.vertices[0]])) for p in polymers)
+        assert all(type(model.weight_log(p)) is float for p in polymers)
+
+
 def test_weights_never_exceed_one(k33, c8, rand43, hardcore, potts3):
     for graph in (k33, c8, rand43):
         for matrix in (hardcore, potts3):
@@ -159,8 +168,8 @@ def test_compatibility_symmetric_and_separating(c16, hardcore):
         a, b = polys[i], polys[j]
         assert are_compatible(c16, a, b) == are_compatible(c16, b, a)
         if are_compatible(c16, a, b):
-            closed_a = c16.closed_set(a.vertices)
-            closed_b = c16.closed_set(b.vertices)
+            closed_a = set(a.vertices) | c16.boundary(a.vertices)
+            closed_b = set(b.vertices) | c16.boundary(b.vertices)
             assert not (closed_a & closed_b)
 
 
