@@ -28,6 +28,34 @@ from .polymer import PolymerConfiguration, PolymerModel
 
 _RNG_BUFFER = 4096
 
+# Stream domains, the first spawn-key slot of every random stream.
+RATIO = 0  # telescope ratios: stage = ratio index, chain = median run
+DRAW = 1  # per-draw sampler chains: chain = draw index
+FILL = 2  # the sampler's biclique choice and spin_fill
+EXACT = 3  # the exact-path sampler
+
+_KEY_LIMIT = 1 << 32
+
+
+def random_stream(
+    seed: int, domain: int, biclique: int, stage: int, chain: int
+) -> np.random.Generator:
+    """The one source of the estimator's and sampler's random streams: a
+    Philox generator keyed by (seed mod 2^64, domain, biclique, stage, chain).
+
+    SeedSequence pads the seed to its pool size before appending the spawn
+    key, and each key slot below 2^32 is one 32-bit word, so distinct keys
+    give distinct streams; a slot outside [0, 2^32) is refused rather than
+    allowed to spill into its neighbour.
+    """
+    key = (domain, biclique, stage, chain)
+    for k in key:
+        if not 0 <= k < _KEY_LIMIT:
+            raise InvalidRangeError(f"stream key slots must lie in [0, 2^32), got {key}")
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed % (1 << 64), spawn_key=key))
+    )
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -155,25 +183,20 @@ def heat_bath_conditional(table: CandidateTable, candidates):
 
 
 class PolymerChain:
-    """A single replica of the heat-bath chain, confined to one worker.
-
-    Deterministic given (seed, replica) and the sequence of steps; replicas
-    draw from counter-based Philox streams keyed by (seed, replica), so
-    concurrent replicas are reproducible independent of scheduling.
+    """One heat-bath chain, deterministic given its stream and the sequence
+    of steps. rng is the chain's own random_stream; a chain that is only
+    probed through conditional, never run, may take None.
     """
 
     def __init__(
         self,
         model: PolymerModel,
         config: EstimatorConfig,
+        rng: np.random.Generator | None,
         *,
         region=None,
-        seed: int = 0,
-        replica: int = 0,
     ):
         self.model = model
-        self.seed = seed
-        self.replica = replica
         self.region = frozenset(
             range(model.graph.num_vertices) if region is None else region
         )
@@ -200,9 +223,7 @@ class PolymerChain:
         self.conditional = heat_bath_conditional(table, self._cands)
         self._current: list[int] = []  # table indices of present polymers
         self.steps_taken = 0
-        self._rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, replica]))
-        )
+        self._rng = rng
         self._ints = np.empty(0, dtype=np.int64)
         self._unis = np.empty(0)
         self._pos = 0
@@ -280,10 +301,9 @@ def sample_polymer_config(
     model: PolymerModel,
     config: EstimatorConfig,
     eps_sample: float,
-    seed: int,
+    rng: np.random.Generator,
     *,
     region=None,
-    replica: int = 0,
 ) -> PolymerConfiguration:
     """Approximate sample from the size-truncated polymer Gibbs distribution.
 
@@ -295,7 +315,7 @@ def sample_polymer_config(
     """
     if not (0.0 < eps_sample < 1.0):
         raise InvalidRangeError(f"eps_sample must lie in (0,1), got {eps_sample}")
-    chain = PolymerChain(model, config, region=region, seed=seed, replica=replica)
+    chain = PolymerChain(model, config, rng, region=region)
     chain.run(default_mixing_steps(config, len(chain.region), eps_sample))
     return chain.config()
 

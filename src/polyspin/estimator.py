@@ -21,9 +21,14 @@ import numpy as np
 
 from . import oracle
 from .dynamics import (
+    DRAW,
+    EXACT,
+    FILL,
+    RATIO,
     EstimatorConfig,
     PolymerChain,
     default_mixing_steps,
+    random_stream,
     sample_polymer_config,
 )
 from .errors import (
@@ -74,17 +79,13 @@ class ApproxResult:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _subseed(seed: int, *path: int) -> int:
-    entropy = [seed & 0xFFFFFFFFFFFFFFFF, *path]
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
 def estimate_polymer_Z(
     model: PolymerModel,
     config: EstimatorConfig,
     eps_star: float,
     seed: int,
     *,
+    biclique: int = 0,
     median_runs: int = 1,
 ) -> float:
     """ln Z of one polymer model via the telescoping ratio product.
@@ -96,31 +97,29 @@ def estimate_polymer_Z(
     Vertices that no region polymer can cover contribute p_i = 1 exactly.
     A ratio estimate of 0 raises DegenerateRatioError.
     Median-of-k amplification over independent runs via median_runs.
+    Ratio i of run r draws from random_stream(seed, RATIO, biclique, i, r),
+    where biclique is the model's index in the mixture.
     """
     if not (0.0 < eps_star < 1.0):
         raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
     if median_runs < 1:
         raise InvalidRangeError("median_runs must be >= 1")
     m = math.ceil(SAMPLE_FACTOR * model.graph.n / eps_star**2)
-    values = [_telescope(model, config, seed, m, run) for run in range(median_runs)]
+    values = []
+    for run in range(median_runs):
+        ln_z = 0.0
+        for i in range(1, model.graph.num_vertices + 1):
+            rng = random_stream(seed, RATIO, biclique, i, run)
+            ln_z -= math.log(_uncovered_ratio(model, config, i, m, rng))
+        values.append(ln_z)
     return float(np.median(values))
 
 
-def _telescope(model: PolymerModel, config: EstimatorConfig, seed: int, m: int, run: int) -> float:
-    num = model.graph.num_vertices
-    ln_z = 0.0
-    for i in range(1, num + 1):
-        p = _uncovered_ratio(model, config, range(i), i - 1, m, seed, run, i)
-        ln_z -= math.log(p)
-    return ln_z
-
-
-def _uncovered_ratio(model, config, region, v, m, seed, run, region_id) -> float:
-    """Fraction of m samples, one sweep of the active region apart after a
-    burn-in, in which v is uncovered."""
-    # the factor 16 is part of the fixed-seed contract of replica ids
-    replica = (run * 4096 + region_id) * 16
-    chain = PolymerChain(model, config, region=region, seed=seed, replica=replica)
+def _uncovered_ratio(model, config, i, m, rng) -> float:
+    """Fraction of m samples, one sweep of the active region {0..i-1} apart
+    after a burn-in, in which vertex i-1 is uncovered."""
+    v = i - 1
+    chain = PolymerChain(model, config, rng, region=range(i))
     if not chain.can_cover(v):
         return 1.0
     spacing = max(1, len(chain.active_vertices))
@@ -186,7 +185,8 @@ def build_mixture(
                 model,
                 config.chain_params(model),
                 inner_eps,
-                _subseed(seed, b_idx),
+                seed,
+                biclique=b_idx,
                 median_runs=runs,
             )
         records.append(MixtureRecord(biclique, prefactor, ln_z))
@@ -360,6 +360,8 @@ def spin_sample_many(
     """
     if not (0.0 < eps_star < 1.0):
         raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
+    if mode not in ("lab", "strict"):
+        raise InvalidRangeError(f"mode must be 'lab' or 'strict', got {mode!r}")
     if count < 0:
         raise InvalidRangeError("count must be >= 0")
     config = config or EstimatorConfig()
@@ -375,7 +377,7 @@ def spin_sample_many(
         probs = np.exp(log_w - log_w.max())
         cdf = np.cumsum(probs)
         cdf /= cdf[-1]
-        rng = np.random.default_rng(_subseed(seed, 1))
+        rng = random_stream(seed, EXACT, 0, 0, 0)
         picks = np.searchsorted(cdf, rng.random(count), side="right")
         return np.stack(
             [oracle.decode_configuration(int(i), matrix.q, num) for i in picks]
@@ -387,25 +389,25 @@ def spin_sample_many(
     probs = np.exp(masses - masses.max())
     probs /= probs.sum()
     cdf = np.cumsum(probs)
-    models = {}
-    rng = np.random.default_rng(_subseed(seed, 2))
+    models = {}  # biclique index -> (model, resolved config or None)
+    rng = random_stream(seed, FILL, 0, 0, 0)
     out = np.empty((count, num), dtype=np.int64)
     for d in range(count):
         b_idx = int(np.searchsorted(cdf, rng.random(), side="right"))
         b_idx = min(b_idx, len(table.records) - 1)
-        record = table.records[b_idx]
         if b_idx not in models:
-            models[b_idx] = PolymerModel(graph, matrix, record.biclique, result.eps)
-        model = models[b_idx]
-        if model.max_size < 1 or not model.active_vertices:
+            model = PolymerModel(graph, matrix, table.records[b_idx].biclique, result.eps)
+            has_polymers = model.max_size >= 1 and model.active_vertices
+            models[b_idx] = (model, config.chain_params(model) if has_polymers else None)
+        model, chain_config = models[b_idx]
+        if chain_config is None:
             polymers = ()
         else:
             polymers = sample_polymer_config(
                 model,
-                config.chain_params(model),
+                chain_config,
                 eps_star / 6.0,
-                _subseed(seed, 3, b_idx),
-                replica=d,
+                random_stream(seed, DRAW, b_idx, 0, d),
             ).polymers
         out[d] = spin_fill(model, polymers, rng)
     return out

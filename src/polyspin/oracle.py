@@ -1,8 +1,9 @@
 """Exact brute-force references for small instances.
 
 Deliberately naive: full enumeration over configuration space, exhaustive
-DFS over compatible polymer sets, explicit transition matrices, and a
-hand-rolled Jacobi eigensolver. Everything here is the independent side of
+DFS over compatible polymer sets, and explicit transition matrices whose
+spectra come from LAPACK (np.linalg.eigvalsh), which shares nothing with
+the power iteration it checks. Everything here is the independent side of
 a dual-route check, so none of it may share shortcuts with the estimators
 it verifies. All sums run in log-space through max-shifted accumulators in
 a fixed canonical order.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import EstimatorConfig, PolymerChain, candidate_table
-from .errors import InvalidRangeError, NoConvergenceError, ResourceLimitError
+from .errors import InvalidRangeError, ResourceLimitError
 from .logspace import NEG_INF, LogSumAccumulator
 from .polymer import Polymer, PolymerModel
 from .spin_model import Biclique, InteractionMatrix, enumerate_maximal_bicliques
@@ -325,7 +326,7 @@ class ChainAnalysis:
     stationary: np.ndarray
     detailed_balance_violation: float
     stationarity_violation: float
-    spectral_gap: float | None
+    spectral_gap: float
     states: tuple
 
 
@@ -342,7 +343,7 @@ def exact_chain_analysis(
     matrix is the sampler's; its stationary behaviour is compared against
     the truncated polymer Gibbs distribution.
     """
-    probe = PolymerChain(model, config, region=region, seed=0)
+    probe = PolymerChain(model, config, None, region=region)  # probed, never run
     table = candidate_table(model, config.size_cap)
     active = probe.active_vertices
 
@@ -395,13 +396,12 @@ def exact_chain_analysis(
     db = float(np.abs(pi[:, None] * p_mat - (pi[:, None] * p_mat).T).max())
     stat = float(np.abs(pi @ p_mat - pi).max())
 
-    gap = None
-    if num <= 512:
+    gap = 1.0
+    if num > 1:
         scale = np.sqrt(pi)
         sym = (scale[:, None] / scale[None, :]) * p_mat
         sym = 0.5 * (sym + sym.T)  # symmetric up to the db violation
-        eigs = dense_eigenvalues(sym)
-        gap = float(1.0 - eigs[1]) if num > 1 else 1.0
+        gap = float(1.0 - np.linalg.eigvalsh(sym)[-2])
 
     states = tuple(
         tuple(sorted(table.polymers[i] for i in state)) for state in order
@@ -415,54 +415,3 @@ def exact_chain_analysis(
         spectral_gap=gap,
         states=states,
     )
-
-
-# -- dense eigensolver ---------------------------------------------------------
-
-
-def dense_eigenvalues(matrix, *, max_sweeps: int = 100) -> np.ndarray:
-    """Full spectrum of a symmetric matrix via cyclic Jacobi rotations.
-
-    Terminates when the off-diagonal Frobenius norm drops to 1e-12
-    (relative to max(1, ||A||_F)); returns eigenvalues sorted descending.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidRangeError(f"matrix must be square, got {a.shape}")
-    n = a.shape[0]
-    if n > 512:
-        raise ResourceLimitError(f"dimension {n} exceeds 512")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
-        raise InvalidRangeError("matrix must be symmetric")
-    a = 0.5 * (a + a.T)
-    if n == 1:
-        return a.reshape(1).copy()
-    threshold = 1e-12 * max(1.0, float(np.linalg.norm(a)))
-    skip = threshold / (n * n)
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        # norm of the off-diagonal entries themselves; subtracting squared
-        # norms instead would cancel catastrophically near convergence
-        off = float(np.linalg.norm(a[off_mask]))
-        if off <= threshold:
-            return np.sort(np.diag(a))[::-1].copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise NoConvergenceError(f"Jacobi sweeps exceeded {max_sweeps}")

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyspin import (
     Biclique,
@@ -13,9 +15,12 @@ from polyspin import (
     PolymerModel,
     dynamics,
     enumerate_maximal_bicliques,
+    even_cycle,
     generate_random_regular_bipartite,
+    random_stream,
     sample_polymer_config,
 )
+from polyspin.dynamics import DRAW, EXACT, FILL, RATIO
 from polyspin.errors import InvalidRangeError
 from polyspin.estimator import _uncovered_ratio
 from polyspin.oracle import (
@@ -38,7 +43,7 @@ def empty_model(k33, all_ones2) -> PolymerModel:
 
 
 def test_no_polymers_means_empty_forever(empty_model):
-    chain = PolymerChain(empty_model, EstimatorConfig(size_cap=1), seed=3)
+    chain = PolymerChain(empty_model, EstimatorConfig(size_cap=1), random_stream(3, DRAW, 0, 0, 0))
     chain.run(500)
     assert chain.current_polymers() == ()
     assert chain.steps_taken == 500
@@ -47,14 +52,14 @@ def test_no_polymers_means_empty_forever(empty_model):
 def test_left_vertices_admit_no_polymers(k33_model):
     # ground set on the left is the whole spin space, so only right
     # vertices are ever proposed
-    chain = PolymerChain(k33_model, EstimatorConfig(size_cap=1), seed=3)
+    chain = PolymerChain(k33_model, EstimatorConfig(size_cap=1), random_stream(3, DRAW, 0, 0, 0))
     assert chain.active_vertices == (3, 4, 5)
     assert not chain.can_cover(0)
 
 
 def test_region_restricts_membership(k33_model):
     chain = PolymerChain(
-        k33_model, EstimatorConfig(size_cap=2), region=range(4), seed=0
+        k33_model, EstimatorConfig(size_cap=2), random_stream(0, DRAW, 0, 0, 0), region=range(4)
     )
     # only vertex 3 on the right is available; pairs exceed the region
     assert chain.active_vertices == (3,)
@@ -65,15 +70,59 @@ def test_region_restricts_membership(k33_model):
 
 def test_chain_reproducible(k33_model):
     params = EstimatorConfig(size_cap=2)
-    a = PolymerChain(k33_model, params, seed=11, replica=5)
-    b = PolymerChain(k33_model, params, seed=11, replica=5)
-    a.run(997)
-    b.run(997)
-    assert a.current_polymers() == b.current_polymers()
-    c = PolymerChain(k33_model, params, seed=11, replica=6)
-    c.run(997)
-    # different replica id gives an independent stream
-    assert c.steps_taken == 997
+
+    def trajectory(rng):
+        chain = PolymerChain(k33_model, params, rng)
+        states = []
+        for _ in range(997):
+            chain.run(1)
+            states.append(chain.current_polymers())
+        assert chain.steps_taken == 997
+        return states
+
+    key = (11, DRAW, 0, 0, 5)
+    base = trajectory(random_stream(*key))
+    assert trajectory(random_stream(*key)) == base
+    # changing any one slot of the key gives another stream, so another path
+    for slot in range(5):
+        other = list(key)
+        other[slot] += 1
+        assert trajectory(random_stream(*other)) != base, other
+    assert trajectory(random_stream(-11, DRAW, 0, 0, 5)) != base
+
+
+# -- stream keys ----------------------------------------------------------------
+
+_KEYS = st.tuples(
+    st.integers(-(2**63), 2**63 - 1),  # one seed per residue mod 2^64
+    st.sampled_from((RATIO, DRAW, FILL, EXACT)),
+    st.integers(0, 1000),  # biclique
+    st.integers(0, 10_000),  # stage: ratio index up to 2n
+    st.integers(0, 50),  # chain: median run
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_KEYS, min_size=2, max_size=40, unique=True))
+def test_stream_keys_are_distinct(keys):
+    # distinct (seed, domain, biclique, stage, chain) keys must seed distinct
+    # Philox streams; compared through the seed state, no chain is run
+    states = {
+        tuple(random_stream(*key).bit_generator.seed_seq.generate_state(4))
+        for key in keys
+    }
+    assert len(states) == len(keys)
+
+
+def test_stream_key_slots_are_bounded():
+    # a slot past 32 bits would spill into the next one and could collide
+    with pytest.raises(InvalidRangeError):
+        random_stream(0, DRAW, 0, 0, 1 << 32)
+    with pytest.raises(InvalidRangeError):
+        random_stream(0, DRAW, -1, 0, 0)
+    # negative seeds are their residue mod 2^64
+    negative = random_stream(-1, DRAW, 0, 0, 0).random()
+    assert negative == random_stream(2**64 - 1, DRAW, 0, 0, 0).random()
 
 
 # -- exact transition-matrix checks ----------------------------------------------
@@ -84,7 +133,20 @@ def test_detailed_balance_and_stationarity(k33_model, cap):
     analysis = exact_chain_analysis(k33_model, EstimatorConfig(size_cap=cap))
     assert analysis.detailed_balance_violation <= 1e-12
     assert analysis.stationarity_violation <= 1e-10
-    assert analysis.spectral_gap is not None and analysis.spectral_gap > 0.0
+    assert analysis.spectral_gap > 0.0
+
+
+def test_gap_beyond_512_states(hardcore):
+    # C28 hard-core, cap 1: the 14 right vertices form a 14-cycle in which
+    # singletons one apart clash, so the states are its 843 independent sets
+    model = PolymerModel(even_cycle(28), hardcore, Biclique((0, 1), (1,)), 0.4)
+    analysis = exact_chain_analysis(model, EstimatorConfig(size_cap=1))
+    assert analysis.num_states == 843
+    assert analysis.detailed_balance_violation <= 1e-12
+    # the gap against the unsymmetrised transition matrix's own spectrum
+    eigs = np.sort(np.linalg.eigvals(analysis.transition).real)
+    assert analysis.spectral_gap == pytest.approx(1.0 - eigs[-2], abs=1e-9)
+    assert analysis.spectral_gap > 0.0
 
 
 def test_state_space_size_cap2(k33_model):
@@ -145,14 +207,16 @@ def test_empty_model_analysis(empty_model):
 
 
 def test_sample_polymer_config_empty_model(empty_model):
-    config = sample_polymer_config(empty_model, EstimatorConfig(size_cap=1), 0.1, seed=4)
+    config = sample_polymer_config(
+        empty_model, EstimatorConfig(size_cap=1), 0.1, random_stream(4, DRAW, 0, 0, 0)
+    )
     assert len(config) == 0
 
 
 def test_sample_reproducible(k33_model):
     params = EstimatorConfig(size_cap=2)
-    a = sample_polymer_config(k33_model, params, 0.05, seed=9)
-    b = sample_polymer_config(k33_model, params, 0.05, seed=9)
+    a = sample_polymer_config(k33_model, params, 0.05, random_stream(9, DRAW, 0, 0, 0))
+    b = sample_polymer_config(k33_model, params, 0.05, random_stream(9, DRAW, 0, 0, 0))
     assert a == b
 
 
@@ -163,7 +227,7 @@ def test_sampled_distribution_matches_enumeration(k33_model):
     draws = 50_000
     counts = np.zeros(len(configs))
     for r in range(draws):
-        chain = PolymerChain(k33_model, params, seed=21, replica=r)
+        chain = PolymerChain(k33_model, params, random_stream(21, DRAW, 0, 0, r))
         chain.run(60)
         counts[key[chain.current_polymers()]] += 1
     tv = 0.5 * float(np.abs(counts / draws - probs).sum())
@@ -175,7 +239,7 @@ def test_ergodic_average_matches_enumeration(k33_model):
     params = EstimatorConfig(size_cap=2)
     configs, probs = exact_polymer_distribution(k33_model, 2)
     expect = float(sum(p * len(c) for c, p in zip(configs, probs)))
-    chain = PolymerChain(k33_model, params, seed=2)
+    chain = PolymerChain(k33_model, params, random_stream(2, DRAW, 0, 0, 0))
     chain.run(2000)
     total = 0
     steps = 60_000
@@ -193,19 +257,21 @@ def test_ergodic_average_matches_enumeration(k33_model):
 
 
 def test_uncovered_ratio_no_polymers(empty_model):
-    p = _uncovered_ratio(empty_model, EstimatorConfig(size_cap=1), range(6), 0, 10, 1, 0, 6)
+    rng = random_stream(1, RATIO, 0, 6, 0)
+    p = _uncovered_ratio(empty_model, EstimatorConfig(size_cap=1), 6, 10, rng)
     assert p == 1.0
 
 
 def test_uncovered_ratio_matches_exact(k33_model):
     params = EstimatorConfig(size_cap=1)
     configs, probs = exact_polymer_distribution(k33_model, 1)
+    # ratio 6: vertex 5 uncovered in region {0..5}
     exact = float(
-        sum(p for c, p in zip(configs, probs) if all(3 not in poly.vertices for poly in c))
+        sum(p for c, p in zip(configs, probs) if all(5 not in poly.vertices for poly in c))
     )
     assert exact == pytest.approx(10.0 / 11.0, abs=1e-12)
     m = 10_000
-    est = _uncovered_ratio(k33_model, params, range(6), 3, m, 6, 0, 6)
+    est = _uncovered_ratio(k33_model, params, 6, m, random_stream(6, RATIO, 0, 6, 0))
     # samples one sweep apart are nearly independent; allow for correlation
     stderr = 2.0 * math.sqrt(exact * (1 - exact) / m)
     assert abs(est - exact) <= 3.0 * stderr

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import math
@@ -192,16 +193,16 @@ def test_fixed_seed_outputs_unchanged(k33, hardcore):
     # the determinism contract: these values are pinned byte for byte
     config = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
     values = [approximate_Z(k33, hardcore, 0.05, s, config=config).ln_value for s in range(3)]
-    assert values == [3.3373241160599267, 3.3360321708802525, 3.3346804589271826]
+    assert values == [3.3357970804115524, 3.333335370786044, 3.3275536911276777]
     config = EstimatorConfig(brute_force_budget=0, eps_override=0.5, mixing_constant=1.5)
     samples = spin_sample_many(k33, hardcore, 0.05, 7, 3000, config=config)
     assert (
         hashlib.sha1(samples.tobytes()).hexdigest()
-        == "f2b3dcaadc8c28be00bfa9ef61ff9644ff82bad8"
+        == "9d3be11cbca17aa819f489c0a171bfd2ba3a044f"
     )
     graph = generate_random_regular_bipartite(16, 4, 1)
     config = EstimatorConfig(brute_force_budget=0, eps_override=0.1, size_cap=2)
-    assert approximate_Z(graph, hardcore, 0.8, 1, config=config).ln_value == 12.845156906590931
+    assert approximate_Z(graph, hardcore, 0.8, 1, config=config).ln_value == 12.811539822863491
 
 
 def test_strict_mode_refuses_at_desk_scale(hardcore):
@@ -218,7 +219,7 @@ def test_strict_run_branch_pinned(k33, hardcore, monkeypatch):
     config = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
     result = approximate_Z(k33, hardcore, 0.9, 1, mode="strict", config=config)
     assert result.mode == "strict"
-    assert result.ln_value == 3.334105750277681
+    assert result.ln_value == 3.337344704119667
 
 
 def test_invalid_accuracy(k33, hardcore):
@@ -273,67 +274,58 @@ def test_spin_fill_zero_normalizer_raises(c8):
         spin_fill(model, (poly,), rng)
 
 
-def _spin_fill_law(graph, matrix, biclique, polymers):
-    """Exact output distribution of the fill procedure, vertex by vertex."""
-    spin_map = {}
-    for poly in polymers:
-        spin_map.update(poly.spin_map())
-    boundary = graph.boundary(spin_map.keys())
-    h = matrix.entries
-    per_vertex = []
-    for v in range(graph.num_vertices):
-        side = graph.side(v)
-        ground = list(biclique.side(side))
-        if v in spin_map:
-            per_vertex.append({spin_map[v]: 1.0})
-        elif v in boundary:
-            adjacent = [spin_map[u] for u in graph.neighbors(v) if u in spin_map]
-            weights = np.prod(h[np.ix_(ground, adjacent)], axis=1)
-            total = weights.sum()
-            per_vertex.append(
-                {s: float(w) / float(total) for s, w in zip(ground, weights)}
-            )
-        else:
-            per_vertex.append({s: 1.0 / len(ground) for s in ground})
-    law = {}
-    for combo in itertools.product(*(sorted(d) for d in per_vertex)):
-        p = 1.0
-        for v, s in enumerate(combo):
-            p *= per_vertex[v][s]
-        law[combo] = law.get(combo, 0.0) + p
-    return law
+# antiferromagnetic 3-state Potts: its biclique ({0}, {1, 2}) leaves two
+# ground spins on the right, so the fill law there is not a point mass (the
+# ferromagnetic potts3 has singleton ground sets and a one-point fill law)
+_POTTS3_AF = InteractionMatrix([[0.5, 1.0, 1.0], [1.0, 0.5, 1.0], [1.0, 1.0, 0.5]], 0.5)
 
 
 @pytest.mark.parametrize(
-    "graph_name,poly",
+    "graph_name,matrix,biclique,polymers",
     [
-        ("k33", Polymer((3,), (0,))),
-        ("c8", Polymer((4,), (0,))),
-        ("c8", Polymer((4, 5), (0, 0))),
+        ("k33", None, Biclique((0, 1), (1,)), (Polymer((3,), (0,)),)),
+        ("c8", None, Biclique((0, 1), (1,)), (Polymer((4,), (0,)),)),
+        ("c8", None, Biclique((0, 1), (1,)), (Polymer((4, 5), (0, 0)),)),
+        ("c16", _POTTS3_AF, Biclique((0,), (1, 2)), (Polymer((0,), (1,)), Polymer((4,), (2,)))),
     ],
+    ids=["k33-poly0", "c8-poly1", "c8-poly2", "c16-potts3af-poly3"],
 )
-def test_spin_fill_law_equals_conditioned_gibbs(request, hardcore, graph_name, poly):
-    # the fill procedure's exact law must equal the Gibbs distribution
-    # conditioned on agreeing with the polymers and staying grounded
+def test_spin_fill_law_equals_conditioned_gibbs(
+    request, hardcore, graph_name, matrix, biclique, polymers
+):
+    # spin_fill's draws must follow the Gibbs distribution conditioned on
+    # agreeing with the polymers and staying grounded everywhere else
     graph = request.getfixturevalue(graph_name)
-    biclique = Biclique((0, 1), (1,))
-    model = PolymerModel(graph, hardcore, biclique, 0.9)
-    assert model.is_polymer(poly)
-    law = _spin_fill_law(graph, hardcore, biclique, (poly,))
-    spin_map = poly.spin_map()
+    matrix = matrix or hardcore
+    model = PolymerModel(graph, matrix, biclique, 0.9)
+    assert all(model.is_polymer(p) for p in polymers)
+    assert all(model.are_compatible(a, b) for a, b in itertools.combinations(polymers, 2))
+    spin_map = {}
+    for poly in polymers:
+        spin_map.update(poly.spin_map())
     allowed = [
         (spin_map[v],) if v in spin_map else biclique.side(graph.side(v))
         for v in range(graph.num_vertices)
     ]
-    weights = {}
+    law = {}
     for combo in itertools.product(*allowed):
-        weights[combo] = math.exp(
-            configuration_weight_log(graph, hardcore, np.array(combo))
-        )
-    total = sum(weights.values())
-    for combo, w in weights.items():
-        assert law.get(combo, 0.0) == pytest.approx(w / total, abs=1e-10)
-    assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        w = math.exp(configuration_weight_log(graph, matrix, np.array(combo)))
+        if w > 0.0:
+            law[combo] = w
+    total = sum(law.values())
+    draws = 20_000
+    rng = np.random.default_rng(3)
+    counts = collections.Counter(
+        tuple(int(s) for s in spin_fill(model, polymers, rng)) for _ in range(draws)
+    )
+    assert set(counts) <= set(law)
+    tv = 0.5 * sum(abs(counts[c] / draws - w / total) for c, w in law.items())
+    # over K support points the expected empirical TV of N exact draws is
+    # at most 0.5 sum sqrt(p (1 - p) / N) <= 0.5 sqrt(K / N) (Cauchy-Schwarz),
+    # so the bound sqrt(K / N) leaves a 2x margin: 0.007 at K = 1 (K33, where
+    # every draw must be the one configuration) up to 0.11 at K = 256 (C16),
+    # where one boundary vertex drawn 1:1 instead of 1:2 moves the law by 1/6
+    assert tv <= math.sqrt(len(law) / draws), (len(law), tv)
 
 
 def test_spin_sample_exact_path_uniform_for_all_ones(k33, all_ones2):
@@ -367,6 +359,46 @@ def test_spin_sample_reproducible(k33, hardcore):
     assert np.array_equal(a, b)
     single = spin_sample_many(k33, hardcore, 0.3, seed=5, count=1)
     assert np.array_equal(single[0], a[0])
+
+
+def test_spin_sample_rejects_unknown_mode(k33, hardcore):
+    # checked before the exact path, which would otherwise answer anyway
+    with pytest.raises(InvalidRangeError):
+        spin_sample_many(k33, hardcore, 0.5, 1, 2, mode="bogus")
+
+
+def test_chain_config_resolved_once_per_biclique(k33, hardcore, monkeypatch):
+    calls = []
+    real = EstimatorConfig.chain_params
+
+    def counting(self, model):
+        calls.append(model.biclique)
+        return real(self, model)
+
+    monkeypatch.setattr(EstimatorConfig, "chain_params", counting)
+    config = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
+    spin_sample_many(k33, hardcore, 0.3, 5, 50, config=config)
+    # once per biclique in the mixture, once per biclique drawn from
+    assert len(calls) <= 2 * len(set(calls))
+
+
+def test_sampler_streams_are_distinct(monkeypatch):
+    # every Philox stream one sampling call creates (telescope ratios,
+    # per-draw chains, biclique choice and fill) must have its own key; K44
+    # 4-Potts has 4 bicliques, so biclique and draw indices overlap
+    keys = []
+
+    class Recording(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            keys.append(tuple(int(k) for k in self.state["state"]["key"]))
+
+    monkeypatch.setattr(np.random, "Philox", Recording)
+    potts4 = InteractionMatrix(np.where(np.eye(4, dtype=bool), 1.0, 0.5), 0.5)
+    config = EstimatorConfig(brute_force_budget=0, eps_override=0.3, size_cap=1)
+    spin_sample_many(complete_bipartite(4), potts4, 0.5, 0, 200, config=config)
+    assert len(keys) > 200
+    assert len(set(keys)) == len(keys)
 
 
 def test_spin_sample_zero_count(k33, hardcore):

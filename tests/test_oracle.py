@@ -16,7 +16,6 @@ from polyspin.logspace import NEG_INF, LogSumAccumulator
 from polyspin.oracle import (
     constrained_sum_log,
     decode_configuration,
-    dense_eigenvalues,
     encode_configuration,
     exact_log_weights,
     exact_polymer_Z,
@@ -191,40 +190,3 @@ def test_constrained_sum_log_fixed_everything(k33, hardcore):
     sigma = [1, 1, 1, 0, 1, 1]
     value = constrained_sum_log(k33, hardcore, [(s,) for s in sigma])
     assert value == 0.0  # single weight-1 configuration
-
-
-# -- dense eigensolver -------------------------------------------------------------------
-
-
-def test_jacobi_identity():
-    assert np.allclose(dense_eigenvalues(np.eye(3)), [1.0, 1.0, 1.0])
-
-
-def test_jacobi_k33_spectrum(k33):
-    eigs = dense_eigenvalues(k33.adjacency_matrix())
-    assert np.allclose(eigs, [3.0, 0.0, 0.0, 0.0, 0.0, -3.0], atol=1e-10)
-
-
-def test_jacobi_c8_spectrum(c8):
-    eigs = dense_eigenvalues(c8.adjacency_matrix())
-    expected = sorted((2.0 * math.cos(math.pi * k / 4.0) for k in range(8)), reverse=True)
-    assert np.allclose(eigs, expected, atol=1e-10)
-
-
-def test_jacobi_trace_and_numpy_agreement():
-    rng = np.random.default_rng(8)
-    for n in (4, 9, 17):
-        a = rng.standard_normal((n, n))
-        a = 0.5 * (a + a.T)
-        eigs = dense_eigenvalues(a)
-        assert eigs.sum() == pytest.approx(np.trace(a), abs=1e-10)
-        assert np.allclose(eigs, np.sort(np.linalg.eigvalsh(a))[::-1], atol=1e-9)
-
-
-def test_jacobi_rejects_large_or_asymmetric():
-    with pytest.raises(ResourceLimitError):
-        dense_eigenvalues(np.eye(600))
-    from polyspin.errors import InvalidRangeError
-
-    with pytest.raises(InvalidRangeError):
-        dense_eigenvalues([[0.0, 1.0], [0.5, 0.0]])
