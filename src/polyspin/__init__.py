@@ -30,11 +30,9 @@ from .graph import (
 )
 from .polymer import (
     Polymer,
-    PolymerConfiguration,
     PolymerModel,
     SamplingConditionReport,
     are_compatible,
-    dump_polymers,
 )
 from .spin_model import (
     Biclique,
@@ -62,7 +60,6 @@ __all__ = [
     "MixtureTable",
     "Polymer",
     "PolymerChain",
-    "PolymerConfiguration",
     "PolymerModel",
     "PremiseReport",
     "SamplingConditionReport",
@@ -74,7 +71,6 @@ __all__ = [
     "check_premises",
     "complete_bipartite",
     "configuration_weight_log",
-    "dump_polymers",
     "enumerate_maximal_bicliques",
     "estimate_polymer_Z",
     "even_cycle",

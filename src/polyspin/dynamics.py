@@ -18,13 +18,14 @@ is what makes region partition functions telescope.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidRangeError
 from .logspace import NEG_INF
-from .polymer import PolymerConfiguration, PolymerModel
+from .polymer import Polymer, PolymerModel
 
 _RNG_BUFFER = 4096
 
@@ -78,8 +79,11 @@ class EstimatorConfig:
     eps_override: float | None = None
 
     def __post_init__(self):
-        if self.size_cap is not None and self.size_cap < 1:
-            raise InvalidRangeError(f"size_cap must be >= 1, got {self.size_cap}")
+        cap = self.size_cap
+        if cap is not None and (
+            isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1
+        ):
+            raise InvalidRangeError(f"size_cap must be an integer >= 1, got {cap!r}")
         if not (math.isfinite(self.mixing_constant) and self.mixing_constant > 0):
             raise InvalidRangeError(
                 f"mixing_constant must be positive and finite, got {self.mixing_constant}"
@@ -278,11 +282,8 @@ class PolymerChain:
         vbit = 1 << v
         return any(self._table.masks[i] & vbit for i in self._current)
 
-    def current_polymers(self):
+    def current_polymers(self) -> tuple[Polymer, ...]:
         return tuple(self._table.polymers[i] for i in sorted(self._current))
-
-    def config(self) -> PolymerConfiguration:
-        return PolymerConfiguration(self.current_polymers())
 
 
 def default_mixing_steps(config: EstimatorConfig, region_size: int, eps_sample: float) -> int:
@@ -302,20 +303,18 @@ def sample_polymer_config(
     config: EstimatorConfig,
     eps_sample: float,
     rng: np.random.Generator,
-    *,
-    region=None,
-) -> PolymerConfiguration:
+) -> tuple[Polymer, ...]:
     """Approximate sample from the size-truncated polymer Gibbs distribution.
 
     Runs the chain from the empty configuration for
-    ceil(C |region| ln(|region|/eps_sample)) steps and returns the final
-    state. The target is mu truncated to polymers of size <= size_cap; the
-    neglected tail is the caller's responsibility (exact when size_cap =
-    floor(2 eps n)).
+    ceil(C |V| ln(|V|/eps_sample)) steps and returns the final state as a
+    sorted tuple of polymers. The target is mu truncated to polymers of
+    size <= size_cap; the neglected tail is the caller's responsibility
+    (exact when size_cap = floor(2 eps n)).
     """
     if not (0.0 < eps_sample < 1.0):
         raise InvalidRangeError(f"eps_sample must lie in (0,1), got {eps_sample}")
-    chain = PolymerChain(model, config, rng, region=region)
+    chain = PolymerChain(model, config, rng)
     chain.run(default_mixing_steps(config, len(chain.region), eps_sample))
-    return chain.config()
+    return chain.current_polymers()
 

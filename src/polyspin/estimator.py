@@ -14,6 +14,7 @@ with P(j) proportional to prod of H[j, spin of covered neighbors].
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -55,9 +56,15 @@ SAMPLE_FACTOR = 8.0
 
 @dataclass(frozen=True)
 class MixtureRecord:
+    """One biclique's term of the mixture, with the model and the resolved
+    chain config (None when the model admits no polymers) that both the
+    estimate and the sampler's draws use."""
+
     biclique: Biclique
     ln_prefactor: float  # n ln|B_0| + n ln|B_1|
     ln_polymer_z: float
+    model: PolymerModel
+    chain_config: EstimatorConfig | None
 
 
 @dataclass(frozen=True)
@@ -179,17 +186,13 @@ def build_mixture(
         model = PolymerModel(graph, matrix, biclique, eps)
         prefactor = n * (math.log(len(biclique.b0)) + math.log(len(biclique.b1)))
         if model.max_size < 1 or not model.active_vertices:
-            ln_z = 0.0
+            chain_config, ln_z = None, 0.0
         else:
+            chain_config = config.chain_params(model)
             ln_z = estimate_polymer_Z(
-                model,
-                config.chain_params(model),
-                inner_eps,
-                seed,
-                biclique=b_idx,
-                median_runs=runs,
+                model, chain_config, inner_eps, seed, biclique=b_idx, median_runs=runs
             )
-        records.append(MixtureRecord(biclique, prefactor, ln_z))
+        records.append(MixtureRecord(biclique, prefactor, ln_z, model, chain_config))
         acc.add(prefactor + ln_z)
     return MixtureTable(records=tuple(records), ln_total=acc.value)
 
@@ -201,15 +204,20 @@ def build_mixture(
 _EPS_EXACT_CAP = 1 << 26
 
 
-def _exact_fallback(graph, matrix, eps_star, budget) -> bool:
+def _exact_fallback(graph, matrix, eps_star, budget) -> int | None:
+    """The enumeration budget of the exact path, or None when it does not run.
+
+    The eps-star condition can force exactness on its own; the enumeration
+    is then poly(1/eps*) work, so the budget grows to cover it.
+    """
     if budget <= 0:
-        return False
+        return None
     total = matrix.q ** graph.num_vertices
     if total <= budget:
-        return True
-    if total > _EPS_EXACT_CAP:
-        return False
-    return eps_star < 9.0 * math.exp(-graph.n / (4.0 * matrix.q))
+        return budget
+    if total <= _EPS_EXACT_CAP and eps_star < 9.0 * math.exp(-graph.n / (4.0 * matrix.q)):
+        return total
+    return None
 
 
 def proof_epsilon(matrix: InteractionMatrix, degree: int) -> float:
@@ -241,15 +249,10 @@ def approximate_Z(
         raise InvalidRangeError(f"mode must be 'lab' or 'strict', got {mode!r}")
     config = config or EstimatorConfig()
 
-    if _exact_fallback(graph, matrix, eps_star, config.brute_force_budget):
-        # the eps-star condition can force exactness on its own; the
-        # enumeration is then poly(1/eps*) work and must be allowed to run
-        needed = matrix.q**graph.num_vertices
-        ln = oracle.exact_Z(
-            graph, matrix, budget=max(config.brute_force_budget, needed)
-        )
+    budget = _exact_fallback(graph, matrix, eps_star, config.brute_force_budget)
+    if budget is not None:
         return ApproxResult(
-            ln_value=ln,
+            ln_value=oracle.exact_Z(graph, matrix, budget=budget),
             mode="exact",
             bicliques=len(enumerate_maximal_bicliques(matrix)),
             eps=None,
@@ -320,18 +323,11 @@ def spin_fill(model: PolymerModel, polymers, rng) -> np.ndarray:
         side = graph.side(u)
         ground = biclique.side(side)
         adjacent = tuple(spin_map[v] for v in graph.neighbors(u) if v in spin_map)
-        total, _, weights = model.boundary_entry(side, adjacent)
+        total, _, cumulative = model.boundary_entry(side, adjacent)
         if total <= 0.0:
             raise ZeroNormalizerError(f"boundary vertex {u} has F_u = 0")
-        r = rng.random() * total
-        pick = len(ground) - 1
-        acc = 0.0
-        for k, w in enumerate(weights):
-            acc += w
-            if r < acc:
-                pick = k
-                break
-        sigma[u] = ground[pick]
+        pick = bisect.bisect_right(cumulative, rng.random() * total)
+        sigma[u] = ground[min(pick, len(ground) - 1)]
     free = np.flatnonzero(sigma < 0)
     for side in (0, 1):
         side_free = free[(free >= n) == bool(side)]
@@ -369,11 +365,9 @@ def spin_sample_many(
     if count == 0:
         return np.empty((0, num), dtype=np.int64)
 
-    if _exact_fallback(graph, matrix, eps_star, config.brute_force_budget):
-        needed = matrix.q**num
-        log_w = oracle.exact_log_weights(
-            graph, matrix, budget=max(config.brute_force_budget, needed)
-        )
+    budget = _exact_fallback(graph, matrix, eps_star, config.brute_force_budget)
+    if budget is not None:
+        log_w = oracle.exact_log_weights(graph, matrix, budget=budget)
         probs = np.exp(log_w - log_w.max())
         cdf = np.cumsum(probs)
         cdf /= cdf[-1]
@@ -383,31 +377,24 @@ def spin_sample_many(
             [oracle.decode_configuration(int(i), matrix.q, num) for i in picks]
         )
 
-    result = approximate_Z(graph, matrix, eps_star, seed, mode=mode, config=config)
-    table = result.table
+    table = approximate_Z(graph, matrix, eps_star, seed, mode=mode, config=config).table
     masses = table.biclique_log_masses()
     probs = np.exp(masses - masses.max())
     probs /= probs.sum()
     cdf = np.cumsum(probs)
-    models = {}  # biclique index -> (model, resolved config or None)
     rng = random_stream(seed, FILL, 0, 0, 0)
     out = np.empty((count, num), dtype=np.int64)
     for d in range(count):
         b_idx = int(np.searchsorted(cdf, rng.random(), side="right"))
         b_idx = min(b_idx, len(table.records) - 1)
-        if b_idx not in models:
-            model = PolymerModel(graph, matrix, table.records[b_idx].biclique, result.eps)
-            has_polymers = model.max_size >= 1 and model.active_vertices
-            models[b_idx] = (model, config.chain_params(model) if has_polymers else None)
-        model, chain_config = models[b_idx]
-        if chain_config is None:
-            polymers = ()
-        else:
+        record = table.records[b_idx]
+        polymers = ()
+        if record.chain_config is not None:
             polymers = sample_polymer_config(
-                model,
-                chain_config,
+                record.model,
+                record.chain_config,
                 eps_star / 6.0,
                 random_stream(seed, DRAW, b_idx, 0, d),
-            ).polymers
-        out[d] = spin_fill(model, polymers, rng)
+            )
+        out[d] = spin_fill(record.model, polymers, rng)
     return out

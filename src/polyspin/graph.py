@@ -173,14 +173,11 @@ def single_edge() -> BipartiteRegularGraph:
     return _from_edges(1, [(0, 1)], oracle_only=True)
 
 
-def generate_random_regular_bipartite(
-    n: int,
-    degree: int,
-    seed: int,
-    *,
-    max_restarts: int = 200,
-    max_matching_tries: int = 200_000,
-) -> BipartiteRegularGraph:
+_MAX_RESTARTS = 200  # whole-graph constructions per generated graph
+_MAX_MATCHING_TRIES = 200_000  # matching draws within one construction
+
+
+def generate_random_regular_bipartite(n: int, degree: int, seed: int) -> BipartiteRegularGraph:
     """Uniform-ish random simple Delta-regular bipartite graph, seeded.
 
     Union of `degree` random perfect matchings; a matching colliding with
@@ -193,16 +190,14 @@ def generate_random_regular_bipartite(
     if n < degree:
         raise InfeasibleError(f"no simple {degree}-regular bipartite graph on {n}+{n}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_restarts):
+    for _ in range(_MAX_RESTARTS):
         taken = [set() for _ in range(n)]  # right partners per left vertex
         tries = 0
         for _ in range(degree):
             while True:
                 tries += 1
-                if tries > max_matching_tries:
-                    raise ResourceLimitError(
-                        f"exceeded {max_matching_tries} matching draws"
-                    )
+                if tries > _MAX_MATCHING_TRIES:
+                    raise ResourceLimitError(f"exceeded {_MAX_MATCHING_TRIES} matching draws")
                 perm = rng.permutation(n)
                 if all(int(perm[v]) not in taken[v] for v in range(n)):
                     break
@@ -215,7 +210,7 @@ def generate_random_regular_bipartite(
                 adj[n + u].append(v)
         if _is_connected([tuple(a) for a in adj]):
             return BipartiteRegularGraph(n, adj)
-    raise ResourceLimitError(f"exceeded {max_restarts} whole-graph restarts")
+    raise ResourceLimitError(f"exceeded {_MAX_RESTARTS} whole-graph restarts")
 
 
 # -- spectra ---------------------------------------------------------------
@@ -420,6 +415,14 @@ def parse_graph(text: str, *, oracle_only: bool = False) -> BipartiteRegularGrap
                 f"line {k}: edge ({u},{v}) violates 0 <= u < n <= v < 2n"
             )
         edges.append((u, v))
+    # a working-class graph has exactly n * degree edges; checking that first
+    # keeps a huge declared n from allocating before the file is refused.
+    # Relaxed graphs may be irregular, so they go straight to construction.
+    if not oracle_only and len(edges) != n * degree:
+        raise GraphFormatError(
+            f"line 1: n {n} at degree {degree} needs {n * degree} edges, "
+            f"found {len(edges)}"
+        )
     try:
         graph = _from_edges(n, edges, oracle_only=oracle_only)
     except InvalidRangeError as exc:

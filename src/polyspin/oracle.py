@@ -17,6 +17,7 @@ computed here from the polymer log-weights alone.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .spin_model import Biclique, InteractionMatrix, enumerate_maximal_bicliques
 
 DEFAULT_CONFIG_BUDGET = 1 << 24
 DEFAULT_POLYMER_BUDGET = 5000
+_CHAIN_STATE_BUDGET = 10_000  # reachable states exact_chain_analysis may visit
 _BLOCK = 1 << 14
 
 
@@ -330,20 +332,14 @@ class ChainAnalysis:
     states: tuple
 
 
-def exact_chain_analysis(
-    model: PolymerModel,
-    config: EstimatorConfig,
-    *,
-    region=None,
-    state_budget: int = 10_000,
-) -> ChainAnalysis:
+def exact_chain_analysis(model: PolymerModel, config: EstimatorConfig) -> ChainAnalysis:
     """Build the full transition matrix of the implemented chain step.
 
     Each row comes from the chain's own heat-bath conditional, so the
     matrix is the sampler's; its stationary behaviour is compared against
     the truncated polymer Gibbs distribution.
     """
-    probe = PolymerChain(model, config, None, region=region)  # probed, never run
+    probe = PolymerChain(model, config, None)  # probed, never run
     table = candidate_table(model, config.size_cap)
     active = probe.active_vertices
 
@@ -351,7 +347,7 @@ def exact_chain_analysis(
     empty: frozenset[int] = frozenset()
     index = {empty: 0}
     order = [empty]
-    queue = [empty]
+    queue = deque([empty])
     transitions: list[dict[int, float]] = []
 
     def outcomes(state: frozenset[int], v: int):
@@ -362,16 +358,16 @@ def exact_chain_analysis(
             yield kept | {i}, w / total
 
     while queue:
-        state = queue.pop(0)
+        state = queue.popleft()
         row: dict[int, float] = {}
         if active:
             pick = 1.0 / len(active)
             for v in active:
                 for nxt, p in outcomes(state, v):
                     if nxt not in index:
-                        if len(index) >= state_budget:
+                        if len(index) >= _CHAIN_STATE_BUDGET:
                             raise ResourceLimitError(
-                                f"reachable states exceed budget {state_budget}"
+                                f"reachable states exceed budget {_CHAIN_STATE_BUDGET}"
                             )
                         index[nxt] = len(order)
                         order.append(nxt)

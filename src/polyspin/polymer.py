@@ -37,11 +37,6 @@ class Polymer:
         if list(self.vertices) != sorted(set(self.vertices)):
             raise InvalidRangeError("vertices must be sorted and distinct")
 
-    @classmethod
-    def from_map(cls, assignment: dict[int, int]) -> "Polymer":
-        vs = tuple(sorted(assignment))
-        return cls(vs, tuple(assignment[v] for v in vs))
-
     @property
     def size(self) -> int:
         return len(self.vertices)
@@ -61,45 +56,6 @@ def are_compatible(graph, a: Polymer, b: Polymer) -> bool:
             if u in avs:
                 return False
     return True
-
-
-class PolymerConfiguration:
-    """A set of pairwise compatible polymers with its vertex -> polymer cover."""
-
-    __slots__ = ("polymers", "cover")
-
-    def __init__(self, polymers, *, graph=None):
-        polys = tuple(sorted(polymers))
-        cover: dict[int, Polymer] = {}
-        for p in polys:
-            for v in p.vertices:
-                if v in cover:
-                    raise InvalidRangeError(f"vertex {v} covered twice")
-                cover[v] = p
-        if graph is not None:
-            for i, p in enumerate(polys):
-                for q in polys[i + 1:]:
-                    if not are_compatible(graph, p, q):
-                        raise InvalidRangeError(
-                            f"incompatible polymers {p.vertices} / {q.vertices}"
-                        )
-        self.polymers = polys
-        self.cover = cover
-
-    def __len__(self) -> int:
-        return len(self.polymers)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolymerConfiguration) and self.polymers == other.polymers
-
-    def __hash__(self) -> int:
-        return hash(self.polymers)
-
-    def spin_map(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.polymers:
-            out.update(p.spin_map())
-        return out
 
 
 def connected_vertex_sets(neighbors, root: int, size_cap: int, rank) -> list[tuple[int, ...]]:
@@ -153,8 +109,6 @@ class SamplingConditionReport:
     tau: float
     weight_violations: tuple[str, ...]
     boundary_violations: tuple[str, ...]
-    premises_hold: bool | None
-    min_weight_slack: float
 
     @property
     def ok(self) -> bool:
@@ -170,40 +124,32 @@ class PolymerModel:
         matrix: InteractionMatrix,
         biclique: Biclique,
         eps: float,
-        *,
-        require_maximal: bool = True,
     ):
         if not (0.0 < eps < 1.0):
             raise InvalidRangeError(f"eps must lie in (0,1), got {eps}")
         if not is_biclique(matrix, biclique.b0, biclique.b1):
             raise InvalidRangeError(f"{biclique} is not a biclique of the matrix")
-        if require_maximal:
-            # the boundary bound F_u <= |B_i|-1+delta needs maximality
-            _assert_maximal(matrix, biclique)
+        # the boundary bound F_u <= |B_i|-1+delta needs maximality
+        _assert_maximal(matrix, biclique)
         self.graph = graph
         self.matrix = matrix
         self.biclique = biclique
         self.eps = eps
         self.max_size = int(math.floor(2.0 * eps * graph.n + SIZE_FUZZ))
         q = matrix.q
-        ground = (frozenset(biclique.b0), frozenset(biclique.b1))
-        self.ground = ground
         self._allowed_by_side = (
-            tuple(s for s in range(q) if s not in ground[0]),
-            tuple(s for s in range(q) if s not in ground[1]),
+            tuple(s for s in range(q) if s not in biclique.b0),
+            tuple(s for s in range(q) if s not in biclique.b1),
         )
         self.active_vertices = tuple(
             v for v in range(graph.num_vertices) if self._allowed_by_side[graph.side(v)]
         )
         self.tau = (1.0 - matrix.delta) / (4.0 * eps * q)
         self._tables: dict[int, "object"] = {}
-        # (side, adjacent spins) -> (F_u, ln F_u, per-spin weights); see boundary_entry
+        # (side, adjacent spins) -> (F_u, ln F_u, cumulative weights); see boundary_entry
         self._boundary_memo: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     # -- spins ------------------------------------------------------------
-
-    def ground_spins(self, v: int) -> frozenset[int]:
-        return self.ground[self.graph.side(v)]
 
     def allowed_spins(self, v: int) -> tuple[int, ...]:
         return self._allowed_by_side[self.graph.side(v)]
@@ -233,9 +179,6 @@ class PolymerModel:
                     seen.add(u)
                     stack.append(u)
         return len(seen) == len(vs)
-
-    def are_compatible(self, a: Polymer, b: Polymer) -> bool:
-        return are_compatible(self.graph, a, b)
 
     # -- weight -----------------------------------------------------------
 
@@ -284,13 +227,14 @@ class PolymerModel:
     def boundary_entry(
         self, side: int, adjacent: tuple[int, ...]
     ) -> tuple[float, float, tuple[float, ...]]:
-        """(F_u, ln F_u, weights) for u on `side` with region-neighbor spins
-        `adjacent`.
+        """(F_u, ln F_u, cumulative) for u on `side` with region-neighbor
+        spins `adjacent`.
 
-        weights[k] = prod_m H[B_side[k], adjacent[m]] for the k-th ground
-        spin, and F_u is their sum; ln F_u is -inf when F_u vanishes.
-        Memoised per model: the key keeps the spin order, so the product
-        multiplies exactly as an uncached evaluation would.
+        With weights[k] = prod_m H[B_side[k], adjacent[m]] for the k-th
+        ground spin, F_u is their sum, ln F_u is -inf when F_u vanishes, and
+        cumulative holds the running sums of the weights, for inverse-CDF
+        picks. Memoised per model: the key keeps the spin order, so the
+        product multiplies exactly as an uncached evaluation would.
         """
         key = (side, adjacent)
         entry = self._boundary_memo.get(key)
@@ -299,17 +243,10 @@ class PolymerModel:
             rows = list(self.biclique.side(side))
             weights = np.prod(h[np.ix_(rows, list(adjacent))], axis=1)
             f_u = float(weights.sum())
-            entry = (f_u, math.log(f_u) if f_u > 0.0 else NEG_INF, tuple(weights.tolist()))
+            cumulative = tuple(itertools.accumulate(weights.tolist()))
+            entry = (f_u, math.log(f_u) if f_u > 0.0 else NEG_INF, cumulative)
             self._boundary_memo[key] = entry
         return entry
-
-    def config_weight_log(self, polymers) -> float:
-        total = 0.0
-        for p in polymers:
-            total += self.weight_log(p)
-            if total == NEG_INF:
-                return NEG_INF
-        return total
 
     # -- enumeration --------------------------------------------------------
 
@@ -354,7 +291,6 @@ class PolymerModel:
         self,
         size_cap: int,
         *,
-        lam: float | None = None,
         budget: int = 1_000_000,
     ) -> SamplingConditionReport:
         """Check w(gamma) <= e^{-tau |V_gamma|} and F_u <= |B_i|-1+delta.
@@ -367,13 +303,9 @@ class PolymerModel:
         tau = self.tau
         weight_bad: list[str] = []
         boundary_bad: list[str] = []
-        min_slack = float("inf")
         polymers = self.enumerate_allowed(size_cap, budget=budget) if size_cap > 0 else []
         for poly in polymers:
             lw = self.weight_log(poly)
-            slack = -tau * poly.size - lw
-            if lw != NEG_INF:
-                min_slack = min(min_slack, slack)
             if lw > -tau * poly.size + 1e-9:
                 weight_bad.append(
                     f"gamma {dict(zip(poly.vertices, poly.spins))}: "
@@ -387,32 +319,13 @@ class PolymerModel:
                         f"gamma {dict(zip(poly.vertices, poly.spins))}, u={u}: "
                         f"F_u = {f_u:.6g} > {cap_u:.6g}"
                     )
-        premises = None
-        if lam is not None:
-            q = self.matrix.q
-            deg = graph.degree
-            premises = (
-                self.eps >= (lam / deg) ** 2
-                and self.eps <= (1.0 - delta) / (40.0 * q * math.log(q * deg))
-            )
         return SamplingConditionReport(
             polymers_checked=len(polymers),
             size_cap=size_cap,
             tau=tau,
             weight_violations=tuple(weight_bad),
             boundary_violations=tuple(boundary_bad),
-            premises_hold=premises,
-            min_weight_slack=min_slack,
         )
-
-
-def dump_polymers(model: PolymerModel, polymers) -> str:
-    """Debug dump, one `gamma {v:spin, ...} logw=<value>` line per polymer."""
-    lines = []
-    for poly in polymers:
-        body = ", ".join(f"{v}:{s}" for v, s in zip(poly.vertices, poly.spins))
-        lines.append(f"gamma {{{body}}} logw={model.weight_log(poly):.12g}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _assert_maximal(matrix: InteractionMatrix, biclique: Biclique) -> None:

@@ -26,7 +26,7 @@ from .graph import (
     second_eigenvalue,
 )
 from .logspace import NEG_INF
-from .polymer import PolymerModel
+from .polymer import PolymerModel, are_compatible
 from .spin_model import (
     Biclique,
     InteractionMatrix,
@@ -91,13 +91,13 @@ def c1():
         chosen = []
         for idx in rng.permutation(len(polymers)):
             cand = polymers[idx]
-            if all(model.are_compatible(cand, p) for p in chosen):
+            if all(are_compatible(graph, cand, p) for p in chosen):
                 chosen.append(cand)
             if len(chosen) == 3:
                 break
         lhs = graph.n * (
             math.log(len(biclique.b0)) + math.log(len(biclique.b1))
-        ) + model.config_weight_log(chosen)
+        ) + sum(model.weight_log(p) for p in chosen)
         fixed = {}
         for poly in chosen:
             fixed.update(poly.spin_map())
@@ -297,7 +297,7 @@ def chain_tv():
     counts = np.zeros(len(configs))
     for r in range(draws):
         draw = sample_polymer_config(model, config, 0.02, random_stream(29, DRAW, 0, 0, r))
-        counts[key[draw.polymers]] += 1
+        counts[key[draw]] += 1
     tv = 0.5 * float(np.abs(counts / draws - probs).sum())
     return ("chain-tv", tv <= 0.02, f"polymer chain draws, TV = {tv:.4f} over {draws} draws")
 

@@ -15,9 +15,11 @@ from polyspin import (
     InteractionMatrix,
     PolymerModel,
     approximate_Z,
+    are_compatible,
     build_mixture,
     complete_bipartite,
     configuration_weight_log,
+    enumerate_maximal_bicliques,
     estimate_polymer_Z,
     generate_random_regular_bipartite,
     spin_fill,
@@ -153,6 +155,10 @@ def test_lab_mode_matches_exact_mixture(k33, hardcore):
         {"size_cap": -3},
         {"mixing_constant": 0.0},
         {"mixing_constant": math.nan},
+        # a non-integer cap never equals a set size, so it would cap nothing
+        {"size_cap": 2.5},
+        {"size_cap": True},
+        {"size_cap": 2.0},
     ],
 )
 def test_estimator_config_rejects_out_of_range(kwargs):
@@ -299,7 +305,7 @@ def test_spin_fill_law_equals_conditioned_gibbs(
     matrix = matrix or hardcore
     model = PolymerModel(graph, matrix, biclique, 0.9)
     assert all(model.is_polymer(p) for p in polymers)
-    assert all(model.are_compatible(a, b) for a, b in itertools.combinations(polymers, 2))
+    assert all(are_compatible(graph, a, b) for a, b in itertools.combinations(polymers, 2))
     spin_map = {}
     for poly in polymers:
         spin_map.update(poly.spin_map())
@@ -368,18 +374,27 @@ def test_spin_sample_rejects_unknown_mode(k33, hardcore):
 
 
 def test_chain_config_resolved_once_per_biclique(k33, hardcore, monkeypatch):
-    calls = []
-    real = EstimatorConfig.chain_params
+    # the sampler draws through the mixture's own models and configs, so a
+    # sampling call builds each biclique's model and resolves its config once
+    resolved, built = [], []
+    real_params = EstimatorConfig.chain_params
+    real_init = PolymerModel.__init__
 
-    def counting(self, model):
-        calls.append(model.biclique)
-        return real(self, model)
+    def counting_params(self, model):
+        resolved.append(model.biclique)
+        return real_params(self, model)
 
-    monkeypatch.setattr(EstimatorConfig, "chain_params", counting)
+    def counting_init(self, graph, matrix, biclique, eps):
+        built.append(biclique)
+        real_init(self, graph, matrix, biclique, eps)
+
+    monkeypatch.setattr(EstimatorConfig, "chain_params", counting_params)
+    monkeypatch.setattr(PolymerModel, "__init__", counting_init)
     config = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
     spin_sample_many(k33, hardcore, 0.3, 5, 50, config=config)
-    # once per biclique in the mixture, once per biclique drawn from
-    assert len(calls) <= 2 * len(set(calls))
+    bicliques = enumerate_maximal_bicliques(hardcore)
+    assert sorted(resolved) == sorted(bicliques)
+    assert sorted(built) == sorted(bicliques)
 
 
 def test_sampler_streams_are_distinct(monkeypatch):

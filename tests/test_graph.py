@@ -19,6 +19,7 @@ from polyspin.errors import (
     InvalidRangeError,
     NoConvergenceError,
 )
+from polyspin import graph as graph_module
 from polyspin.graph import BipartiteRegularGraph, _is_connected, format_graph
 
 from conftest import bfs_distances
@@ -218,3 +219,16 @@ def test_graph_parse_errors():
     text = format_graph(complete_bipartite(3))
     with pytest.raises(GraphFormatError):
         parse_graph(text + "0 3\n")  # duplicate edge
+
+
+def test_graph_parse_checks_edge_count_before_building(monkeypatch):
+    # a header declaring a huge n must be refused from the edge count, before
+    # any per-vertex structure is allocated
+    def no_build(*args, **kwargs):
+        raise AssertionError("_from_edges called")
+
+    monkeypatch.setattr(graph_module, "_from_edges", no_build)
+    with pytest.raises(GraphFormatError, match="edges"):
+        parse_graph("bipartite-regular n 1000000000 delta 3\n0 1000000000\n")
+    with pytest.raises(GraphFormatError, match="edges"):
+        parse_graph("bipartite-regular n 3 delta 3\n")

@@ -9,6 +9,7 @@ from polyspin import (
     Biclique,
     InteractionMatrix,
     PolymerModel,
+    are_compatible,
     enumerate_maximal_bicliques,
 )
 from polyspin.errors import ResourceLimitError
@@ -145,7 +146,7 @@ def test_exact_polymer_z_includes_product_terms(c16, hardcore):
         1
         for i in range(8)
         for j in range(i + 1, 8)
-        if model.are_compatible(polys[i], polys[j])
+        if are_compatible(c16, polys[i], polys[j])
     )
     triples = 16  # 3 pairwise-separated positions on an 8-cycle
     quads = 2

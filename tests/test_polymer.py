@@ -10,7 +10,6 @@ from polyspin import (
     Biclique,
     InteractionMatrix,
     Polymer,
-    PolymerConfiguration,
     PolymerModel,
     are_compatible,
     enumerate_maximal_bicliques,
@@ -173,20 +172,6 @@ def test_compatibility_symmetric_and_separating(c16, hardcore):
             assert not (closed_a & closed_b)
 
 
-def test_configuration_rejects_overlap_and_incompatibility(c16, k33):
-    a = Polymer((8,), (0,))
-    with pytest.raises(InvalidRangeError):
-        PolymerConfiguration([a, Polymer((8,), (1,))])
-    b = Polymer((9,), (0,))  # G-distance 2 from 8
-    with pytest.raises(InvalidRangeError):
-        PolymerConfiguration([a, b], graph=c16)
-    dist = bfs_distances(c16, 8)
-    far = next(v for v, d in dist.items() if d >= 4 and v >= 8)
-    ok = PolymerConfiguration([a, Polymer((far,), (0,))], graph=c16)
-    assert len(ok) == 2
-    assert ok.cover[8] == a
-
-
 # -- enumeration ----------------------------------------------------------------------
 
 
@@ -261,13 +246,13 @@ def test_weight_identity_on_random_instances(k33, c8, hardcore, potts3):
         chosen = []
         for idx in rng.permutation(len(polys)):
             cand = polys[idx]
-            if all(model.are_compatible(cand, p) for p in chosen):
+            if all(are_compatible(graph, cand, p) for p in chosen):
                 chosen.append(cand)
             if len(chosen) == 2:
                 break
         lhs = graph.n * (
             math.log(len(biclique.b0)) + math.log(len(biclique.b1))
-        ) + model.config_weight_log(chosen)
+        ) + sum(model.weight_log(p) for p in chosen)
         fixed = {}
         for poly in chosen:
             fixed.update(poly.spin_map())
@@ -296,10 +281,9 @@ def test_boundary_factor_bound_unconditional(k33, c8, rand43, hardcore, potts3):
 def test_sampling_condition_c8_diagnostic(c8, hardcore):
     # tau at eps=0.4 is 0.3125/..; the singleton weight 1/4 violates the
     # decay bound only when tau > ln 4, and the premises are unmet at
-    # degree 2, so the report must label it diagnostic rather than raise
+    # degree 2, so the report lists the violation rather than raising
     model = hardcore_model(c8, hardcore, eps=0.4)
-    report = model.verify_sampling_condition(1, lam=math.sqrt(2.0))
-    assert report.premises_hold is False
+    report = model.verify_sampling_condition(1)
     assert report.tau == pytest.approx((1 - 0.5) / (4 * 0.4 * 2))
     expected_violation = math.log(0.25) > -report.tau * 1
     assert bool(report.weight_violations) == expected_violation
@@ -310,25 +294,6 @@ def test_sampling_condition_vacuous_at_cap_zero(k33, hardcore):
     report = model.verify_sampling_condition(0)
     assert report.ok
     assert report.polymers_checked == 0
-
-
-def test_polymer_debug_dump_round_trips(k33, hardcore):
-    from polyspin import dump_polymers
-
-    model = hardcore_model(k33, hardcore)
-    polys = model.enumerate_allowed(2)
-    text = dump_polymers(model, polys)
-    lines = text.strip().splitlines()
-    assert len(lines) == len(polys)
-    for line, poly in zip(lines, polys):
-        assert line.startswith("gamma {")
-        body, logw = line[len("gamma {"):].split("} logw=")
-        parsed = {
-            int(pair.split(":")[0]): int(pair.split(":")[1])
-            for pair in body.split(", ")
-        }
-        assert parsed == poly.spin_map()
-        assert float(logw) == pytest.approx(model.weight_log(poly), rel=1e-10)
 
 
 def test_model_rejects_non_maximal_biclique(k33, hardcore):
