@@ -14,15 +14,7 @@ import sys
 import time
 
 from . import estimator, verify
-from .errors import (
-    GraphFormatError,
-    InfeasibleError,
-    InvalidAccuracyError,
-    InvalidRangeError,
-    MatrixFormatError,
-    PolyspinError,
-    PremisesUnmetError,
-)
+from .errors import InfeasibleError, PolyspinError, PremisesUnmetError
 from .graph import (
     generate_random_regular_bipartite,
     load_graph,
@@ -179,9 +171,6 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (MatrixFormatError, GraphFormatError, InvalidAccuracyError, InvalidRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -37,10 +37,6 @@ class ResourceLimitError(PolyspinError):
     """A configured enumeration/computation budget was exceeded."""
 
 
-class NoConvergenceError(PolyspinError):
-    """Iterative solver hit its iteration cap before reaching tolerance."""
-
-
 class InvalidRangeError(PolyspinError):
     """A numeric argument fell outside its admissible range."""
 

@@ -9,18 +9,12 @@ enforces the working class (connected, Delta-regular with Delta >= 3);
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GraphFormatError,
-    InfeasibleError,
-    InvalidRangeError,
-    NoConvergenceError,
-    ResourceLimitError,
-)
+from .errors import GraphFormatError, InfeasibleError, InvalidRangeError, ResourceLimitError
 
 
 class BipartiteRegularGraph:
@@ -144,11 +138,7 @@ def _is_connected(adjacency) -> bool:
 
 def _from_edges(n: int, edges, *, oracle_only: bool = False) -> BipartiteRegularGraph:
     adj = [[] for _ in range(2 * n)]
-    seen = set()
     for u, v in edges:
-        if (u, v) in seen:
-            raise InvalidRangeError(f"duplicate edge {{{u},{v}}}")
-        seen.add((u, v))
         adj[u].append(v)
         adj[v].append(u)
     return BipartiteRegularGraph(n, adj, oracle_only=oracle_only)
@@ -218,59 +208,25 @@ def generate_random_regular_bipartite(n: int, degree: int, seed: int) -> Biparti
 
 @dataclass(frozen=True)
 class SpectralCertificate:
-    """Certified second-largest adjacency eigenvalue with solver metadata."""
+    """Second-largest adjacency eigenvalue lambda(G) of a regular graph."""
 
     lam: float
-    iterations: int
-    residual: float
 
 
-def second_eigenvalue(
-    graph: BipartiteRegularGraph,
-    tol: float = 1e-9,
-    *,
-    max_iterations: int | None = None,
-) -> SpectralCertificate:
-    """lambda_2 of the adjacency matrix via power iteration on B B^T.
+def second_eigenvalue(graph: BipartiteRegularGraph) -> SpectralCertificate:
+    """lambda(G) as the second singular value of the biadjacency matrix B.
 
-    The top eigenpair of B B^T is (Delta^2, all-ones/sqrt(n)) by regularity,
-    so that direction is deflated exactly by mean subtraction. lambda_2 is
-    the square root of the deflated dominant eigenvalue; the Rayleigh
-    quotient sits below the true value, so certificates can be a hair under
-    lambda(G).
+    The adjacency spectrum of a bipartite graph is plus and minus the
+    singular values of B, and the top one is Delta by regularity. A value
+    under Delta * 1e-12 is roundoff and is reported as 0.0, so K_{n,n}
+    certifies lambda = 0 exactly.
     """
-    n = graph.n
-    if n < 2:
+    if graph.n < 2:
         raise InvalidRangeError("second eigenvalue needs n >= 2")
     if not graph.is_regular:
         raise InvalidRangeError("spectral certificate requires a regular graph")
-    if max_iterations is None:
-        # 10 n ln n alone starves small n when lambda_2/lambda_3 is moderate
-        max_iterations = max(1000, math.ceil(10 * n * math.log(max(n, 2))))
-    b = graph.biadjacency()
-    scale = float(graph.degree) ** 2
-    x = np.arange(1, n + 1, dtype=float)
-    x -= x.mean()
-    x /= np.linalg.norm(x)
-    mu = 0.0
-    residual = 0.0
-    for it in range(1, max_iterations + 1):
-        y = b @ (b.T @ x)
-        y -= y.mean()  # exact deflation of the known top eigenvector
-        norm_y = float(np.linalg.norm(y))
-        if norm_y <= scale * 1e-15:
-            return SpectralCertificate(lam=0.0, iterations=it, residual=0.0)
-        mu = float(x @ y)
-        residual = float(np.linalg.norm(y - mu * x)) / max(mu, scale * 1e-15)
-        x = y / norm_y
-        if residual <= tol:
-            return SpectralCertificate(
-                lam=math.sqrt(max(mu, 0.0)), iterations=it, residual=residual
-            )
-    raise NoConvergenceError(
-        f"power iteration: residual {residual:.3e} > tol {tol:.3e} "
-        f"after {max_iterations} iterations"
-    )
+    lam = float(np.linalg.svd(graph.biadjacency(), compute_uv=False)[1])
+    return SpectralCertificate(lam=lam if lam > graph.degree * 1e-12 else 0.0)
 
 
 # -- expansion diagnostics ---------------------------------------------------
@@ -399,7 +355,8 @@ def parse_graph(text: str, *, oracle_only: bool = False) -> BipartiteRegularGrap
         degree = int(head[4])
     except ValueError as exc:
         raise GraphFormatError(f"line 1: {exc}") from exc
-    edges = []
+    edges = set()
+    degrees = Counter()
     for k, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
@@ -414,24 +371,26 @@ def parse_graph(text: str, *, oracle_only: bool = False) -> BipartiteRegularGrap
             raise GraphFormatError(
                 f"line {k}: edge ({u},{v}) violates 0 <= u < n <= v < 2n"
             )
-        edges.append((u, v))
-    # a working-class graph has exactly n * degree edges; checking that first
-    # keeps a huge declared n from allocating before the file is refused.
-    # Relaxed graphs may be irregular, so they go straight to construction.
+        if (u, v) in edges:
+            raise GraphFormatError(f"line {k}: duplicate edge {{{u},{v}}}")
+        edges.add((u, v))
+        degrees.update((u, v))
+    # both checks read only the edge list, so a huge declared n is refused
+    # before any per-vertex structure is allocated. A working-class graph has
+    # exactly n * degree edges; every graph, relaxed ones too, must have the
+    # declared degree as its largest vertex degree.
     if not oracle_only and len(edges) != n * degree:
         raise GraphFormatError(
             f"line 1: n {n} at degree {degree} needs {n * degree} edges, "
             f"found {len(edges)}"
         )
+    top = max(degrees.values(), default=0)
+    if top != degree:
+        raise GraphFormatError(f"line 1: declared degree {degree} but graph has degree {top}")
     try:
-        graph = _from_edges(n, edges, oracle_only=oracle_only)
+        return _from_edges(n, edges, oracle_only=oracle_only)
     except InvalidRangeError as exc:
         raise GraphFormatError(str(exc)) from exc
-    if graph.degree != degree:
-        raise GraphFormatError(
-            f"line 1: declared degree {degree} but graph has degree {graph.degree}"
-        )
-    return graph
 
 
 def load_graph(path, *, oracle_only: bool = False) -> BipartiteRegularGraph:

@@ -2,11 +2,10 @@
 
 Deliberately naive: full enumeration over configuration space, exhaustive
 DFS over compatible polymer sets, and explicit transition matrices whose
-spectra come from LAPACK (np.linalg.eigvalsh), which shares nothing with
-the power iteration it checks. Everything here is the independent side of
-a dual-route check, so none of it may share shortcuts with the estimators
-it verifies. All sums run in log-space through max-shifted accumulators in
-a fixed canonical order.
+spectra come from LAPACK's symmetric eigensolver (np.linalg.eigvalsh).
+Everything here is the independent side of a dual-route check, so none of
+it may share shortcuts with the estimators it verifies. All sums run in
+log-space through max-shifted accumulators in a fixed canonical order.
 
 One deliberate exception: exact_chain_analysis reads its transition rows
 from the chain's own heat-bath conditional, because the matrix it checks
@@ -23,18 +22,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import EstimatorConfig, PolymerChain, candidate_table
-from .errors import InvalidRangeError, ResourceLimitError
+from .errors import ResourceLimitError
 from .logspace import NEG_INF, LogSumAccumulator
-from .polymer import Polymer, PolymerModel
+from .polymer import PolymerModel
 from .spin_model import Biclique, InteractionMatrix, enumerate_maximal_bicliques
 
 DEFAULT_CONFIG_BUDGET = 1 << 24
 DEFAULT_POLYMER_BUDGET = 5000
+_Z_TERM_BUDGET = 10_000_000  # compatible subsets exact_polymer_Z may sum
+_DISTRIBUTION_TERM_BUDGET = 1_000_000  # compatible subsets exact_polymer_distribution may list
 _CHAIN_STATE_BUDGET = 10_000  # reachable states exact_chain_analysis may visit
 _BLOCK = 1 << 14
 
 
-def _assignment_blocks(allowed, block_size=_BLOCK):
+def _assignment_blocks(allowed):
     """Yield (offset, spins) blocks over the product of per-vertex spin lists.
 
     Canonical mixed-radix order with vertex 0 most significant, matching
@@ -48,8 +49,8 @@ def _assignment_blocks(allowed, block_size=_BLOCK):
         return
     lookup = [np.asarray(a, dtype=np.int64) for a in allowed]
     num = len(allowed)
-    for start in range(0, total, block_size):
-        idx = np.arange(start, min(start + block_size, total), dtype=np.int64)
+    for start in range(0, total, _BLOCK):
+        idx = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
         spins = np.empty((idx.size, num), dtype=np.int64)
         rem = idx.copy()
         for pos in range(num - 1, -1, -1):
@@ -118,12 +119,7 @@ def encode_configuration(sigma, q: int) -> int:
 
 
 def ground_state_sum_log(
-    graph,
-    matrix: InteractionMatrix,
-    biclique: Biclique,
-    fixed: dict[int, int],
-    *,
-    budget: int = DEFAULT_CONFIG_BUDGET,
+    graph, matrix: InteractionMatrix, biclique: Biclique, fixed: dict[int, int]
 ) -> float:
     """ln sum of w over configurations agreeing with `fixed` and mapping
     every other side-i vertex into biclique side i.
@@ -137,84 +133,7 @@ def ground_state_sum_log(
             allowed.append((fixed[v],))
         else:
             allowed.append(biclique.side(graph.side(v)))
-    return constrained_sum_log(graph, matrix, allowed, budget=budget)
-
-
-# -- restricted sums over near-ground configurations -------------------------
-
-
-@dataclass(frozen=True)
-class RestrictedSums:
-    """Exact restricted partition sums at one closeness level eps.
-
-    A configuration belongs to a biclique's class when at least
-    (1-eps)|V| of its vertices carry ground spins for that biclique;
-    ln_z_eps sums the union over maximal bicliques, ln_z_hat counts
-    multiplicity, ln_z_overlap sums configurations in >= 2 classes.
-    """
-
-    eps: float
-    ln_z: float
-    ln_z_eps: float
-    ln_z_hat: float
-    ln_z_overlap: float
-    per_biclique: tuple[tuple[Biclique, float], ...]
-
-
-def exact_restricted_sums(
-    graph,
-    matrix: InteractionMatrix,
-    eps: float,
-    *,
-    budget: int = DEFAULT_CONFIG_BUDGET,
-) -> RestrictedSums:
-    if not (0.0 < eps <= 1.0):
-        raise InvalidRangeError(f"eps must lie in (0,1], got {eps}")
-    bicliques = enumerate_maximal_bicliques(matrix)
-    q = matrix.q
-    n = graph.n
-    total = q**graph.num_vertices
-    if total > budget:
-        raise ResourceLimitError(f"{total} configurations exceed budget {budget}")
-    # per-biclique 0/1 ground lookups per side
-    luts = []
-    for bic in bicliques:
-        lut0 = np.zeros(q)
-        lut1 = np.zeros(q)
-        lut0[list(bic.b0)] = 1.0
-        lut1[list(bic.b1)] = 1.0
-        luts.append((lut0, lut1))
-    threshold = (1.0 - eps) * graph.num_vertices - 1e-9
-
-    acc_z = LogSumAccumulator()
-    acc_union = LogSumAccumulator()
-    acc_hat = LogSumAccumulator()
-    acc_overlap = LogSumAccumulator()
-    acc_per = [LogSumAccumulator() for _ in bicliques]
-    allowed = [tuple(range(q))] * graph.num_vertices
-    for _, spins in _assignment_blocks(allowed):
-        lw = _block_log_weights(graph, matrix, spins)
-        acc_z.add_array(lw)
-        member_count = np.zeros(spins.shape[0], dtype=np.int64)
-        for k, (lut0, lut1) in enumerate(luts):
-            score = lut0[spins[:, :n]].sum(axis=1) + lut1[spins[:, n:]].sum(axis=1)
-            member = score >= threshold
-            member_count += member
-            if member.any():
-                acc_per[k].add_array(lw[member])
-        acc_union.add_array(lw[member_count >= 1])
-        acc_overlap.add_array(lw[member_count >= 2])
-        if member_count.max(initial=0) > 0:
-            counted = member_count > 0
-            acc_hat.add_array((lw + np.log(np.maximum(member_count, 1)))[counted])
-    return RestrictedSums(
-        eps=eps,
-        ln_z=acc_z.value,
-        ln_z_eps=acc_union.value,
-        ln_z_hat=acc_hat.value,
-        ln_z_overlap=acc_overlap.value,
-        per_biclique=tuple(zip(bicliques, (a.value for a in acc_per))),
-    )
+    return constrained_sum_log(graph, matrix, allowed, budget=DEFAULT_CONFIG_BUDGET)
 
 
 # -- exact polymer partition function ----------------------------------------
@@ -237,7 +156,7 @@ def _polymer_masks(model: PolymerModel, polymers):
     return masks, blocks
 
 
-def iter_compatible_subsets(model: PolymerModel, polymers, *, term_budget=10_000_000):
+def iter_compatible_subsets(model: PolymerModel, polymers, *, term_budget=_Z_TERM_BUDGET):
     """Depth-first enumeration of all mutually compatible subsets.
 
     Yields (indices tuple, total log-weight) in canonical DFS order,
@@ -261,20 +180,15 @@ def iter_compatible_subsets(model: PolymerModel, polymers, *, term_budget=10_000
     yield from rec(0, 0, (), 0.0)
 
 
-def exact_polymer_Z(
-    model: PolymerModel,
-    size_cap: int | None = None,
-    *,
-    polymer_budget: int = DEFAULT_POLYMER_BUDGET,
-    term_budget: int = 10_000_000,
-) -> float:
-    """ln of the polymer partition function by exhaustive subset summation.
+def exact_polymer_Z(model: PolymerModel) -> float:
+    """ln of the polymer partition function over every allowed polymer, by
+    exhaustive subset summation.
 
     The empty configuration contributes weight 1.
     """
-    polymers = model.enumerate_allowed(size_cap, budget=polymer_budget)
+    polymers = model.enumerate_allowed(budget=DEFAULT_POLYMER_BUDGET)
     acc = LogSumAccumulator()
-    for _, lw in iter_compatible_subsets(model, polymers, term_budget=term_budget):
+    for _, lw in iter_compatible_subsets(model, polymers, term_budget=_Z_TERM_BUDGET):
         acc.add(lw)
     return acc.value
 
@@ -292,21 +206,17 @@ def exact_mixture_Z(graph, matrix: InteractionMatrix, eps: float) -> float:
     return acc.value
 
 
-def exact_polymer_distribution(
-    model: PolymerModel,
-    size_cap: int | None = None,
-    *,
-    polymer_budget: int = DEFAULT_POLYMER_BUDGET,
-    term_budget: int = 1_000_000,
-):
+def exact_polymer_distribution(model: PolymerModel, size_cap: int | None = None):
     """All compatible configurations with their exact Gibbs probabilities.
 
     Returns (configs, probs): configs[k] is a tuple of Polymer objects.
     """
-    polymers = model.enumerate_allowed(size_cap, budget=polymer_budget)
+    polymers = model.enumerate_allowed(size_cap, budget=DEFAULT_POLYMER_BUDGET)
     configs = []
     logs = []
-    for indices, lw in iter_compatible_subsets(model, polymers, term_budget=term_budget):
+    for indices, lw in iter_compatible_subsets(
+        model, polymers, term_budget=_DISTRIBUTION_TERM_BUDGET
+    ):
         configs.append(tuple(polymers[i] for i in indices))
         logs.append(lw)
     logs_arr = np.array(logs)

@@ -287,12 +287,7 @@ class PolymerModel:
 
     # -- sampling-condition verification ------------------------------------
 
-    def verify_sampling_condition(
-        self,
-        size_cap: int,
-        *,
-        budget: int = 1_000_000,
-    ) -> SamplingConditionReport:
+    def verify_sampling_condition(self, size_cap: int) -> SamplingConditionReport:
         """Check w(gamma) <= e^{-tau |V_gamma|} and F_u <= |B_i|-1+delta.
 
         Exhaustive over allowed polymers with |V_gamma| <= size_cap;
@@ -303,7 +298,7 @@ class PolymerModel:
         tau = self.tau
         weight_bad: list[str] = []
         boundary_bad: list[str] = []
-        polymers = self.enumerate_allowed(size_cap, budget=budget) if size_cap > 0 else []
+        polymers = self.enumerate_allowed(size_cap) if size_cap > 0 else []
         for poly in polymers:
             lw = self.weight_log(poly)
             if lw > -tau * poly.size + 1e-9:

@@ -25,6 +25,12 @@ from .logspace import NEG_INF
 DEFAULT_DELTA = 0.5  # used when every non-1 entry is 0 and any delta in (0,1) works
 
 
+def _require_finite(arr: np.ndarray) -> None:
+    # checked before symmetry: nan != nan would read as an asymmetric matrix
+    if not np.all(np.isfinite(arr)):
+        raise InvalidRangeError("matrix entries must be finite")
+
+
 class InteractionMatrix:
     """Symmetric nonnegative q x q matrix with max entry 1 and gap delta.
 
@@ -42,6 +48,7 @@ class InteractionMatrix:
         q = arr.shape[0]
         if q < 2:
             raise InvalidRangeError(f"need q >= 2 spins, got q={q}")
+        _require_finite(arr)
         if not np.array_equal(arr, arr.T):
             raise AsymmetricMatrixError("interaction matrix must be symmetric")
         if np.any(arr < 0.0):
@@ -100,20 +107,21 @@ def is_biclique(matrix: InteractionMatrix, b0, b1) -> bool:
     return bool(np.all(matrix.entries[np.ix_(b0, b1)] == 1.0))
 
 
-def normalize_matrix(raw, delta_override: float | None = None):
+def normalize_matrix(raw):
     """Scale a raw symmetric nonnegative matrix to normalized form.
 
     Returns (matrix, log_scale) with log_scale = ln(max entry), so that
     ln Z(raw) = |E| * log_scale + ln Z(normalized) on any graph. delta is
     the second-largest distinct scaled value (the smallest valid choice);
     when that value is 0 any delta in (0,1) works and DEFAULT_DELTA is
-    stored unless `delta_override` is given.
+    stored.
     """
     arr = np.array(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidRangeError(f"matrix must be square, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise InvalidRangeError("need q >= 2 spins")
+    _require_finite(arr)
     if not np.array_equal(arr, arr.T):
         raise AsymmetricMatrixError("matrix must be symmetric (exact equality)")
     if np.any(arr < 0.0):
@@ -127,16 +135,7 @@ def normalize_matrix(raw, delta_override: float | None = None):
         )
     scaled = arr / top
     second = float(scaled[scaled != 1.0].max())
-    if second > 0.0:
-        delta = second
-        if delta_override is not None:
-            if not (second <= delta_override < 1.0):
-                raise InvalidRangeError(
-                    f"delta override {delta_override} not in [{second}, 1)"
-                )
-            delta = float(delta_override)
-    else:
-        delta = DEFAULT_DELTA if delta_override is None else float(delta_override)
+    delta = second if second > 0.0 else DEFAULT_DELTA
     return InteractionMatrix(scaled, delta), math.log(top)
 
 

@@ -12,6 +12,7 @@ from polyspin import (
     are_compatible,
     enumerate_maximal_bicliques,
 )
+from polyspin import oracle
 from polyspin.errors import ResourceLimitError
 from polyspin.logspace import NEG_INF, LogSumAccumulator
 from polyspin.oracle import (
@@ -20,7 +21,6 @@ from polyspin.oracle import (
     encode_configuration,
     exact_log_weights,
     exact_polymer_Z,
-    exact_restricted_sums,
     exact_Z,
     ground_state_sum_log,
     iter_compatible_subsets,
@@ -86,42 +86,6 @@ def test_configuration_codec(k33):
     assert np.all(weights == 0.0)
 
 
-# -- restricted sums -------------------------------------------------------------
-
-
-def test_restricted_sums_eps_one_covers_everything(k33, hardcore):
-    sums = exact_restricted_sums(k33, hardcore, 1.0)
-    assert sums.ln_z_eps == pytest.approx(sums.ln_z, rel=1e-14)
-
-
-def test_restricted_sums_all_ones_no_overlap(k33, all_ones2):
-    sums = exact_restricted_sums(k33, all_ones2, 0.5)
-    assert sums.ln_z_overlap == NEG_INF  # single maximal biclique
-
-
-def test_restricted_sums_hardcore_k33_regression(k33, hardcore):
-    # pinned by enumeration: membership needs >= 5 of 6 ground vertices
-    sums = exact_restricted_sums(k33, hardcore, 1.0 / 6.0)
-    assert sums.ln_z == pytest.approx(math.log(15.0), rel=1e-12)
-    assert sums.ln_z_eps == pytest.approx(math.log(15.0), rel=1e-12)
-    assert sums.ln_z_hat == pytest.approx(math.log(22.0), rel=1e-12)
-    assert sums.ln_z_overlap == pytest.approx(math.log(7.0), rel=1e-12)
-    for _, value in sums.per_biclique:
-        assert value == pytest.approx(math.log(11.0), rel=1e-12)
-
-
-def test_restricted_sums_orderings(k33, c8, hardcore, potts3):
-    for graph in (k33, c8):
-        for matrix in (hardcore, potts3):
-            for eps in (0.2, 0.5):
-                sums = exact_restricted_sums(graph, matrix, eps)
-                assert sums.ln_z_eps <= sums.ln_z + 1e-12
-                assert sums.ln_z_eps <= sums.ln_z_hat + 1e-12
-                union = sums.ln_z_eps
-                for _, value in sums.per_biclique:
-                    assert value <= union + 1e-12
-
-
 # -- exact polymer partition function -----------------------------------------------
 
 
@@ -131,15 +95,17 @@ def test_exact_polymer_z_no_polymers(k33, all_ones2):
 
 
 def test_exact_polymer_z_k33_singletons(k33, hardcore):
-    model = PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), 0.4)
-    w = math.exp(model.weight_log(model.enumerate_allowed(1)[0]))
+    model = PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), 0.2)
+    assert model.max_size == 1
+    w = math.exp(model.weight_log(model.enumerate_allowed()[0]))
     assert w == pytest.approx(1.0 / 8.0)
-    assert exact_polymer_Z(model, 1) == pytest.approx(math.log(1 + 3 * w), rel=1e-12)
+    assert exact_polymer_Z(model) == pytest.approx(math.log(1 + 3 * w), rel=1e-12)
 
 
 def test_exact_polymer_z_includes_product_terms(c16, hardcore):
-    model = PolymerModel(c16, hardcore, Biclique((0, 1), (1,)), 0.3)
-    polys = model.enumerate_allowed(1)
+    model = PolymerModel(c16, hardcore, Biclique((0, 1), (1,)), 0.1)
+    assert model.max_size == 1
+    polys = model.enumerate_allowed()
     assert len(polys) == 8
     w = math.exp(model.weight_log(polys[0]))
     pairs = sum(
@@ -151,7 +117,7 @@ def test_exact_polymer_z_includes_product_terms(c16, hardcore):
     triples = 16  # 3 pairwise-separated positions on an 8-cycle
     quads = 2
     expected = 1 + 8 * w + pairs * w**2 + triples * w**3 + quads * w**4
-    assert exact_polymer_Z(model, 1) == pytest.approx(math.log(expected), rel=1e-12)
+    assert exact_polymer_Z(model) == pytest.approx(math.log(expected), rel=1e-12)
 
 
 def test_polymer_mixture_identity_matches_grounded_sums(k33, rand43, hardcore, potts3):
@@ -178,10 +144,11 @@ def test_polymer_mixture_identity_matches_grounded_sums(k33, rand43, hardcore, p
                 )
 
 
-def test_exact_polymer_budget(k33, potts3):
+def test_exact_polymer_budget(k33, potts3, monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_POLYMER_BUDGET", 5)
     model = PolymerModel(k33, potts3, Biclique((0,), (0,)), 0.9)
     with pytest.raises(ResourceLimitError):
-        exact_polymer_Z(model, polymer_budget=5)
+        exact_polymer_Z(model)
 
 
 # -- constrained sums ------------------------------------------------------------------

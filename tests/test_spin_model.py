@@ -69,11 +69,13 @@ def test_normalize_negative_rejected():
         normalize_matrix([[1.0, -0.5], [-0.5, 1.0]])
 
 
-def test_delta_override_validated():
-    matrix, _ = normalize_matrix([[2.0, 0.0], [0.0, 2.0]], delta_override=0.25)
-    assert matrix.delta == 0.25
-    with pytest.raises(InvalidRangeError):
-        normalize_matrix([[3.0, 1.0], [1.0, 1.0]], delta_override=0.1)  # < 1/3
+def test_non_finite_entries_named_as_such():
+    # nan != nan, so a symmetry test alone would call this matrix asymmetric
+    with pytest.raises(MatrixFormatError, match="finite"):
+        parse_matrix("q 2 delta 0.5\nnan 1.0\n1.0 1.0\n")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidRangeError, match="finite"):
+            normalize_matrix([[bad, 1.0], [1.0, 1.0]])
 
 
 def test_normalization_reproduces_raw_weight():
