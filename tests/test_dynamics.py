@@ -220,6 +220,20 @@ def test_sample_reproducible(k33_model):
     assert a == b
 
 
+def test_sampled_distribution_matches_enumeration(k33_model):
+    params = EstimatorConfig(size_cap=1, mixing_constant=2.0)
+    configs, probs = exact_polymer_distribution(k33_model, 1)
+    key = {tuple(c): i for i, c in enumerate(configs)}
+    draws = 50_000
+    counts = np.zeros(len(configs))
+    for r in range(draws):
+        chain = PolymerChain(k33_model, params, random_stream(21, DRAW, 0, 0, r))
+        chain.run(60)
+        counts[key[chain.current_polymers()]] += 1
+    tv = 0.5 * float(np.abs(counts / draws - probs).sum())
+    assert tv <= 0.02
+
+
 def test_ergodic_average_matches_enumeration(k33_model):
     # long-run mean of the polymer count against the exact expectation
     params = EstimatorConfig(size_cap=2)

@@ -101,6 +101,33 @@ def test_c8_second_eigenvalue(c8):
     assert cert.lam == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
 
+
+def test_certificate_matches_dense_oracle_small_graphs():
+    cases = [
+        complete_bipartite(3),
+        even_cycle(8),
+        even_cycle(16),
+        generate_random_regular_bipartite(8, 3, seed=2),
+        generate_random_regular_bipartite(10, 3, seed=9),
+        generate_random_regular_bipartite(12, 4, seed=3),
+        generate_random_regular_bipartite(12, 5, seed=4),
+    ]
+    for graph in cases:
+        assert graph.num_vertices <= 24
+        cert = second_eigenvalue(graph)
+        spectrum = np.linalg.eigvalsh(graph.adjacency_matrix())  # ascending
+        assert cert.lam == pytest.approx(float(spectrum[-2]), abs=1e-8)
+
+
+def test_random_graphs_meet_two_sqrt_delta():
+    bound = 2.0 * math.sqrt(8.0)
+    hits = sum(
+        second_eigenvalue(generate_random_regular_bipartite(64, 8, seed=1000 + s)).lam
+        <= bound
+        for s in range(10)
+    )
+    assert hits >= 9
+
 # -- boundary / edge counting -------------------------------------------------------
 
 
