@@ -11,7 +11,6 @@ from .estimator import (
     approximate_Z,
     build_mixture,
     estimate_polymer_Z,
-    proof_epsilon,
     spin_fill,
     spin_sample_many,
 )
@@ -45,6 +44,7 @@ from .spin_model import (
     load_matrix,
     normalize_matrix,
     parse_matrix,
+    proof_epsilon,
     save_matrix,
 )
 

@@ -7,12 +7,13 @@ inside the region, of size <= size_cap, compatible with the rest} with
 probability proportional to 1 resp. the polymer weight. Each P_v is a
 conditional resampling, so the chain is reversible for the size-truncated
 polymer Gibbs distribution restricted to the region. That conditional is
-written once, in heat_bath_conditional; PolymerChain.run and
-oracle.exact_chain_analysis both evaluate it through chain.conditional.
+written once, as PolymerChain.conditional; PolymerChain.run and
+oracle.exact_chain_analysis both evaluate it.
 
-Polymer connectivity and compatibility always refer to G^3 of the full
-graph; the region only restricts which vertices polymers may occupy, which
-is what makes region partition functions telescope.
+The region is a prefix {0..i-1} of the vertices (the whole graph by
+default). Polymer connectivity and compatibility always refer to G^3 of
+the full graph; the region only restricts which vertices polymers may
+occupy, which is what makes region partition functions telescope.
 """
 
 from __future__ import annotations
@@ -102,7 +103,9 @@ class CandidateTable:
     """All sampleable polymers of a model up to a size cap, with bitmasks.
 
     blocks[i] covers V_gamma and its G^3 neighborhood: polymer j is
-    compatible with i iff mask[j] & blocks[i] == 0. Zero-weight polymers
+    compatible with i iff mask[j] & blocks[i] == 0. by_vertex[v] lists the
+    (mask, weight, index) triples of the polymers through v in table order,
+    which is the list the heat bath scans at v. Zero-weight polymers
     (including weights that underflow exp) are omitted; the heat bath could
     never select them.
     """
@@ -119,9 +122,10 @@ class CandidateTable:
         self.polymers = []
         self.masks: list[int] = []
         self.blocks: list[int] = []
-        self.weights: list[float] = []
         self.log_weights: list[float] = []
-        by_vertex: dict[int, list[int]] = {v: [] for v in range(model.graph.num_vertices)}
+        self.by_vertex: list[list[tuple[int, float, int]]] = [
+            [] for _ in range(model.graph.num_vertices)
+        ]
         for poly in polymers:
             lw = model.weight_log(poly)
             if lw == NEG_INF:
@@ -138,11 +142,10 @@ class CandidateTable:
             self.polymers.append(poly)
             self.masks.append(mask)
             self.blocks.append(block)
-            self.weights.append(w)
             self.log_weights.append(lw)
+            entry = (mask, w, idx)  # one tuple, shared by the lists of its vertices
             for v in poly.vertices:
-                by_vertex[v].append(idx)
-        self.by_vertex = by_vertex
+                self.by_vertex[v].append(entry)
 
     def __len__(self) -> int:
         return len(self.polymers)
@@ -157,38 +160,10 @@ def candidate_table(model: PolymerModel, size_cap: int) -> CandidateTable:
     return table
 
 
-def heat_bath_conditional(table: CandidateTable, candidates):
-    """The heat-bath conditional at one vertex, bound to one chain's tables.
-
-    candidates maps each active vertex v to its (mask, weight, index)
-    triples. The returned function takes the table indices of the present
-    polymers and a vertex v; it drops the polymer covering v, lists the
-    candidates through v compatible with the polymers that stay, and
-    returns (kept, options, total): the next state is kept plus nothing
-    with probability 1/total, or kept plus polymer i with probability
-    w/total for each (w, i) in options.
-    """
-    masks = table.masks
-    blocks = table.blocks  # block zone already contains the vertex mask
-
-    def conditional(current, v: int):
-        vbit = 1 << v
-        kept = [i for i in current if not masks[i] & vbit]
-        blocked = 0
-        for i in kept:
-            blocked |= blocks[i]
-        options = [(w, i) for (m, w, i) in candidates[v] if not m & blocked]
-        total = 1.0
-        for w, _ in options:
-            total += w
-        return kept, options, total
-
-    return conditional
-
-
 class PolymerChain:
-    """One heat-bath chain, deterministic given its stream and the sequence
-    of steps. rng is the chain's own random_stream; a chain that is only
+    """One heat-bath chain on the region {0..prefix-1} (the whole graph when
+    prefix is None), deterministic given its stream and the sequence of
+    steps. rng is the chain's own random_stream; a chain that is only
     probed through conditional, never run, may take None.
     """
 
@@ -198,39 +173,51 @@ class PolymerChain:
         config: EstimatorConfig,
         rng: np.random.Generator | None,
         *,
-        region=None,
+        prefix: int | None = None,
     ):
-        self.model = model
-        self.region = frozenset(
-            range(model.graph.num_vertices) if region is None else region
-        )
-        for v in self.region:
-            if not 0 <= v < model.graph.num_vertices:
-                raise InvalidRangeError(f"region vertex {v} out of range")
-        region_mask = 0
-        for v in self.region:
-            region_mask |= 1 << v
-        table = candidate_table(model, config.size_cap)
-        self._table = table
-        self._cands: dict[int, list[tuple[int, float, int]]] = {}
-        active = []
-        for v in sorted(self.region):
-            opts = [
-                (table.masks[i], table.weights[i], i)
-                for i in table.by_vertex[v]
-                if table.masks[i] & ~region_mask == 0
+        num = model.graph.num_vertices
+        self.prefix = num if prefix is None else prefix
+        if not 0 <= self.prefix <= num:
+            raise InvalidRangeError(f"prefix must lie in [0, {num}], got {prefix}")
+        self.table = table = candidate_table(model, config.size_cap)
+        if self.prefix == num:
+            self._cands = table.by_vertex  # read in place, never modified
+        else:
+            limit = 1 << self.prefix  # a polymer lies in the region iff mask < limit
+            self._cands = [
+                [c for c in table.by_vertex[v] if c[0] < limit] for v in range(self.prefix)
             ]
-            if opts:
-                active.append(v)
-                self._cands[v] = opts
-        self._active = active
-        self.conditional = heat_bath_conditional(table, self._cands)
+        self._active = [v for v in range(self.prefix) if self._cands[v]]
+        self._masks, self._blocks = table.masks, table.blocks  # read on every step
         self._current: list[int] = []  # table indices of present polymers
         self.steps_taken = 0
         self._rng = rng
         self._ints = np.empty(0, dtype=np.int64)
         self._unis = np.empty(0)
         self._pos = 0
+
+    def conditional(self, current, v: int):
+        """The heat-bath conditional at vertex v, given the table indices of
+        the present polymers.
+
+        Drops the polymer covering v, lists the candidates through v
+        compatible with the polymers that stay, and returns
+        (kept, options, total): the next state is kept plus nothing with
+        probability 1/total, or kept plus polymer i with probability
+        w/total for each (w, i) in options.
+        """
+        masks = self._masks
+        blocks = self._blocks  # block zone already contains the vertex mask
+        vbit = 1 << v
+        kept = [i for i in current if not masks[i] & vbit]
+        blocked = 0
+        for i in kept:
+            blocked |= blocks[i]
+        options = [(w, i) for (m, w, i) in self._cands[v] if not m & blocked]
+        total = 1.0
+        for w, _ in options:
+            total += w
+        return kept, options, total
 
     def _refill(self) -> None:
         nact = len(self._active)
@@ -276,14 +263,14 @@ class PolymerChain:
 
     def can_cover(self, v: int) -> bool:
         """True iff some region polymer contains v (else p_v = 1 exactly)."""
-        return v in self._cands
+        return 0 <= v < self.prefix and bool(self._cands[v])
 
     def covered(self, v: int) -> bool:
         vbit = 1 << v
-        return any(self._table.masks[i] & vbit for i in self._current)
+        return any(self._masks[i] & vbit for i in self._current)
 
     def current_polymers(self) -> tuple[Polymer, ...]:
-        return tuple(self._table.polymers[i] for i in sorted(self._current))
+        return tuple(self.table.polymers[i] for i in sorted(self._current))
 
 
 def default_mixing_steps(config: EstimatorConfig, region_size: int, eps_sample: float) -> int:
@@ -315,6 +302,6 @@ def sample_polymer_config(
     if not (0.0 < eps_sample < 1.0):
         raise InvalidRangeError(f"eps_sample must lie in (0,1), got {eps_sample}")
     chain = PolymerChain(model, config, rng)
-    chain.run(default_mixing_steps(config, len(chain.region), eps_sample))
+    chain.run(default_mixing_steps(config, chain.prefix, eps_sample))
     return chain.current_polymers()
 

@@ -47,6 +47,7 @@ from .spin_model import (
     InteractionMatrix,
     check_premises,
     enumerate_maximal_bicliques,
+    proof_epsilon,
 )
 
 
@@ -126,11 +127,11 @@ def _uncovered_ratio(model, config, i, m, rng) -> float:
     """Fraction of m samples, one sweep of the active region {0..i-1} apart
     after a burn-in, in which vertex i-1 is uncovered."""
     v = i - 1
-    chain = PolymerChain(model, config, rng, region=range(i))
+    chain = PolymerChain(model, config, rng, prefix=i)
     if not chain.can_cover(v):
         return 1.0
     spacing = max(1, len(chain.active_vertices))
-    chain.run(default_mixing_steps(config, len(chain.region), 1e-3))
+    chain.run(default_mixing_steps(config, i, 1e-3))
     hits = 0
     for _ in range(m):
         chain.run(spacing)
@@ -204,25 +205,23 @@ def build_mixture(
 _EPS_EXACT_CAP = 1 << 26
 
 
-def _exact_fallback(graph, matrix, eps_star, budget) -> int | None:
-    """The enumeration budget of the exact path, or None when it does not run.
+def _exact_fallback(graph, matrix, eps_star, budget) -> tuple[int | None, bool]:
+    """(budget, forced): the enumeration budget of the exact path, or None
+    when it does not run, and whether eps_star lies below the small-instance
+    threshold 9 e^{-n/(4q)}.
 
     The eps-star condition can force exactness on its own; the enumeration
     is then poly(1/eps*) work, so the budget grows to cover it.
     """
+    forced = eps_star < 9.0 * math.exp(-graph.n / (4.0 * matrix.q))
     if budget <= 0:
-        return None
+        return None, forced
     total = matrix.q ** graph.num_vertices
     if total <= budget:
-        return budget
-    if total <= _EPS_EXACT_CAP and eps_star < 9.0 * math.exp(-graph.n / (4.0 * matrix.q)):
-        return total
-    return None
-
-
-def proof_epsilon(matrix: InteractionMatrix, degree: int) -> float:
-    """The closeness level the analysis fixes: (1-delta)/(50 q ln(q Delta))."""
-    return (1.0 - matrix.delta) / (50.0 * matrix.q * math.log(matrix.q * degree))
+        return budget, forced
+    if total <= _EPS_EXACT_CAP and forced:
+        return total, forced
+    return None, forced
 
 
 def approximate_Z(
@@ -249,7 +248,7 @@ def approximate_Z(
         raise InvalidRangeError(f"mode must be 'lab' or 'strict', got {mode!r}")
     config = config or EstimatorConfig()
 
-    budget = _exact_fallback(graph, matrix, eps_star, config.brute_force_budget)
+    budget, forced = _exact_fallback(graph, matrix, eps_star, config.brute_force_budget)
     if budget is not None:
         return ApproxResult(
             ln_value=oracle.exact_Z(graph, matrix, budget=budget),
@@ -260,7 +259,7 @@ def approximate_Z(
         )
 
     warnings: list[str] = []
-    if eps_star < 9.0 * math.exp(-graph.n / (4.0 * matrix.q)):
+    if forced:
         if config.brute_force_budget <= 0:
             reason = f"exact path is disabled (brute_force_budget={config.brute_force_budget})"
         else:
@@ -365,7 +364,7 @@ def spin_sample_many(
     if count == 0:
         return np.empty((0, num), dtype=np.int64)
 
-    budget = _exact_fallback(graph, matrix, eps_star, config.brute_force_budget)
+    budget, _ = _exact_fallback(graph, matrix, eps_star, config.brute_force_budget)
     if budget is not None:
         log_w = oracle.exact_log_weights(graph, matrix, budget=budget)
         probs = np.exp(log_w - log_w.max())

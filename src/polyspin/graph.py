@@ -375,10 +375,10 @@ def parse_graph(text: str, *, oracle_only: bool = False) -> BipartiteRegularGrap
             raise GraphFormatError(f"line {k}: duplicate edge {{{u},{v}}}")
         edges.add((u, v))
         degrees.update((u, v))
-    # both checks read only the edge list, so a huge declared n is refused
+    # these checks read only the edge list, so a huge declared n is refused
     # before any per-vertex structure is allocated. A working-class graph has
     # exactly n * degree edges; every graph, relaxed ones too, must have the
-    # declared degree as its largest vertex degree.
+    # declared degree as its largest vertex degree and no isolated vertex.
     if not oracle_only and len(edges) != n * degree:
         raise GraphFormatError(
             f"line 1: n {n} at degree {degree} needs {n * degree} edges, "
@@ -387,6 +387,10 @@ def parse_graph(text: str, *, oracle_only: bool = False) -> BipartiteRegularGrap
     top = max(degrees.values(), default=0)
     if top != degree:
         raise GraphFormatError(f"line 1: declared degree {degree} but graph has degree {top}")
+    if len(degrees) < 2 * n:
+        raise GraphFormatError(
+            f"line 1: {2 * n - len(degrees)} of the {2 * n} declared vertices have no edge"
+        )
     try:
         return _from_edges(n, edges, oracle_only=oracle_only)
     except InvalidRangeError as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EstimatorConfig, PolymerChain, candidate_table
+from .dynamics import EstimatorConfig, PolymerChain
 from .errors import ResourceLimitError
 from .logspace import NEG_INF, LogSumAccumulator
 from .polymer import PolymerModel
@@ -247,10 +247,11 @@ def exact_chain_analysis(model: PolymerModel, config: EstimatorConfig) -> ChainA
 
     Each row comes from the chain's own heat-bath conditional, so the
     matrix is the sampler's; its stationary behaviour is compared against
-    the truncated polymer Gibbs distribution.
+    the truncated polymer Gibbs distribution, whose log-weights and
+    polymers are read from the same chain's candidate table.
     """
     probe = PolymerChain(model, config, None)  # probed, never run
-    table = candidate_table(model, config.size_cap)
+    table = probe.table
     active = probe.active_vertices
 
     # reachable states, BFS from the empty configuration

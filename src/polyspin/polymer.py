@@ -58,20 +58,16 @@ def are_compatible(graph, a: Polymer, b: Polymer) -> bool:
     return True
 
 
-def connected_vertex_sets(neighbors, root: int, size_cap: int, rank) -> list[tuple[int, ...]]:
-    """All connected sets containing `root` whose members all rank >= rank[root].
+def connected_vertex_sets(neighbors, root: int, size_cap: int) -> list[tuple[int, ...]]:
+    """All connected sets of at most size_cap vertices whose minimum is `root`.
 
     Exclusive-neighborhood growth: when a vertex joins the set, only its
-    neighbors not already adjacent to the set enter the extension pool, so
-    every set is emitted exactly once. With rank = vertex id this yields
-    sets whose minimum is `root`; ranking `root` below everything yields
-    all connected sets through `root`.
+    neighbors above `root` not already adjacent to the set enter the
+    extension pool, so every set is emitted exactly once.
     """
     if size_cap < 1:
         return []
     out: list[tuple[int, ...]] = []
-    root_rank = rank[root]
-    seen_adjacent = {root}
 
     def grow(members: list[int], ext: list[int], adjacent: set[int]):
         out.append(tuple(sorted(members)))
@@ -82,15 +78,11 @@ def connected_vertex_sets(neighbors, root: int, size_cap: int, rank) -> list[tup
             out.extend(tuple(sorted(members + [w])) for w in ext)
             return
         for i, w in enumerate(ext):
-            fresh = [
-                u
-                for u in neighbors[w]
-                if rank.get(u, -1) > root_rank and u not in adjacent
-            ]
+            fresh = [u for u in neighbors[w] if u > root and u not in adjacent]
             grow(members + [w], ext[i + 1:] + fresh, adjacent | set(fresh))
 
-    ext0 = [u for u in neighbors[root] if rank.get(u, -1) > root_rank]
-    grow([root], ext0, seen_adjacent | set(ext0))
+    ext0 = [u for u in neighbors[root] if u > root]
+    grow([root], ext0, {root} | set(ext0))
     return out
 
 
@@ -268,10 +260,9 @@ class PolymerModel:
             v: tuple(u for u in self.graph.host_adjacency[v] if u in active_set)
             for v in active
         }
-        rank = {v: v for v in active}
         out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for root in active:
-            for vertex_set in connected_vertex_sets(host, root, cap, rank):
+            for vertex_set in connected_vertex_sets(host, root, cap):
                 options = [self.allowed_spins(v) for v in vertex_set]
                 count = 1
                 for opts in options:

@@ -227,6 +227,11 @@ class PremiseReport:
         return self.degree_gap_ok and self.degree_ok and self.tau_ok
 
 
+def proof_epsilon(matrix: InteractionMatrix, degree: int) -> float:
+    """The closeness level the analysis fixes: (1-delta)/(50 q ln(q Delta))."""
+    return (1.0 - matrix.delta) / (50.0 * matrix.q * math.log(matrix.q * degree))
+
+
 def check_premises(matrix: InteractionMatrix, degree: int, lam: float) -> PremiseReport:
     """Evaluate both main-theorem inequalities for (H, Delta, lambda)."""
     if degree < 3:
@@ -244,7 +249,7 @@ def check_premises(matrix: InteractionMatrix, degree: int, lam: float) -> Premis
     deg_rhs = (10.0 / (1.0 - delta) * q * log_qd) ** 4
     degree_ok = degree >= deg_rhs
 
-    epsilon = (1.0 - delta) / (50.0 * q * log_qd)
+    epsilon = proof_epsilon(matrix, degree)
     tau = (1.0 - delta) / (4.0 * epsilon * q)
     tau_floor = 5.0 + 3.0 * math.log((q - 1) * degree**3)
     tau_ok = tau >= tau_floor

@@ -59,7 +59,7 @@ def test_left_vertices_admit_no_polymers(k33_model):
 
 def test_region_restricts_membership(k33_model):
     chain = PolymerChain(
-        k33_model, EstimatorConfig(size_cap=2), random_stream(0, DRAW, 0, 0, 0), region=range(4)
+        k33_model, EstimatorConfig(size_cap=2), random_stream(0, DRAW, 0, 0, 0), prefix=4
     )
     # only vertex 3 on the right is available; pairs exceed the region
     assert chain.active_vertices == (3,)
@@ -180,19 +180,15 @@ def test_analysis_reads_the_chain_kernel(k33_model, monkeypatch):
     # a normaliser taken before the covering polymer is dropped breaks
     # reversibility; the exact analysis must see it, because its rows come
     # from the same kernel the chain runs
-    real = dynamics.heat_bath_conditional
+    real = PolymerChain.conditional
 
-    def stale_normaliser(table, candidates):
-        conditional = real(table, candidates)
+    def stale_normaliser(chain, current, v):
+        kept, options, total = real(chain, current, v)
+        log_weights = chain.table.log_weights
+        dropped = sum(math.exp(log_weights[i]) for i in current if i not in kept)
+        return kept, options, total + dropped
 
-        def wrong(current, v):
-            kept, options, total = conditional(current, v)
-            dropped = sum(table.weights[i] for i in current if i not in kept)
-            return kept, options, total + dropped
-
-        return wrong
-
-    monkeypatch.setattr(dynamics, "heat_bath_conditional", stale_normaliser)
+    monkeypatch.setattr(PolymerChain, "conditional", stale_normaliser)
     analysis = exact_chain_analysis(k33_model, EstimatorConfig(size_cap=2))
     assert analysis.detailed_balance_violation > 1e-6
 
@@ -218,20 +214,6 @@ def test_sample_reproducible(k33_model):
     a = sample_polymer_config(k33_model, params, 0.05, random_stream(9, DRAW, 0, 0, 0))
     b = sample_polymer_config(k33_model, params, 0.05, random_stream(9, DRAW, 0, 0, 0))
     assert a == b
-
-
-def test_sampled_distribution_matches_enumeration(k33_model):
-    params = EstimatorConfig(size_cap=1, mixing_constant=2.0)
-    configs, probs = exact_polymer_distribution(k33_model, 1)
-    key = {tuple(c): i for i, c in enumerate(configs)}
-    draws = 50_000
-    counts = np.zeros(len(configs))
-    for r in range(draws):
-        chain = PolymerChain(k33_model, params, random_stream(21, DRAW, 0, 0, r))
-        chain.run(60)
-        counts[key[chain.current_polymers()]] += 1
-    tv = 0.5 * float(np.abs(counts / draws - probs).sum())
-    assert tv <= 0.02
 
 
 def test_ergodic_average_matches_enumeration(k33_model):

@@ -212,10 +212,9 @@ def test_connected_set_enumeration_matches_brute_force(c16, rand43, k33):
     for graph in (k33, rand43, c16):
         adj = {v: graph.host_adjacency[v] for v in range(graph.num_vertices)}
         for cap in (1, 2, 3):
-            rank = {v: v for v in adj}
             mine = set()
             for root in adj:
-                for s in connected_vertex_sets(adj, root, cap, rank):
+                for s in connected_vertex_sets(adj, root, cap):
                     assert min(s) == root
                     assert s not in mine
                     mine.add(s)
