@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import oracle
+from . import exact
 from .dynamics import (
     DRAW,
     EXACT,
@@ -200,28 +200,26 @@ def build_mixture(
 
 # Hard cap for exactness forced by the eps-star condition alone. Small n
 # satisfies eps* < 9 e^{-n/(4q)} for EVERY eps* (the threshold exceeds 1 up
-# to n ~ 9q), so without a cap mid-size graphs would enumerate for hours;
-# past the cap the run proceeds on the polymer path with a warning.
+# to n ~ 9q), so without a cap mid-size graphs would take the exact path
+# however large; past the cap the run proceeds on the polymer path with a
+# warning. The cap and the budget count q^{2n} configurations, although the
+# exact path sums only the q^n left configurations.
 _EPS_EXACT_CAP = 1 << 26
 
 
-def _exact_fallback(graph, matrix, eps_star, budget) -> tuple[int | None, bool]:
-    """(budget, forced): the enumeration budget of the exact path, or None
-    when it does not run, and whether eps_star lies below the small-instance
-    threshold 9 e^{-n/(4q)}.
+def exact_fallback(graph, matrix, eps_star, budget) -> tuple[bool, bool]:
+    """(exact, forced): whether the exact path runs, and whether eps_star
+    lies below the small-instance threshold 9 e^{-n/(4q)}.
 
-    The eps-star condition can force exactness on its own; the enumeration
-    is then poly(1/eps*) work, so the budget grows to cover it.
+    The exact path runs when the q^{2n} configurations fit the budget, or
+    when the eps-star condition forces exactness and they fit
+    _EPS_EXACT_CAP; a budget <= 0 disables it.
     """
     forced = eps_star < 9.0 * math.exp(-graph.n / (4.0 * matrix.q))
     if budget <= 0:
-        return None, forced
+        return False, forced
     total = matrix.q ** graph.num_vertices
-    if total <= budget:
-        return budget, forced
-    if total <= _EPS_EXACT_CAP and forced:
-        return total, forced
-    return None, forced
+    return total <= budget or (forced and total <= _EPS_EXACT_CAP), forced
 
 
 def approximate_Z(
@@ -236,11 +234,12 @@ def approximate_Z(
     """Estimate ln Z_{G,H} to relative accuracy eps_star.
 
     Small instances (q^{2n} within the brute-force budget, or eps_star
-    below 9 e^{-n/(4q)}) are answered exactly. Otherwise the polymer
-    mixture runs at the analysis epsilon (or config.eps_override). Strict
-    mode certifies lambda(G), refuses when the degree/gap premises fail,
-    and uses the worst-case error split; lab mode proceeds with relaxed
-    inner budgets and records that no guarantee is claimed.
+    below 9 e^{-n/(4q)}) are answered exactly by exact.log_Z. Otherwise
+    the polymer mixture runs at the analysis epsilon (or
+    config.eps_override). Strict mode certifies lambda(G), refuses when the
+    degree/gap premises fail, and uses the worst-case error split; lab mode
+    proceeds with relaxed inner budgets and records that no guarantee is
+    claimed.
     """
     if not (0.0 < eps_star < 1.0):
         raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
@@ -248,10 +247,10 @@ def approximate_Z(
         raise InvalidRangeError(f"mode must be 'lab' or 'strict', got {mode!r}")
     config = config or EstimatorConfig()
 
-    budget, forced = _exact_fallback(graph, matrix, eps_star, config.brute_force_budget)
-    if budget is not None:
+    exact_path, forced = exact_fallback(graph, matrix, eps_star, config.brute_force_budget)
+    if exact_path:
         return ApproxResult(
-            ln_value=oracle.exact_Z(graph, matrix, budget=budget),
+            ln_value=exact.log_Z(graph, matrix),
             mode="exact",
             bicliques=len(enumerate_maximal_bicliques(matrix)),
             eps=None,
@@ -350,8 +349,8 @@ def spin_sample_many(
 
     Pipeline per draw: biclique from the estimated mixture, polymer
     configuration from its chain at accuracy eps_star/6, then spin_fill.
-    Exact inverse-CDF sampling under the same fallback conditions as
-    approximate_Z.
+    Under the same fallback conditions as approximate_Z the draws are
+    exact (exact.sample).
     """
     if not (0.0 < eps_star < 1.0):
         raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
@@ -364,17 +363,8 @@ def spin_sample_many(
     if count == 0:
         return np.empty((0, num), dtype=np.int64)
 
-    budget, _ = _exact_fallback(graph, matrix, eps_star, config.brute_force_budget)
-    if budget is not None:
-        log_w = oracle.exact_log_weights(graph, matrix, budget=budget)
-        probs = np.exp(log_w - log_w.max())
-        cdf = np.cumsum(probs)
-        cdf /= cdf[-1]
-        rng = random_stream(seed, EXACT, 0, 0, 0)
-        picks = np.searchsorted(cdf, rng.random(count), side="right")
-        return np.stack(
-            [oracle.decode_configuration(int(i), matrix.q, num) for i in picks]
-        )
+    if exact_fallback(graph, matrix, eps_star, config.brute_force_budget)[0]:
+        return exact.sample(graph, matrix, count, random_stream(seed, EXACT, 0, 0, 0))
 
     table = approximate_Z(graph, matrix, eps_star, seed, mode=mode, config=config).table
     masses = table.biclique_log_masses()

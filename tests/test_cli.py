@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from polyspin import complete_bipartite, load_graph, save_matrix
+from polyspin import complete_bipartite, exact, load_graph, save_matrix
 from polyspin.cli import main
 from polyspin import verify as verify_mod
 from polyspin.polymer import PolymerModel
@@ -78,7 +78,8 @@ def test_estimate_exact_path_record(tmp_path, capsys, hardcore_path):
     assert fields["mode"] == "exact"
     assert fields["bicliques"] == "2"
     assert float(fields["lnZ"]) == pytest.approx(math.log(15.0), rel=1e-12)
-    assert "wallclock_ms" in fields
+    assert float(fields["wallclock_ms"]) > 0
+    assert fields["eps"] == "-"
 
 
 def test_estimate_all_ones(tmp_path, capsys, all_ones_path):
@@ -148,6 +149,17 @@ def test_sample_zero_count_empty_file(tmp_path, capsys, hardcore_path):
     )
     assert code == 0
     assert out.read_text() == ""
+
+
+def test_sample_record_names_the_path(tmp_path, capsys, hardcore_path):
+    gpath = tmp_path / "k33.txt"
+    run(["gen", "-n", "3", "-d", "3", "--seed", "1", "-o", str(gpath)], capsys)
+    out = str(tmp_path / "samples.txt")
+    base = ["sample", str(gpath), hardcore_path, "-c", "3", "-e", "0.5", "--seed", "2", "-o", out]
+    for extra, mode in (([], "exact"), (["--brute-force-budget", "0", "--eps-model", "0.4"], "lab")):
+        code, stdout, _ = run(base + extra, capsys)
+        assert code == 0
+        assert dict(kv.split("=") for kv in stdout.split())["mode"] == mode
 
 
 def test_sample_deterministic_and_well_formed(tmp_path, capsys, hardcore_path):
@@ -226,4 +238,18 @@ def test_verify_detects_injected_weight_fault(monkeypatch):
 
     monkeypatch.setattr(PolymerModel, "weight_log", crooked)
     _, ok, _ = verify_mod.c1()
+    assert not ok
+
+
+@pytest.mark.parametrize("target", ["_factor_table", "right_conditionals"])
+def test_verify_detects_injected_exact_fault(monkeypatch, target):
+    # a perturbed factor table moves ln Z; perturbed conditionals move the
+    # sampler's law; either must trip the exact-engine check
+    original = getattr(exact, target)
+
+    def crooked(*args):
+        return original(*args) * (1 + 1e-6)
+
+    monkeypatch.setattr(exact, target, crooked)
+    _, ok, _ = verify_mod.exact()
     assert not ok

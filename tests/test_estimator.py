@@ -10,6 +10,7 @@ import pytest
 
 from polyspin import (
     Biclique,
+    BipartiteRegularGraph,
     PremiseReport,
     EstimatorConfig,
     InteractionMatrix,
@@ -35,6 +36,7 @@ from polyspin.errors import (
 )
 from polyspin.oracle import (
     encode_configuration,
+    exact_log_weights,
     exact_mixture_Z,
     exact_polymer_Z,
     exact_Z,
@@ -119,10 +121,20 @@ def test_mixture_potts_small_delta_close_to_exact(k33):
 # -- approximate_Z ---------------------------------------------------------------------
 
 
-def test_exact_fallback_path_is_bitwise_oracle(k33, hardcore):
-    result = approximate_Z(k33, hardcore, 0.5, seed=1)
-    assert result.mode == "exact"
-    assert result.ln_value == exact_Z(k33, hardcore)
+def test_exact_path_matches_oracle(k33, k22, c8, edge_graph, hardcore, potts3, ising_third):
+    # the exact path sums out the right side, so it is checked against the
+    # oracle's q^{2n} enumeration to rounding, not bit for bit
+    cases = [(k33, hardcore), (k33, potts3), (c8, hardcore)] + [
+        (generate_random_regular_bipartite(n, 3, seed=n), hardcore) for n in range(4, 9)
+    ]
+    # lab graphs, one irregular: a path on four vertices whose right
+    # vertices have degrees 1 and 2
+    path = BipartiteRegularGraph(2, [[2], [2, 3], [0, 1], [1]], oracle_only=True)
+    cases += [(g, m) for g in (k22, edge_graph, path) for m in (potts3, ising_third)]
+    for graph, matrix in cases:
+        result = approximate_Z(graph, matrix, 0.5, seed=1)
+        assert result.mode == "exact"
+        assert abs(result.ln_value - exact_Z(graph, matrix)) <= 1e-12
 
 
 def test_exact_fallback_on_tiny_accuracy(hardcore):
@@ -357,6 +369,17 @@ def test_spin_sample_polymer_path_uniform_for_all_ones(k33, all_ones2):
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     # 63 dof: mean 63, sd ~ 11.2; 5 sigma
     assert chi2 <= 63 + 5 * math.sqrt(2 * 63)
+
+
+def test_spin_sample_exact_path_matches_gibbs_law(k33, hardcore):
+    draws = 100_000
+    samples = spin_sample_many(k33, hardcore, 0.5, seed=21, count=draws)
+    log_w = exact_log_weights(k33, hardcore)
+    probs = np.exp(log_w - log_w.max())
+    probs /= probs.sum()
+    index = samples @ (2 ** np.arange(5, -1, -1))  # encode_configuration, vectorised
+    counts = np.bincount(index, minlength=probs.size)
+    assert 0.5 * float(np.abs(counts / draws - probs).sum()) <= 0.02
 
 
 def test_spin_sample_reproducible(k33, hardcore):
