@@ -8,7 +8,12 @@ probability proportional to 1 resp. the polymer weight. Each P_v is a
 conditional resampling, so the chain is reversible for the size-truncated
 polymer Gibbs distribution restricted to the region. That conditional is
 written once, as PolymerChain.conditional; PolymerChain.run and
-oracle.exact_chain_analysis both evaluate it.
+oracle.exact_chain_analysis both evaluate it. Its options are the chain's
+own (mask, weight, index) candidate triples. When no candidate through v
+is blocked, which is most steps on sparse states, it returns v's whole
+list and a precomputed normaliser instead of scanning; that normaliser is
+summed in scan order, so every fixed-seed output is the scan's, bit for
+bit.
 
 The region is a prefix {0..i-1} of the vertices (the whole graph by
 default). Polymer connectivity and compatibility always refer to G^3 of
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -150,6 +156,28 @@ class CandidateTable:
     def __len__(self) -> int:
         return len(self.polymers)
 
+    @cached_property
+    def _sums(self) -> tuple[list[int], list[float]]:
+        # built by the first whole-graph chain, shared by every later one
+        return _vertex_sums(self.by_vertex)
+
+
+def _vertex_sums(cands) -> tuple[list[int], list[float]]:
+    """Per vertex: reach, the OR of its candidate masks, and total, 1.0 plus
+    its candidate weights added left to right, which is the heat-bath
+    normaliser when no candidate through the vertex is blocked."""
+    reach: list[int] = []
+    totals: list[float] = []
+    for row in cands:
+        r = 0
+        total = 1.0
+        for m, w, _ in row:
+            r |= m
+            total += w
+        reach.append(r)
+        totals.append(total)
+    return reach, totals
+
 
 def candidate_table(model: PolymerModel, size_cap: int) -> CandidateTable:
     """Table cache lives on the (immutable) model."""
@@ -182,11 +210,13 @@ class PolymerChain:
         self.table = table = candidate_table(model, config.size_cap)
         if self.prefix == num:
             self._cands = table.by_vertex  # read in place, never modified
+            self._reach, self._totals = table._sums
         else:
             limit = 1 << self.prefix  # a polymer lies in the region iff mask < limit
             self._cands = [
                 [c for c in table.by_vertex[v] if c[0] < limit] for v in range(self.prefix)
             ]
+            self._reach, self._totals = _vertex_sums(self._cands)
         self._active = [v for v in range(self.prefix) if self._cands[v]]
         self._masks, self._blocks = table.masks, table.blocks  # read on every step
         self._current: list[int] = []  # table indices of present polymers
@@ -204,19 +234,30 @@ class PolymerChain:
         compatible with the polymers that stay, and returns
         (kept, options, total): the next state is kept plus nothing with
         probability 1/total, or kept plus polymer i with probability
-        w/total for each (w, i) in options.
+        w/total for each (mask, w, i) triple in options, which is a
+        read-only list of the chain's own candidate triples in table order.
+        When no candidate through v is blocked, options is v's whole
+        candidate list and total its precomputed sum, with no scan; the sum
+        is added in the same order as the scan's, so the floats agree.
         """
         masks = self._masks
         blocks = self._blocks  # block zone already contains the vertex mask
         vbit = 1 << v
-        kept = [i for i in current if not masks[i] & vbit]
+        kept = []
         blocked = 0
-        for i in kept:
-            blocked |= blocks[i]
-        options = [(w, i) for (m, w, i) in self._cands[v] if not m & blocked]
+        for i in current:
+            if not masks[i] & vbit:
+                kept.append(i)
+                blocked |= blocks[i]
+        cands = self._cands[v]
+        if not blocked & self._reach[v]:
+            return kept, cands, self._totals[v]
+        options = []
         total = 1.0
-        for w, _ in options:
-            total += w
+        for c in cands:
+            if not c[0] & blocked:
+                options.append(c)
+                total += c[1]
         return kept, options, total
 
     def _refill(self) -> None:
@@ -226,6 +267,12 @@ class PolymerChain:
         self._pos = 0
 
     def run(self, steps: int) -> None:
+        """Take `steps` heat-bath steps. A negative, bool or non-integral
+        count raises InvalidRangeError before any state changes."""
+        # int and np.integer, not the slower numbers.Integral check: run is
+        # called once per ratio sample
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
+            raise InvalidRangeError(f"steps must be an integer >= 0, got {steps!r}")
         self.steps_taken += steps
         active = self._active
         if not active:
@@ -244,8 +291,8 @@ class PolymerChain:
             r = u * total
             if r >= 1.0:
                 r -= 1.0
-                chosen = options[-1][1]
-                for w, i in options:
+                chosen = options[-1][2]
+                for _, w, i in options:
                     if r < w:
                         chosen = i
                         break

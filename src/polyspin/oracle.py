@@ -103,14 +103,6 @@ def exact_log_weights(graph, matrix: InteractionMatrix, *, budget: int = DEFAULT
     return out
 
 
-def decode_configuration(index: int, q: int, num_vertices: int) -> np.ndarray:
-    spins = np.empty(num_vertices, dtype=np.int64)
-    for pos in range(num_vertices - 1, -1, -1):
-        spins[pos] = index % q
-        index //= q
-    return spins
-
-
 def encode_configuration(sigma, q: int) -> int:
     out = 0
     for s in sigma:
@@ -265,7 +257,7 @@ def exact_chain_analysis(model: PolymerModel, config: EstimatorConfig) -> ChainA
         kept, options, total = probe.conditional(sorted(state), v)
         kept = frozenset(kept)
         yield kept, 1.0 / total
-        for w, i in options:
+        for _, w, i in options:
             yield kept | {i}, w / total
 
     while queue:

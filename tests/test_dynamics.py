@@ -91,6 +91,46 @@ def test_chain_reproducible(k33_model):
     assert trajectory(random_stream(-11, DRAW, 0, 0, 5)) != base
 
 
+@pytest.mark.parametrize("steps", [-5, 2.5, True, "3", None])
+def test_run_rejects_bad_step_counts(k33_model, steps):
+    params = EstimatorConfig(size_cap=2)
+    chain = PolymerChain(k33_model, params, random_stream(3, DRAW, 0, 0, 0))
+    twin = PolymerChain(k33_model, params, random_stream(3, DRAW, 0, 0, 0))
+    chain.run(10)
+    twin.run(10)
+    with pytest.raises(InvalidRangeError):
+        chain.run(steps)
+    assert chain.steps_taken == 10
+    # the refused call consumed no randomness and changed no state
+    chain.run(np.int64(50))
+    twin.run(50)
+    assert chain.steps_taken == twin.steps_taken == 60
+    assert chain.current_polymers() == twin.current_polymers()
+
+
+# sha1 of current_polymers() after each of 5 000 single steps of a 3-Potts
+# cap-3 chain on g12 d4, where most steps scan a partly blocked candidate
+# list; pinned from the kernel that always scanned
+_TRAJECTORY_DIGESTS = {
+    None: "b1667116fdc54e86bcec17bf224262e3f95d63df",
+    18: "3288198fa00fcb11f7eddbc27eda4168b11e4bc6",
+}
+
+
+@pytest.mark.parametrize("prefix", sorted(_TRAJECTORY_DIGESTS, key=str))
+def test_dense_trajectory_pinned(potts3, prefix):
+    graph = generate_random_regular_bipartite(12, 4, 1)
+    model = PolymerModel(graph, potts3, enumerate_maximal_bicliques(potts3)[0], 0.5)
+    chain = PolymerChain(
+        model, EstimatorConfig(size_cap=3), random_stream(12, DRAW, 0, 0, 0), prefix=prefix
+    )
+    digest = hashlib.sha1()
+    for _ in range(5000):
+        chain.run(1)
+        digest.update(repr(chain.current_polymers()).encode())
+    assert digest.hexdigest() == _TRAJECTORY_DIGESTS[prefix]
+
+
 # -- stream keys ----------------------------------------------------------------
 
 _KEYS = st.tuples(
@@ -197,6 +237,70 @@ def test_empty_model_analysis(empty_model):
     analysis = exact_chain_analysis(empty_model, EstimatorConfig(size_cap=1))
     assert analysis.num_states == 1
     assert analysis.detailed_balance_violation == 0.0
+
+
+def _naive_conditional(table, prefix, current, v):
+    # the heat-bath conditional from its definition: every candidate through
+    # v inside the region, checked pairwise against every polymer that stays
+    masks = table.masks
+    kept = [i for i in current if not masks[i] >> v & 1]
+    zones = [table.blocks[i] for i in kept]
+    options = []
+    for c in table.by_vertex[v]:
+        if c[0] >= 1 << prefix:
+            continue
+        for zone in zones:
+            if c[0] & zone:
+                break
+        else:
+            options.append(c)
+    total = 1.0
+    for _, w, _ in options:
+        total += w
+    return kept, options, total
+
+
+@pytest.mark.parametrize("mname", ["hardcore", "potts3"])
+@pytest.mark.parametrize("gname", ["k33", "c8", "g12"])
+def test_conditional_matches_naive_filter(k33, c8, hardcore, potts3, gname, mname):
+    graph = {"k33": k33, "c8": c8, "g12": generate_random_regular_bipartite(12, 4, 1)}[gname]
+    matrix = {"hardcore": hardcore, "potts3": potts3}[mname]
+    num = graph.num_vertices
+    # the 3-Potts bicliques are images of one another under a spin permutation
+    bicliques = enumerate_maximal_bicliques(matrix)[: 1 if mname == "potts3" else None]
+    paths = {"free": 0, "blocked": 0}
+    for biclique in bicliques:
+        model = PolymerModel(graph, matrix, biclique, 0.5)
+        for cap in (1, 2, 3):
+            config = EstimatorConfig(size_cap=cap)
+            whole = PolymerChain(model, config, random_stream(1, DRAW, 0, 0, 0))
+            table = whole.table
+            index = {poly: i for i, poly in enumerate(table.polymers)}
+            if (gname, mname, cap) == ("g12", "potts3", 3):
+                # past the analysis' state budget: the states a chain visits
+                visited = []
+                for _ in range(300):
+                    whole.run(1)
+                    visited.append(whole.current_polymers())
+            else:
+                visited = exact_chain_analysis(model, config).states
+            states = {tuple(sorted(index[p] for p in s)) for s in visited}
+            prefix = num - graph.n // 2
+            region = PolymerChain(model, config, None, prefix=prefix)
+            for chain in (whole, region):
+                limit = 1 << chain.prefix
+                seen = {tuple(i for i in s if table.masks[i] < limit) for s in states}
+                for state in sorted(seen):
+                    for v in chain.active_vertices:
+                        naive = _naive_conditional(table, chain.prefix, state, v)
+                        assert chain.conditional(list(state), v) == naive, (
+                            biclique, cap, chain.prefix, state, v,
+                        )
+                        free = _naive_conditional(table, chain.prefix, (), v)
+                        blocked = len(naive[1]) < len(free[1])
+                        paths["blocked" if blocked else "free"] += 1
+    # both the no-scan and the scanning branch were compared
+    assert paths["free"] and paths["blocked"], paths
 
 
 # -- sampling --------------------------------------------------------------------

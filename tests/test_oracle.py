@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from polyspin import (
     InteractionMatrix,
     PolymerModel,
     are_compatible,
+    configuration_weight_log,
     enumerate_maximal_bicliques,
 )
 from polyspin import oracle
@@ -17,7 +19,6 @@ from polyspin.errors import ResourceLimitError
 from polyspin.logspace import NEG_INF, LogSumAccumulator
 from polyspin.oracle import (
     constrained_sum_log,
-    decode_configuration,
     encode_configuration,
     exact_log_weights,
     exact_polymer_Z,
@@ -78,12 +79,27 @@ def test_exact_z_budget(k33, potts3):
         exact_Z(k33, potts3, budget=100)
 
 
+_CODEC_MATRICES = {
+    2: [[1.0, 0.3], [0.3, 0.2]],
+    3: [[1.0, 0.2, 0.3], [0.2, 1.0, 0.4], [0.3, 0.4, 0.1]],
+}
+
+
 def test_configuration_codec(k33):
-    sigma = decode_configuration(37, 2, 6)
-    assert encode_configuration(sigma, 2) == 37
-    weights = exact_log_weights(k33, InteractionMatrix([[1, 1], [1, 1]], 0.5))
-    assert weights.shape == (64,)
-    assert np.all(weights == 0.0)
+    # the TV checks count draws at encode_configuration(row, q), so it must
+    # be the row's index in itertools.product order, which is also the order
+    # of exact_log_weights
+    for q, entries in _CODEC_MATRICES.items():
+        matrix = InteractionMatrix(entries, 0.5)
+        weights = exact_log_weights(k33, matrix)
+        rows = list(itertools.product(range(q), repeat=k33.num_vertices))
+        assert weights.shape == (len(rows),)
+        for index, row in enumerate(rows):
+            assert encode_configuration(row, q) == index
+            assert encode_configuration(np.array(row), q) == index
+            assert weights[index] == pytest.approx(
+                configuration_weight_log(k33, matrix, row), rel=1e-12, abs=1e-12
+            )
 
 
 # -- exact polymer partition function -----------------------------------------------
