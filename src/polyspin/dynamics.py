@@ -16,9 +16,10 @@ summed in scan order, so every fixed-seed output is the scan's, bit for
 bit.
 
 The region is a prefix {0..i-1} of the vertices (the whole graph by
-default). Polymer connectivity and compatibility always refer to G^3 of
-the full graph; the region only restricts which vertices polymers may
-occupy, which is what makes region partition functions telescope.
+default); PolymerChain.grow extends it in place. Polymer connectivity and
+compatibility always refer to G^3 of the full graph; the region only
+restricts which vertices polymers may occupy, which is what makes region
+partition functions telescope.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .polymer import Polymer, PolymerModel
 _RNG_BUFFER = 4096
 
 # Stream domains, the first spawn-key slot of every random stream.
-RATIO = 0  # telescope ratios: stage = ratio index, chain = median run
+RATIO = 0  # telescope chains: chain = median run, stage 0
 DRAW = 1  # per-draw sampler chains: chain = draw index
 FILL = 2  # the sampler's biclique choice and spin_fill
 EXACT = 3  # the exact-path sampler
@@ -63,6 +64,13 @@ def random_stream(
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed % (1 << 64), spawn_key=key))
     )
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Refuse a bool, a non-integral count or one below low with InvalidRangeError."""
+    # int and np.integer, not the slower numbers.Integral: run checks every call
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise InvalidRangeError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -191,8 +199,8 @@ def candidate_table(model: PolymerModel, size_cap: int) -> CandidateTable:
 class PolymerChain:
     """One heat-bath chain on the region {0..prefix-1} (the whole graph when
     prefix is None), deterministic given its stream and the sequence of
-    steps. rng is the chain's own random_stream; a chain that is only
-    probed through conditional, never run, may take None.
+    steps and grow calls. rng is the chain's own random_stream; a chain
+    that is only probed through conditional, never run, may take None.
     """
 
     def __init__(
@@ -203,27 +211,32 @@ class PolymerChain:
         *,
         prefix: int | None = None,
     ):
-        num = model.graph.num_vertices
-        self.prefix = num if prefix is None else prefix
-        if not 0 <= self.prefix <= num:
-            raise InvalidRangeError(f"prefix must lie in [0, {num}], got {prefix}")
-        self.table = table = candidate_table(model, config.size_cap)
-        if self.prefix == num:
-            self._cands = table.by_vertex  # read in place, never modified
-            self._reach, self._totals = table._sums
-        else:
-            limit = 1 << self.prefix  # a polymer lies in the region iff mask < limit
-            self._cands = [
-                [c for c in table.by_vertex[v] if c[0] < limit] for v in range(self.prefix)
-            ]
-            self._reach, self._totals = _vertex_sums(self._cands)
-        self._active = [v for v in range(self.prefix) if self._cands[v]]
-        self._masks, self._blocks = table.masks, table.blocks  # read on every step
+        self.table = candidate_table(model, config.size_cap)
+        self._masks, self._blocks = self.table.masks, self.table.blocks  # read on every step
         self._current: list[int] = []  # table indices of present polymers
         self.steps_taken = 0
         self._rng = rng
-        self._ints = np.empty(0, dtype=np.int64)
-        self._unis = np.empty(0)
+        self.prefix = 0
+        self.grow(model.graph.num_vertices if prefix is None else prefix)
+
+    def grow(self, prefix: int) -> None:
+        """Extend the region to {0..prefix-1}, keeping the state (its polymers
+        lie in the new region) but dropping the buffered vertex picks, which
+        index the old active list. Refuses a smaller prefix or one above 2n."""
+        table = self.table
+        num = len(table.by_vertex)
+        if not self.prefix <= prefix <= num:
+            raise InvalidRangeError(f"prefix must lie in [{self.prefix}, {num}], got {prefix}")
+        self.prefix = prefix
+        if prefix == num:
+            self._cands = table.by_vertex  # read in place, never modified
+            self._reach, self._totals = table._sums
+        else:
+            limit = 1 << prefix  # a polymer lies in the region iff mask < limit
+            self._cands = [[c for c in row if c[0] < limit] for row in table.by_vertex[:prefix]]
+            self._reach, self._totals = _vertex_sums(self._cands)
+        self._active = [v for v in range(prefix) if self._cands[v]]
+        self._ints = self._unis = ()  # empty: the next step refills
         self._pos = 0
 
     def conditional(self, current, v: int):
@@ -269,10 +282,7 @@ class PolymerChain:
     def run(self, steps: int) -> None:
         """Take `steps` heat-bath steps. A negative, bool or non-integral
         count raises InvalidRangeError before any state changes."""
-        # int and np.integer, not the slower numbers.Integral check: run is
-        # called once per ratio sample
-        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
-            raise InvalidRangeError(f"steps must be an integer >= 0, got {steps!r}")
+        check_count("steps", steps, 0)
         self.steps_taken += steps
         active = self._active
         if not active:

@@ -45,10 +45,6 @@ class InvalidAccuracyError(PolyspinError):
     """A relative-accuracy target must lie in (0, 1)."""
 
 
-class DegenerateRatioError(PolyspinError):
-    """A telescoping ratio estimate was 0: the vertex was covered in every sample."""
-
-
 class PremisesUnmetError(PolyspinError):
     """Strict mode refused to run: the degree/gap premises do not hold."""
 

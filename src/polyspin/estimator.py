@@ -3,7 +3,8 @@
 Per maximal biclique, ln Z of the polymer model is estimated by vertex
 telescoping: with regions L_0 = {} through L_{2n} = V, each ratio
 Z(L_{i-1})/Z(L_i) equals the probability that vertex i-1 is uncovered
-under the region-L_i polymer Gibbs measure, estimated from chain samples.
+under the region-L_i polymer Gibbs measure, estimated on one chain that
+grows through the regions (Rao-Blackwellised; see estimate_polymer_Z).
 The per-biclique estimates combine into the mixture
     sum over (B_0,B_1) of |B_0|^n |B_1|^n * Z^{B_0,B_1},
 everything in log-space. Configuration sampling draws a biclique from the
@@ -28,12 +29,12 @@ from .dynamics import (
     RATIO,
     EstimatorConfig,
     PolymerChain,
+    check_count,
     default_mixing_steps,
     random_stream,
     sample_polymer_config,
 )
 from .errors import (
-    DegenerateRatioError,
     InvalidAccuracyError,
     InvalidRangeError,
     PremisesUnmetError,
@@ -98,50 +99,48 @@ def estimate_polymer_Z(
 ) -> float:
     """ln Z of one polymer model via the telescoping ratio product.
 
-    ln Z = -sum over i of ln p_i, where p_i is the uncovered probability of
-    vertex i-1 in region {0..i-1}, each estimated from
-    m = ceil(SAMPLE_FACTOR * n / eps_star^2) thinned chain samples on a
-    chain built from config (size_cap resolved; see chain_params).
-    Vertices that no region polymer can cover contribute p_i = 1 exactly.
-    A ratio estimate of 0 raises DegenerateRatioError.
-    Median-of-k amplification over independent runs via median_runs.
-    Ratio i of run r draws from random_stream(seed, RATIO, biclique, i, r),
-    where biclique is the model's index in the mixture.
+    ln Z = -sum over i of ln p_i, where p_i is the probability that vertex
+    i-1 is uncovered in region {0..i-1}. Each of the median_runs runs is
+    one chain (config, size_cap resolved) grown through the regions 1..2n.
+    At region i, after a burn-in, it takes m = ceil(SAMPLE_FACTOR * n /
+    eps_star^2) samples one sweep apart, each adding 1/total of the heat-bath
+    conditional at i-1, which is exactly P(i-1 uncovered | the other
+    polymers). Vertices no region polymer can cover give p_i = 1 exactly.
+    Strict mode's proof carries over from the 0/1 "uncovered" hit to this
+    Rao-Blackwellised value: it lies in [0, 1] with the same mean p_i and
+    variance at most p_i(1 - p_i), its bias under the chain's law is at most
+    the total-variation distance to the Gibbs law, and it is never 0. Run r
+    draws from random_stream(seed, RATIO, biclique, 0, r), where biclique
+    is the model's index in the mixture; the result is the median over runs.
     """
     if not (0.0 < eps_star < 1.0):
         raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
-    if median_runs < 1:
-        raise InvalidRangeError("median_runs must be >= 1")
+    check_count("median_runs", median_runs, 1)
     m = math.ceil(SAMPLE_FACTOR * model.graph.n / eps_star**2)
     values = []
     for run in range(median_runs):
+        rng = random_stream(seed, RATIO, biclique, 0, run)
+        chain = PolymerChain(model, config, rng, prefix=0)
         ln_z = 0.0
         for i in range(1, model.graph.num_vertices + 1):
-            rng = random_stream(seed, RATIO, biclique, i, run)
-            ln_z -= math.log(_uncovered_ratio(model, config, i, m, rng))
+            chain.grow(i)
+            ln_z -= math.log(_uncovered_ratio(chain, config, m))
         values.append(ln_z)
     return float(np.median(values))
 
 
-def _uncovered_ratio(model, config, i, m, rng) -> float:
-    """Fraction of m samples, one sweep of the active region {0..i-1} apart
-    after a burn-in, in which vertex i-1 is uncovered."""
-    v = i - 1
-    chain = PolymerChain(model, config, rng, prefix=i)
+def _uncovered_ratio(chain: PolymerChain, config: EstimatorConfig, m: int) -> float:
+    """Mean P(region's last vertex uncovered | the rest) over m sweeps after a burn-in."""
+    v = chain.prefix - 1
     if not chain.can_cover(v):
         return 1.0
-    spacing = max(1, len(chain.active_vertices))
-    chain.run(default_mixing_steps(config, i, 1e-3))
-    hits = 0
+    spacing = len(chain.active_vertices)  # >= 1, since v is active
+    chain.run(default_mixing_steps(config, chain.prefix, 1e-3))
+    acc = 0.0
     for _ in range(m):
         chain.run(spacing)
-        if not chain.covered(v):
-            hits += 1
-    if not hits:
-        raise DegenerateRatioError(
-            f"vertex {v} was covered in all {m} samples; its ratio estimate is 0"
-        )
-    return hits / m
+        acc += 1.0 / chain.conditional(chain._current, v)[2]
+    return acc / m
 
 
 def _median_schedule(eps_star: float, num_bicliques: int) -> int:
@@ -356,8 +355,7 @@ def spin_sample_many(
         raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
     if mode not in ("lab", "strict"):
         raise InvalidRangeError(f"mode must be 'lab' or 'strict', got {mode!r}")
-    if count < 0:
-        raise InvalidRangeError("count must be >= 0")
+    check_count("count", count, 0)
     config = config or EstimatorConfig()
     num = graph.num_vertices
     if count == 0:

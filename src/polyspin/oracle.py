@@ -67,26 +67,24 @@ def _block_log_weights(graph, matrix: InteractionMatrix, spins: np.ndarray) -> n
     return logh[spins[:, edges[:, 0]], spins[:, edges[:, 1]]].sum(axis=1)
 
 
-def constrained_sum_log(graph, matrix: InteractionMatrix, allowed, *, budget=DEFAULT_CONFIG_BUDGET) -> float:
+def constrained_sum_log(graph, matrix: InteractionMatrix, allowed) -> float:
     """ln sum of w over all configurations drawing spin(v) from allowed[v]."""
-    total = 1
-    for a in allowed:
-        total *= len(a)
-        if total > budget:
-            raise ResourceLimitError(f"{total}+ configurations exceed budget {budget}")
+    total = math.prod(len(a) for a in allowed)
+    if total > DEFAULT_CONFIG_BUDGET:
+        raise ResourceLimitError(f"{total} configurations exceed budget {DEFAULT_CONFIG_BUDGET}")
     acc = LogSumAccumulator()
     for _, spins in _assignment_blocks(allowed):
         acc.add_array(_block_log_weights(graph, matrix, spins))
     return acc.value
 
 
-def exact_Z(graph, matrix: InteractionMatrix, *, budget: int = DEFAULT_CONFIG_BUDGET) -> float:
+def exact_Z(graph, matrix: InteractionMatrix) -> float:
     """ln Z by exhaustive summation over all q^{2n} configurations."""
     allowed = [tuple(range(matrix.q))] * graph.num_vertices
-    return constrained_sum_log(graph, matrix, allowed, budget=budget)
+    return constrained_sum_log(graph, matrix, allowed)
 
 
-def exact_log_weights(graph, matrix: InteractionMatrix, *, budget: int = DEFAULT_CONFIG_BUDGET) -> np.ndarray:
+def exact_log_weights(graph, matrix: InteractionMatrix) -> np.ndarray:
     """Log-weight of every configuration, indexed in canonical order.
 
     Index -> configuration via mixed radix base q, vertex 0 most
@@ -94,8 +92,8 @@ def exact_log_weights(graph, matrix: InteractionMatrix, *, budget: int = DEFAULT
     """
     q = matrix.q
     total = q**graph.num_vertices
-    if total > budget:
-        raise ResourceLimitError(f"{total} configurations exceed budget {budget}")
+    if total > DEFAULT_CONFIG_BUDGET:
+        raise ResourceLimitError(f"{total} configurations exceed budget {DEFAULT_CONFIG_BUDGET}")
     out = np.empty(total)
     allowed = [tuple(range(q))] * graph.num_vertices
     for start, spins in _assignment_blocks(allowed):
@@ -125,7 +123,7 @@ def ground_state_sum_log(
             allowed.append((fixed[v],))
         else:
             allowed.append(biclique.side(graph.side(v)))
-    return constrained_sum_log(graph, matrix, allowed, budget=DEFAULT_CONFIG_BUDGET)
+    return constrained_sum_log(graph, matrix, allowed)
 
 
 # -- exact polymer partition function ----------------------------------------

@@ -94,9 +94,6 @@ class Biclique:
     def side(self, i: int) -> tuple[int, ...]:
         return self.b0 if i == 0 else self.b1
 
-    def contains(self, other: "Biclique") -> bool:
-        return set(other.b0) <= set(self.b0) and set(other.b1) <= set(self.b1)
-
 
 def is_biclique(matrix: InteractionMatrix, b0, b1) -> bool:
     """True iff matrix[i, j] == 1 for every i in b0, j in b1."""

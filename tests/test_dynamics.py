@@ -343,9 +343,10 @@ def test_ergodic_average_matches_enumeration(k33_model):
 
 
 def test_uncovered_ratio_no_polymers(empty_model):
-    rng = random_stream(1, RATIO, 0, 6, 0)
-    p = _uncovered_ratio(empty_model, EstimatorConfig(size_cap=1), 6, 10, rng)
-    assert p == 1.0
+    chain = PolymerChain(
+        empty_model, EstimatorConfig(size_cap=1), random_stream(1, RATIO, 0, 0, 0), prefix=6
+    )
+    assert _uncovered_ratio(chain, EstimatorConfig(size_cap=1), 10) == 1.0
 
 
 def test_uncovered_ratio_matches_exact(k33_model):
@@ -357,10 +358,50 @@ def test_uncovered_ratio_matches_exact(k33_model):
     )
     assert exact == pytest.approx(10.0 / 11.0, abs=1e-12)
     m = 10_000
-    est = _uncovered_ratio(k33_model, params, 6, m, random_stream(6, RATIO, 0, 6, 0))
+    chain = PolymerChain(k33_model, params, random_stream(6, RATIO, 0, 0, 0), prefix=6)
+    est = _uncovered_ratio(chain, params, m)
     # samples one sweep apart are nearly independent; allow for correlation
     stderr = 2.0 * math.sqrt(exact * (1 - exact) / m)
     assert abs(est - exact) <= 3.0 * stderr
+
+
+# -- region growth -----------------------------------------------------------------
+
+
+def test_grow_refuses_shrinking_or_overflowing(k33_model):
+    chain = PolymerChain(
+        k33_model, EstimatorConfig(size_cap=2), random_stream(0, RATIO, 0, 0, 0), prefix=4
+    )
+    for prefix in (3, 7):
+        with pytest.raises(InvalidRangeError):
+            chain.grow(prefix)
+    assert chain.prefix == 4
+    chain.grow(6)
+    assert chain.active_vertices == (3, 4, 5)
+
+
+def test_grow_drops_buffered_vertex_picks(k33, hardcore):
+    # left vertices carry the polymers of this biclique, so regions 2 and 3
+    # have 2 and 3 active vertices; picks buffered for region 2 never name
+    # vertex 2
+    model = PolymerModel(k33, hardcore, Biclique((1,), (0, 1)), 0.4)
+    chain = PolymerChain(
+        model, EstimatorConfig(size_cap=1), random_stream(0, RATIO, 0, 0, 0), prefix=2
+    )
+    assert chain.active_vertices == (0, 1)
+    chain.run(10)
+    chain.grow(3)
+    assert chain.active_vertices == (0, 1, 2)
+    picked = []
+    real = chain.conditional
+
+    def recording(current, v):
+        picked.append(v)
+        return real(current, v)
+
+    chain.conditional = recording
+    chain.run(50)
+    assert 2 in picked
 
 
 def test_chain_params_validation(k33, hardcore, k33_model):

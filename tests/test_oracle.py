@@ -74,9 +74,10 @@ def test_exact_z_nonnegative_whenever_a_one_entry_exists(
             assert exact_Z(graph, matrix) >= 0.0
 
 
-def test_exact_z_budget(k33, potts3):
+def test_exact_z_budget(k33, potts3, monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_CONFIG_BUDGET", 100)
     with pytest.raises(ResourceLimitError):
-        exact_Z(k33, potts3, budget=100)
+        exact_Z(k33, potts3)
 
 
 _CODEC_MATRICES = {

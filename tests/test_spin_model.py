@@ -151,7 +151,7 @@ def test_maximality_directly_assertable(seed, q):
     for a in found:
         for b in found:
             if a != b:
-                assert not a.contains(b)
+                assert not (set(b.b0) <= set(a.b0) and set(b.b1) <= set(a.b1))
 
 
 # -- configuration weights ------------------------------------------------------
