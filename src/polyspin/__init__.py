@@ -25,7 +25,6 @@ from .graph import (
     parse_graph,
     save_graph,
     second_eigenvalue,
-    single_edge,
 )
 from .polymer import (
     Polymer,
@@ -87,7 +86,6 @@ __all__ = [
     "save_graph",
     "save_matrix",
     "second_eigenvalue",
-    "single_edge",
     "spin_fill",
     "spin_sample_many",
 ]

@@ -132,7 +132,12 @@ def _add_run_args(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--mode", choices=("lab", "strict"), default="lab")
     cmd.add_argument("--format", choices=("kv", "json"), default="kv")
     cmd.add_argument("--eps-model", type=float, default=None, help="override the model closeness eps")
-    cmd.add_argument("--brute-force-budget", type=int, default=1 << 24)
+    cmd.add_argument(
+        "--brute-force-budget",
+        type=int,
+        default=estimator.EstimatorConfig().brute_force_budget,
+        help="largest q^n left configurations the exact path sums (0 disables it)",
+    )
     cmd.add_argument("--size-cap", type=int, default=None, help="truncate polymer size (default: floor(2 eps n))")
     cmd.add_argument("--relaxed", action="store_true", help="accept oracle-only graphs")
 

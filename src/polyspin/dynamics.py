@@ -80,12 +80,12 @@ class EstimatorConfig:
 
     size_cap truncates polymer generation (None -> floor(2 eps n), the
     exact truncation; see chain_params); mixing_constant is C in
-    default_mixing_steps; brute_force_budget bounds the exact path (0
-    disables it); eps_override replaces the analysis closeness eps. The
-    per-ratio sample count is estimator.SAMPLE_FACTOR; the per-biclique
-    error split and the median amplification come from the mode in
-    estimator.build_mixture (strict: the worst-case split, lab: one run
-    at accuracy eps*).
+    default_mixing_steps; the exact path runs iff its q^n left
+    configurations fit brute_force_budget (so 0 disables it);
+    eps_override replaces the analysis closeness eps. The per-ratio sample
+    count is estimator.SAMPLE_FACTOR; the per-biclique error split and the
+    median amplification come from the mode in estimator.build_mixture
+    (strict: the worst-case split, lab: one run at accuracy eps*).
     """
 
     size_cap: int | None = None
@@ -317,10 +317,6 @@ class PolymerChain:
     def active_vertices(self) -> tuple[int, ...]:
         """Region vertices that admit at least one sampleable polymer."""
         return tuple(self._active)
-
-    def can_cover(self, v: int) -> bool:
-        """True iff some region polymer contains v (else p_v = 1 exactly)."""
-        return 0 <= v < self.prefix and bool(self._cands[v])
 
     def covered(self, v: int) -> bool:
         vbit = 1 << v

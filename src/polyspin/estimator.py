@@ -132,9 +132,10 @@ def estimate_polymer_Z(
 def _uncovered_ratio(chain: PolymerChain, config: EstimatorConfig, m: int) -> float:
     """Mean P(region's last vertex uncovered | the rest) over m sweeps after a burn-in."""
     v = chain.prefix - 1
-    if not chain.can_cover(v):
-        return 1.0
-    spacing = len(chain.active_vertices)  # >= 1, since v is active
+    active = chain.active_vertices  # ascending, so v is active iff it is last
+    if not active or active[-1] != v:
+        return 1.0  # no region polymer covers v
+    spacing = len(active)
     chain.run(default_mixing_steps(config, chain.prefix, 1e-3))
     acc = 0.0
     for _ in range(m):
@@ -197,28 +198,16 @@ def build_mixture(
     return MixtureTable(records=tuple(records), ln_total=acc.value)
 
 
-# Hard cap for exactness forced by the eps-star condition alone. Small n
-# satisfies eps* < 9 e^{-n/(4q)} for EVERY eps* (the threshold exceeds 1 up
-# to n ~ 9q), so without a cap mid-size graphs would take the exact path
-# however large; past the cap the run proceeds on the polymer path with a
-# warning. The cap and the budget count q^{2n} configurations, although the
-# exact path sums only the q^n left configurations.
-_EPS_EXACT_CAP = 1 << 26
-
-
 def exact_fallback(graph, matrix, eps_star, budget) -> tuple[bool, bool]:
     """(exact, forced): whether the exact path runs, and whether eps_star
     lies below the small-instance threshold 9 e^{-n/(4q)}.
 
-    The exact path runs when the q^{2n} configurations fit the budget, or
-    when the eps-star condition forces exactness and they fit
-    _EPS_EXACT_CAP; a budget <= 0 disables it.
+    The exact path runs iff its q^n left configurations fit the budget, so
+    a budget <= 0 disables it. forced only picks the warning when it does
+    not run.
     """
     forced = eps_star < 9.0 * math.exp(-graph.n / (4.0 * matrix.q))
-    if budget <= 0:
-        return False, forced
-    total = matrix.q ** graph.num_vertices
-    return total <= budget or (forced and total <= _EPS_EXACT_CAP), forced
+    return matrix.q**graph.n <= budget, forced
 
 
 def approximate_Z(
@@ -232,13 +221,12 @@ def approximate_Z(
 ) -> ApproxResult:
     """Estimate ln Z_{G,H} to relative accuracy eps_star.
 
-    Small instances (q^{2n} within the brute-force budget, or eps_star
-    below 9 e^{-n/(4q)}) are answered exactly by exact.log_Z. Otherwise
-    the polymer mixture runs at the analysis epsilon (or
-    config.eps_override). Strict mode certifies lambda(G), refuses when the
-    degree/gap premises fail, and uses the worst-case error split; lab mode
-    proceeds with relaxed inner budgets and records that no guarantee is
-    claimed.
+    Small instances, whose q^n left configurations fit the brute-force
+    budget, are answered exactly by exact.log_Z. Otherwise the polymer
+    mixture runs at the analysis epsilon (or config.eps_override). Strict
+    mode certifies lambda(G), refuses when the degree/gap premises fail,
+    and uses the worst-case error split; lab mode proceeds with relaxed
+    inner budgets and records that no guarantee is claimed.
     """
     if not (0.0 < eps_star < 1.0):
         raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
@@ -261,7 +249,10 @@ def approximate_Z(
         if config.brute_force_budget <= 0:
             reason = f"exact path is disabled (brute_force_budget={config.brute_force_budget})"
         else:
-            reason = "exact path exceeds its cap"
+            reason = (
+                f"exact path exceeds its budget (q^n = {matrix.q**graph.n} left "
+                f"configurations > brute_force_budget={config.brute_force_budget})"
+            )
         warnings.append(
             "accuracy target is below the small-instance threshold but the "
             f"{reason}; polymer estimate carries no bound"
@@ -348,8 +339,8 @@ def spin_sample_many(
 
     Pipeline per draw: biclique from the estimated mixture, polymer
     configuration from its chain at accuracy eps_star/6, then spin_fill.
-    Under the same fallback conditions as approximate_Z the draws are
-    exact (exact.sample).
+    When the q^n left configurations fit the brute-force budget, as in
+    approximate_Z, the draws are exact (exact.sample).
     """
     if not (0.0 < eps_star < 1.0):
         raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")

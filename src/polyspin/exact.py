@@ -118,8 +118,11 @@ def sample(graph, matrix, count: int, rng: np.random.Generator) -> np.ndarray:
     """
     n = graph.n
     uniforms = rng.random((count, n + 1))
-    log_w = left_log_weights(graph, matrix)
-    cdf = np.cumsum(np.exp(log_w - log_w.max()))
+    # build the CDF in place, so the draw holds one array of q^n doubles
+    cdf = left_log_weights(graph, matrix)
+    cdf -= cdf.max()
+    np.exp(cdf, out=cdf)
+    np.cumsum(cdf, out=cdf)
     picks = np.searchsorted(cdf, uniforms[:, 0] * cdf[-1], side="right")
     out = np.empty((count, 2 * n), dtype=np.int64)
     out[:, :n] = _decode(np.minimum(picks, cdf.size - 1), matrix.q, n).T

@@ -159,10 +159,6 @@ def even_cycle(num_vertices: int) -> BipartiteRegularGraph:
     return _from_edges(n, edges, oracle_only=True)
 
 
-def single_edge() -> BipartiteRegularGraph:
-    return _from_edges(1, [(0, 1)], oracle_only=True)
-
-
 _MAX_RESTARTS = 200  # whole-graph constructions per generated graph
 _MAX_MATCHING_TRIES = 200_000  # matching draws within one construction
 

@@ -146,32 +146,6 @@ class PolymerModel:
     def allowed_spins(self, v: int) -> tuple[int, ...]:
         return self._allowed_by_side[self.graph.side(v)]
 
-    # -- polymer predicates -------------------------------------------------
-
-    def is_polymer(self, poly: Polymer) -> bool:
-        """Type invariants: non-ground spins and G^3-connected vertex set."""
-        for v, s in zip(poly.vertices, poly.spins):
-            if s not in self.allowed_spins(v):
-                return False
-        return self._host_connected(poly.vertices)
-
-    def is_allowed(self, poly: Polymer) -> bool:
-        """Membership in the allowed class: valid polymer of size <= 2*eps*n."""
-        return poly.size <= self.max_size and self.is_polymer(poly)
-
-    def _host_connected(self, vertices) -> bool:
-        vs = set(vertices)
-        host = self.graph.host_adjacency
-        stack = [next(iter(vs))]
-        seen = {stack[0]}
-        while stack:
-            v = stack.pop()
-            for u in host[v]:
-                if u in vs and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(vs)
-
     # -- weight -----------------------------------------------------------
 
     def weight_log(self, poly: Polymer) -> float:

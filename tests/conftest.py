@@ -4,12 +4,12 @@ import pytest
 
 from polyspin import (
     Biclique,
+    BipartiteRegularGraph,
     InteractionMatrix,
     complete_bipartite,
     even_cycle,
     generate_random_regular_bipartite,
     normalize_matrix,
-    single_edge,
     verify,
 )
 from polyspin.verify import random_delta_matrix  # noqa: F401  (imported by test modules)
@@ -58,7 +58,7 @@ def c16():
 
 @pytest.fixture(scope="session")
 def edge_graph():
-    return single_edge()
+    return BipartiteRegularGraph(1, [(1,), (0,)], oracle_only=True)
 
 
 @pytest.fixture(scope="session")

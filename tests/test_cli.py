@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from polyspin import complete_bipartite, exact, load_graph, save_matrix
-from polyspin.cli import main
+from polyspin import EstimatorConfig, complete_bipartite, exact, load_graph, save_matrix
+from polyspin.cli import build_parser, main
 from polyspin import verify as verify_mod
 from polyspin.polymer import PolymerModel
 
@@ -131,6 +131,12 @@ def test_estimate_size_cap_zero_exit_1(tmp_path, capsys, hardcore_path):
 def test_missing_seed_is_a_usage_error(tmp_path, capsys, hardcore_path):
     code, _, _ = run(["gen", "-n", "3", "-d", "3", "-o", str(tmp_path / "g")], capsys)
     assert code == 1
+
+
+def test_brute_force_budget_default_is_the_config_default():
+    # estimate and sample share the option, so one parse covers both
+    args = build_parser().parse_args(["estimate", "g", "m", "-e", "0.5", "--seed", "1"])
+    assert args.brute_force_budget == EstimatorConfig().brute_force_budget
 
 
 # -- sample -----------------------------------------------------------------------

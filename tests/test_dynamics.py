@@ -54,7 +54,7 @@ def test_left_vertices_admit_no_polymers(k33_model):
     # vertices are ever proposed
     chain = PolymerChain(k33_model, EstimatorConfig(size_cap=1), random_stream(3, DRAW, 0, 0, 0))
     assert chain.active_vertices == (3, 4, 5)
-    assert not chain.can_cover(0)
+    assert 0 not in chain.active_vertices
 
 
 def test_region_restricts_membership(k33_model):

@@ -136,12 +136,18 @@ def test_exact_path_matches_oracle(k33, k22, c8, edge_graph, hardcore, potts3, i
         assert abs(result.ln_value - exact_Z(graph, matrix)) <= 1e-12
 
 
-def test_exact_fallback_on_tiny_accuracy(hardcore):
-    graph = complete_bipartite(3)
-    # eps* below 9 e^{-n/(4q)} forces the exact path regardless of size
-    config = EstimatorConfig(brute_force_budget=1)
-    result = approximate_Z(graph, hardcore, 1e-6, seed=1, config=config)
+def test_exact_path_budget_counts_left_configurations(k33, hardcore):
+    # K33 has q^n = 8 left configurations: the budget edge is 8
+    result = approximate_Z(k33, hardcore, 0.3, 0, config=EstimatorConfig(brute_force_budget=8))
     assert result.mode == "exact"
+    assert abs(result.ln_value - exact_Z(k33, hardcore)) <= 1e-12
+    config = EstimatorConfig(brute_force_budget=7, eps_override=0.4)
+    result = approximate_Z(k33, hardcore, 0.3, 0, config=config)
+    assert result.mode == "lab"
+    assert any("exceeds its budget" in w for w in result.warnings)
+    # q^{2n} = 2^28 exceeds the default budget, q^n = 2^14 does not
+    graph = generate_random_regular_bipartite(14, 3, 1)
+    assert approximate_Z(graph, hardcore, 0.9, 0).mode == "exact"
 
 
 def test_lab_mode_matches_exact_mixture(k33, hardcore):
@@ -178,16 +184,19 @@ def test_estimator_config_rejects_out_of_range(kwargs):
 
 
 def test_exact_path_warning_names_the_cause(k33, hardcore):
-    # eps*=0.3 is below the small-instance threshold on both graphs
+    # eps*=0.3 is below the small-instance threshold 9 e^{-3/8} on K33
     config = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
     notes = approximate_Z(k33, hardcore, 0.3, 0, config=config).warnings
     assert any("exact path is disabled (brute_force_budget=0)" in w for w in notes)
-    assert not any("exceeds its cap" in w for w in notes)
-    # q^{2n} = 2^28 exceeds the exact path's cap
-    graph = generate_random_regular_bipartite(14, 3, 1)
-    config = EstimatorConfig(eps_override=0.1, size_cap=1)
-    notes = approximate_Z(graph, hardcore, 0.9, 0, config=config).warnings
-    assert any("exact path exceeds its cap" in w for w in notes)
+    assert not any("exceeds its budget" in w for w in notes)
+    # q^n = 8 left configurations exceed a budget of 7
+    config = EstimatorConfig(brute_force_budget=7, eps_override=0.4)
+    notes = approximate_Z(k33, hardcore, 0.3, 0, config=config).warnings
+    assert any(
+        "exact path exceeds its budget (q^n = 8 left configurations > brute_force_budget=7)" in w
+        for w in notes
+    )
+    assert not any("exact path is disabled" in w for w in notes)
 
 
 def test_one_sample_per_ratio_is_finite(k33, hardcore, monkeypatch):
@@ -339,7 +348,8 @@ def test_spin_fill_law_equals_conditioned_gibbs(
     graph = request.getfixturevalue(graph_name)
     matrix = matrix or hardcore
     model = PolymerModel(graph, matrix, biclique, 0.9)
-    assert all(model.is_polymer(p) for p in polymers)
+    allowed = model.enumerate_allowed(max(p.size for p in polymers))
+    assert all(p in allowed for p in polymers)
     assert all(are_compatible(graph, a, b) for a, b in itertools.combinations(polymers, 2))
     spin_map = {}
     for poly in polymers:

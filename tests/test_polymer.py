@@ -35,11 +35,14 @@ def test_is_allowed_size_bound(k33, hardcore):
     model = PolymerModel(even_cycle(20), hardcore, Biclique((0, 1), (1,)), 0.1)
     assert model.max_size == 2
     right = list(range(model.graph.n, 2 * model.graph.n))
-    single = Polymer((right[0],), (0,))
-    assert model.is_allowed(single)
+    allowed = model.enumerate_allowed(3)
+    assert Polymer((right[0],), (0,)) in allowed
+    # three consecutive right vertices are G^3-connected, yet too large
     triple = Polymer(tuple(right[:3]), (0, 0, 0))
-    assert model.is_polymer(triple)
-    assert not model.is_allowed(triple)
+    wider = PolymerModel(model.graph, hardcore, model.biclique, 0.15)
+    assert wider.max_size == 3
+    assert triple in wider.enumerate_allowed(3)
+    assert triple not in allowed
 
 
 def test_size_bound_inclusive_at_floor(k33, hardcore):
@@ -47,7 +50,7 @@ def test_size_bound_inclusive_at_floor(k33, hardcore):
     model = PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), 1.0 / 3.0)
     assert model.max_size == 2
     pair = Polymer((3, 4), (0, 0))
-    assert model.is_allowed(pair)
+    assert pair in model.enumerate_allowed(2)
 
 
 # -- weights -----------------------------------------------------------------------
@@ -73,7 +76,7 @@ def test_weight_zero_internal_edge(c8):
     model = PolymerModel(c8, matrix, Biclique((0,), (0,)), 0.9)
     assert 4 in c8.neighbors(0)
     with_edge = Polymer((0, 4), (1, 2))
-    assert model.is_polymer(with_edge)
+    assert with_edge in model.enumerate_allowed(2)
     assert model.weight_log(with_edge) == NEG_INF
 
 
