@@ -26,12 +26,7 @@ from .graph import (
     save_graph,
     second_eigenvalue,
 )
-from .polymer import (
-    Polymer,
-    PolymerModel,
-    SamplingConditionReport,
-    are_compatible,
-)
+from .polymer import Polymer, PolymerModel, are_compatible
 from .spin_model import (
     Biclique,
     InteractionMatrix,
@@ -61,7 +56,6 @@ __all__ = [
     "PolymerChain",
     "PolymerModel",
     "PremiseReport",
-    "SamplingConditionReport",
     "SpectralCertificate",
     "approximate_Z",
     "are_compatible",

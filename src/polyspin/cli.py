@@ -94,13 +94,21 @@ def cmd_sample(args) -> int:
     graph = load_graph(args.graph, oracle_only=args.relaxed)
     matrix = load_matrix(args.matrix)
     config = _config(args)
-    samples = estimator.spin_sample_many(
-        graph, matrix, args.eps, args.seed, args.count, mode=args.mode, config=config
-    )
+    exact_path, _ = estimator.exact_fallback(graph, matrix, args.eps, config.brute_force_budget)
+    warnings = ()
+    if exact_path or args.count < 1:  # a count below 1 needs no estimate: refused or empty
+        samples = estimator.spin_sample_many(
+            graph, matrix, args.eps, args.seed, args.count, mode=args.mode, config=config
+        )
+    else:
+        result = estimator.approximate_Z(
+            graph, matrix, args.eps, args.seed, mode=args.mode, config=config
+        )
+        samples = estimator.sample_mixture(result.table, args.eps, args.seed, args.count)
+        warnings = result.warnings
     with open(args.out, "w", encoding="utf-8") as fh:
         for row in samples:
             fh.write(" ".join(str(int(s)) for s in row) + "\n")
-    exact_path, _ = estimator.exact_fallback(graph, matrix, args.eps, config.brute_force_budget)
     record = {
         "count": args.count,
         "mode": "exact" if exact_path else args.mode,
@@ -109,6 +117,8 @@ def cmd_sample(args) -> int:
         "out": args.out,
     }
     _emit(record, args.format)
+    for note in warnings:
+        print(f"# {note}", file=sys.stderr)
     return EXIT_OK
 
 

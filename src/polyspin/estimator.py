@@ -250,7 +250,7 @@ def approximate_Z(
             reason = f"exact path is disabled (brute_force_budget={config.brute_force_budget})"
         else:
             reason = (
-                f"exact path exceeds its budget (q^n = {matrix.q**graph.n} left "
+                f"exact path exceeds its budget (q^n = {matrix.q}^{graph.n} left "
                 f"configurations > brute_force_budget={config.brute_force_budget})"
             )
         warnings.append(
@@ -337,10 +337,9 @@ def spin_sample_many(
 ) -> np.ndarray:
     """Draw `count` approximate Gibbs configurations; shape (count, 2n).
 
-    Pipeline per draw: biclique from the estimated mixture, polymer
-    configuration from its chain at accuracy eps_star/6, then spin_fill.
     When the q^n left configurations fit the brute-force budget, as in
-    approximate_Z, the draws are exact (exact.sample).
+    approximate_Z, the draws are exact (exact.sample); otherwise they come
+    from sample_mixture on approximate_Z's table.
     """
     if not (0.0 < eps_star < 1.0):
         raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
@@ -348,14 +347,23 @@ def spin_sample_many(
         raise InvalidRangeError(f"mode must be 'lab' or 'strict', got {mode!r}")
     check_count("count", count, 0)
     config = config or EstimatorConfig()
-    num = graph.num_vertices
     if count == 0:
-        return np.empty((0, num), dtype=np.int64)
+        return np.empty((0, graph.num_vertices), dtype=np.int64)
 
     if exact_fallback(graph, matrix, eps_star, config.brute_force_budget)[0]:
         return exact.sample(graph, matrix, count, random_stream(seed, EXACT, 0, 0, 0))
 
     table = approximate_Z(graph, matrix, eps_star, seed, mode=mode, config=config).table
+    return sample_mixture(table, eps_star, seed, count)
+
+
+def sample_mixture(table: MixtureTable, eps_star: float, seed: int, count: int) -> np.ndarray:
+    """Draw `count` configurations from an estimated mixture; shape (count, 2n).
+
+    Pipeline per draw: biclique by its mass in the table, polymer
+    configuration from its chain at accuracy eps_star/6, then spin_fill.
+    """
+    num = table.records[0].model.graph.num_vertices
     masses = table.biclique_log_masses()
     probs = np.exp(masses - masses.max())
     probs /= probs.sum()

@@ -228,46 +228,24 @@ def second_eigenvalue(graph: BipartiteRegularGraph) -> SpectralCertificate:
 # -- expansion diagnostics ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
-    """Sampled check of the mixing/edge/vertex expansion inequalities.
-
-    These are theorems for lambda >= lambda(G), so `violations` should stay
-    empty; entries are reported rather than raised to make lambda
-    underestimates debuggable. Slacks are the smallest observed margins.
-    """
-
-    trials: int
-    mixing_checks: int
-    edge_checks: int
-    vertex_checks: int
-    min_mixing_slack: float
-    min_edge_slack: float
-    min_vertex_slack: float
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def check_expansion_inequalities(
     graph: BipartiteRegularGraph,
     lam: float,
     trials: int,
     seed: int,
-) -> ExpansionReport:
-    """Sample subset pairs / single-side subsets and test the three bounds."""
+) -> tuple[str, ...]:
+    """Sample subset pairs / single-side subsets and test the three bounds.
+
+    Returns one witness string per violation. The bounds are theorems for
+    lam >= lambda(G), so the tuple should stay empty; violations are
+    returned, not raised, to make lambda underestimates debuggable.
+    """
     n = graph.n
     deg = graph.degree
     rng = np.random.default_rng(seed)
     b = graph.biadjacency()
     # float roundoff guard; the bounds themselves are exact statements
     atol = 1e-9 * max(1.0, deg * n)
-
-    inf = float("inf")
-    min_mix, min_edge, min_vtx = inf, inf, inf
-    mixing = edge = vertex = 0
     violations: list[str] = []
 
     for t in range(trials):
@@ -280,8 +258,6 @@ def check_expansion_inequalities(
         mean = deg * s0 * s1 / n
         bound = lam * math.sqrt(s0 * s1 * (1 - s0 / n) * (1 - s1 / n))
         slack = bound - abs(e - mean)
-        mixing += 1
-        min_mix = min(min_mix, slack)
         if slack < -atol:
             violations.append(
                 f"mixing: |e-mean|={abs(e - mean):.6g} > bound={bound:.6g} "
@@ -291,8 +267,6 @@ def check_expansion_inequalities(
         if s0 and s1 and lam <= deg / (2 * n) * math.sqrt(s0 * s1):
             lower = deg * s0 * s1 / (2 * n)
             slack = e - lower
-            edge += 1
-            min_edge = min(min_edge, slack)
             if slack < -atol:
                 violations.append(
                     f"edge expansion: e={e:.6g} < {lower:.6g} "
@@ -307,24 +281,13 @@ def check_expansion_inequalities(
         lower = s / (rho + (lam / deg) ** 2 * (1 - rho))
         actual = len(graph.boundary(idx))
         slack = actual - lower
-        vertex += 1
-        min_vtx = min(min_vtx, slack)
         if slack < -atol:
             violations.append(
                 f"vertex expansion: |bd S|={actual} < {lower:.6g} "
                 f"(|S|={s}, side {side}, trial {t})"
             )
 
-    return ExpansionReport(
-        trials=trials,
-        mixing_checks=mixing,
-        edge_checks=edge,
-        vertex_checks=vertex,
-        min_mixing_slack=min_mix,
-        min_edge_slack=min_edge,
-        min_vertex_slack=min_vtx,
-        violations=tuple(violations),
-    )
+    return tuple(violations)
 
 
 # -- text format: "bipartite-regular n <n> delta <degree>", then "u v" lines --

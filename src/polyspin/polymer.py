@@ -37,10 +37,6 @@ class Polymer:
         if list(self.vertices) != sorted(set(self.vertices)):
             raise InvalidRangeError("vertices must be sorted and distinct")
 
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
     def spin_map(self) -> dict[int, int]:
         return dict(zip(self.vertices, self.spins))
 
@@ -86,27 +82,6 @@ def connected_vertex_sets(neighbors, root: int, size_cap: int) -> list[tuple[int
     return out
 
 
-@dataclass(frozen=True)
-class SamplingConditionReport:
-    """Exhaustive check of the decay bound w <= e^{-tau |V|} up to a size cap.
-
-    The tau bound is a theorem only under the verification lemma's premises
-    (eps >= lambda^2/Delta^2 and eps <= (1-delta)/(40 q ln(q Delta)));
-    outside them it is a diagnostic. The boundary-factor bound
-    F_u <= |B_i| - 1 + delta holds unconditionally for maximal bicliques.
-    """
-
-    polymers_checked: int
-    size_cap: int
-    tau: float
-    weight_violations: tuple[str, ...]
-    boundary_violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.weight_violations and not self.boundary_violations
-
-
 class PolymerModel:
     """Bundle of (graph, matrix, biclique, eps) defining one polymer model."""
 
@@ -136,7 +111,6 @@ class PolymerModel:
         self.active_vertices = tuple(
             v for v in range(graph.num_vertices) if self._allowed_by_side[graph.side(v)]
         )
-        self.tau = (1.0 - matrix.delta) / (4.0 * eps * q)
         self._tables: dict[int, "object"] = {}
         # (side, adjacent spins) -> (F_u, ln F_u, cumulative weights); see boundary_entry
         self._boundary_memo: dict[tuple[int, tuple[int, ...]], tuple] = {}
@@ -181,14 +155,6 @@ class PolymerModel:
         acc -= count0 * math.log(len(self.biclique.b0))
         acc -= (len(spin) + len(boundary) - count0) * math.log(len(self.biclique.b1))
         return acc
-
-    def boundary_factor(self, poly: Polymer, u: int) -> float:
-        """F_u for a boundary vertex u of the polymer (linear scale)."""
-        spin = poly.spin_map()
-        adjacent = [spin[v] for v in self.graph.neighbors(u) if v in spin]
-        if not adjacent:
-            raise InvalidRangeError(f"vertex {u} is not on the polymer boundary")
-        return self.boundary_entry(self.graph.side(u), tuple(adjacent))[0]
 
     def boundary_entry(
         self, side: int, adjacent: tuple[int, ...]
@@ -249,43 +215,6 @@ class PolymerModel:
         # (vertices, spins) tuples sort as the Polymers do, without __lt__ calls
         out.sort()
         return [Polymer(vertices, spins) for vertices, spins in out]
-
-    # -- sampling-condition verification ------------------------------------
-
-    def verify_sampling_condition(self, size_cap: int) -> SamplingConditionReport:
-        """Check w(gamma) <= e^{-tau |V_gamma|} and F_u <= |B_i|-1+delta.
-
-        Exhaustive over allowed polymers with |V_gamma| <= size_cap;
-        violations are reported with witnesses, not raised.
-        """
-        graph = self.graph
-        delta = self.matrix.delta
-        tau = self.tau
-        weight_bad: list[str] = []
-        boundary_bad: list[str] = []
-        polymers = self.enumerate_allowed(size_cap) if size_cap > 0 else []
-        for poly in polymers:
-            lw = self.weight_log(poly)
-            if lw > -tau * poly.size + 1e-9:
-                weight_bad.append(
-                    f"gamma {dict(zip(poly.vertices, poly.spins))}: "
-                    f"ln w = {lw:.6g} > -tau|V| = {-tau * poly.size:.6g}"
-                )
-            for u in graph.boundary(poly.vertices):
-                cap_u = len(self.biclique.side(graph.side(u))) - 1 + delta
-                f_u = self.boundary_factor(poly, u)
-                if f_u > cap_u + 1e-12:
-                    boundary_bad.append(
-                        f"gamma {dict(zip(poly.vertices, poly.spins))}, u={u}: "
-                        f"F_u = {f_u:.6g} > {cap_u:.6g}"
-                    )
-        return SamplingConditionReport(
-            polymers_checked=len(polymers),
-            size_cap=size_cap,
-            tau=tau,
-            weight_violations=tuple(weight_bad),
-            boundary_violations=tuple(boundary_bad),
-        )
 
 
 def _assert_maximal(matrix: InteractionMatrix, biclique: Biclique) -> None:

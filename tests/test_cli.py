@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ def test_sample_record_names_the_path(tmp_path, capsys, hardcore_path):
         assert dict(kv.split("=") for kv in stdout.split())["mode"] == mode
 
 
+def test_sample_prints_the_estimate_warnings(tmp_path, capsys, hardcore_path):
+    gpath = str(tmp_path / "g16.txt")
+    run(["gen", "-n", "16", "-d", "3", "--seed", "1", "-o", gpath], capsys)
+    knobs = [gpath, hardcore_path, "-e", "0.5", "--seed", "7", "--brute-force-budget", "0"]
+    _, _, estimate_err = run(["estimate"] + knobs, capsys)
+    out = str(tmp_path / "samples.txt")
+    code, _, sample_err = run(["sample"] + knobs + ["-c", "3", "-o", out], capsys)
+    assert code == 0
+    notes = [line for line in sample_err.splitlines() if line.startswith("# ")]
+    assert len(notes) == 3
+    assert notes == [line for line in estimate_err.splitlines() if line.startswith("# ")]
+
+
 def test_sample_deterministic_and_well_formed(tmp_path, capsys, hardcore_path):
     gpath = tmp_path / "k33.txt"
     run(["gen", "-n", "3", "-d", "3", "--seed", "1", "-o", str(gpath)], capsys)
@@ -245,6 +259,29 @@ def test_verify_detects_injected_weight_fault(monkeypatch):
     monkeypatch.setattr(PolymerModel, "weight_log", crooked)
     _, ok, _ = verify_mod.c1()
     assert not ok
+
+
+@pytest.mark.parametrize("fault", ["weight", "boundary"])
+def test_verify_detects_injected_sampling_condition_fault(monkeypatch, fault):
+    # w > 1 must trip c7's weight count, and a doubled F_u its boundary count;
+    # c7's largest weight is 1/4, so e^2 w exceeds 1 where e w would not
+    if fault == "weight":
+        original = PolymerModel.weight_log
+        monkeypatch.setattr(
+            PolymerModel, "weight_log", lambda self, poly: original(self, poly) + 2.0
+        )
+    else:
+        original = PolymerModel.boundary_entry
+
+        def doubled(self, side, adjacent):
+            f_u, ln_f_u, cumulative = original(self, side, adjacent)
+            return 2.0 * f_u, ln_f_u, cumulative
+
+        monkeypatch.setattr(PolymerModel, "boundary_entry", doubled)
+    _, ok, detail = verify_mod.c7()
+    boundary_bad, weight_bad = map(int, re.search(r"(\d+) boundary / (\d+) weight", detail).groups())
+    assert not ok
+    assert (boundary_bad > 0, weight_bad > 0) == (fault == "boundary", fault == "weight")
 
 
 @pytest.mark.parametrize("target", ["_factor_table", "right_conditionals"])

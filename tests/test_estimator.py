@@ -22,6 +22,7 @@ from polyspin import (
     configuration_weight_log,
     enumerate_maximal_bicliques,
     estimate_polymer_Z,
+    even_cycle,
     generate_random_regular_bipartite,
     spin_fill,
     spin_sample_many,
@@ -193,10 +194,16 @@ def test_exact_path_warning_names_the_cause(k33, hardcore):
     config = EstimatorConfig(brute_force_budget=7, eps_override=0.4)
     notes = approximate_Z(k33, hardcore, 0.3, 0, config=config).warnings
     assert any(
-        "exact path exceeds its budget (q^n = 8 left configurations > brute_force_budget=7)" in w
+        "exact path exceeds its budget (q^n = 2^3 left configurations > brute_force_budget=7)" in w
         for w in notes
     )
     assert not any("exact path is disabled" in w for w in notes)
+    # 4^11000 has more decimal digits than int-to-str allows; at model eps
+    # 1e-5 no polymer fits, so only the warning's text is exercised
+    potts4 = InteractionMatrix(np.where(np.eye(4, dtype=bool), 1.0, 0.5), 0.5)
+    config = EstimatorConfig(brute_force_budget=1, eps_override=1e-5)
+    notes = approximate_Z(even_cycle(22000), potts4, 1e-300, 0, config=config).warnings
+    assert any("(q^n = 4^11000 left configurations > brute_force_budget=1)" in w for w in notes)
 
 
 def test_one_sample_per_ratio_is_finite(k33, hardcore, monkeypatch):
@@ -348,7 +355,7 @@ def test_spin_fill_law_equals_conditioned_gibbs(
     graph = request.getfixturevalue(graph_name)
     matrix = matrix or hardcore
     model = PolymerModel(graph, matrix, biclique, 0.9)
-    allowed = model.enumerate_allowed(max(p.size for p in polymers))
+    allowed = model.enumerate_allowed(max(len(p.vertices) for p in polymers))
     assert all(p in allowed for p in polymers)
     assert all(are_compatible(graph, a, b) for a, b in itertools.combinations(polymers, 2))
     spin_map = {}

@@ -122,18 +122,15 @@ def test_boundary_c8_adjacent_pair(c8):
 
 
 def test_k33_mixing_equality(k33):
-    report = check_expansion_inequalities(k33, 0.0, trials=200, seed=1)
-    assert report.ok
-    # lambda = 0 forces e(S0,S1) = Delta |S0||S1| / n with zero slack
-    assert report.min_mixing_slack == pytest.approx(0.0, abs=1e-12)
+    # lambda = 0 makes the mixing bound the equality e(S0,S1) = Delta |S0||S1| / n,
+    # so no violation means every draw meets it to within the roundoff guard
+    assert check_expansion_inequalities(k33, 0.0, trials=200, seed=1) == ()
 
 
 def test_random_graph_inequalities_hold():
     graph = generate_random_regular_bipartite(16, 4, seed=5)
     cert = second_eigenvalue(graph)
-    report = check_expansion_inequalities(graph, cert.lam, trials=100, seed=2)
-    assert report.ok
-    assert report.mixing_checks == 100
+    assert check_expansion_inequalities(graph, cert.lam, trials=100, seed=2) == ()
 
 
 def test_vertex_expansion_tight_on_k33(k33):
@@ -147,8 +144,7 @@ def test_vertex_expansion_tight_on_k33(k33):
 def test_underreported_lambda_is_flagged(k33):
     # an impossible lambda must produce reported violations, not exceptions
     graph = generate_random_regular_bipartite(16, 4, seed=5)
-    report = check_expansion_inequalities(graph, 0.0, trials=100, seed=3)
-    assert not report.ok
+    assert check_expansion_inequalities(graph, 0.0, trials=100, seed=3) != ()
 
 
 # -- construction and formats ---------------------------------------------------------

@@ -19,6 +19,7 @@ from polyspin.errors import InvalidRangeError, ResourceLimitError
 from polyspin.logspace import NEG_INF
 from polyspin.oracle import ground_state_sum_log
 from polyspin.polymer import connected_vertex_sets
+from polyspin.verify import sampling_condition
 
 from conftest import bfs_distances, brute_force_connected_sets, random_delta_matrix
 
@@ -88,7 +89,7 @@ def test_zero_boundary_factor_stays_neg_inf(c8):
     poly = Polymer((4,), (2,))
     assert model.weight_log(poly) == NEG_INF
     assert model.weight_log(poly) == NEG_INF
-    assert model.boundary_factor(poly, c8.neighbors(4)[0]) == 0.0
+    assert model.boundary_entry(0, (2,))[0] == 0.0
 
 
 def test_boundary_memo_is_per_model(c8):
@@ -273,29 +274,12 @@ def test_boundary_factor_bound_unconditional(k33, c8, rand43, hardcore, potts3):
         for matrix in (hardcore, potts3):
             for biclique in enumerate_maximal_bicliques(matrix):
                 model = PolymerModel(graph, matrix, biclique, 0.5)
-                cap = min(3, model.max_size)
-                if cap < 1:
-                    continue
-                report = model.verify_sampling_condition(cap)
-                assert report.boundary_violations == ()
-
-
-def test_sampling_condition_c8_diagnostic(c8, hardcore):
-    # tau at eps=0.4 is 0.3125/..; the singleton weight 1/4 violates the
-    # decay bound only when tau > ln 4, and the premises are unmet at
-    # degree 2, so the report lists the violation rather than raising
-    model = hardcore_model(c8, hardcore, eps=0.4)
-    report = model.verify_sampling_condition(1)
-    assert report.tau == pytest.approx((1 - 0.5) / (4 * 0.4 * 2))
-    expected_violation = math.log(0.25) > -report.tau * 1
-    assert bool(report.weight_violations) == expected_violation
+                assert sampling_condition(model, 3)[1] == 0
 
 
 def test_sampling_condition_vacuous_at_cap_zero(k33, hardcore):
     model = hardcore_model(k33, hardcore)
-    report = model.verify_sampling_condition(0)
-    assert report.ok
-    assert report.polymers_checked == 0
+    assert sampling_condition(model, 0) == (0, 0, 0)
 
 
 def test_model_rejects_non_maximal_biclique(k33, hardcore):
@@ -315,8 +299,4 @@ def test_random_matrices_keep_boundary_bound(rand43):
             matrix = random_delta_matrix(rng, q)
             for biclique in enumerate_maximal_bicliques(matrix):
                 model = PolymerModel(rand43, matrix, biclique, 0.5)
-                cap = min(2, model.max_size)
-                if cap < 1:
-                    continue
-                report = model.verify_sampling_condition(cap)
-                assert report.boundary_violations == ()
+                assert sampling_condition(model, 2)[1] == 0
