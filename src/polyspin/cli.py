@@ -67,6 +67,20 @@ def _config(args) -> estimator.EstimatorConfig:
     )
 
 
+def _chain_fields(table) -> dict:
+    """The mixture's resolved size cap (0 when no biclique admits polymers),
+    candidate count per biclique and total telescope steps; the exact path,
+    which runs no chain, has no cap or candidates and 0 steps."""
+    if table is None:
+        return {"size_cap": "-", "candidates": "-", "steps": 0}
+    records = table.records
+    return {
+        "size_cap": max((r.chain_config.size_cap for r in records if r.chain_config), default=0),
+        "candidates": ",".join(str(r.candidates) for r in records),
+        "steps": sum(r.steps for r in records),
+    }
+
+
 def cmd_estimate(args) -> int:
     graph = load_graph(args.graph, oracle_only=args.relaxed)
     matrix = load_matrix(args.matrix)
@@ -82,6 +96,7 @@ def cmd_estimate(args) -> int:
         "eps": "-" if result.eps is None else f"{result.eps:.6g}",
         "seed": args.seed,
         "bicliques": result.bicliques,
+        **_chain_fields(result.table),
         "wallclock_ms": f"{elapsed_ms:.3f}",
     }
     _emit(record, args.format)

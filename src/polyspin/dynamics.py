@@ -6,14 +6,27 @@ resample the v-slot from {no polymer} u {allowed polymers through v,
 inside the region, of size <= size_cap, compatible with the rest} with
 probability proportional to 1 resp. the polymer weight. Each P_v is a
 conditional resampling, so the chain is reversible for the size-truncated
-polymer Gibbs distribution restricted to the region. That conditional is
-written once, as PolymerChain.conditional; PolymerChain.run and
-oracle.exact_chain_analysis both evaluate it. Its options are the chain's
-own (mask, weight, index) candidate triples. When no candidate through v
-is blocked, which is most steps on sparse states, it returns v's whole
-list and a precomputed normaliser instead of scanning; that normaliser is
-summed in scan order, so every fixed-seed output is the scan's, bit for
-bit.
+polymer Gibbs distribution restricted to the region. The rule is written
+as PolymerChain.conditional, which oracle.exact_chain_analysis reads; its
+options are the chain's own (mask, weight, index) candidate triples.
+
+PolymerChain.run takes the same steps incrementally. The chain holds two
+unions of its present polymers as state, covered (the OR of their masks)
+and blocked (the OR of their G^3 blocks), and rebuilds them only when the
+picked vertex is covered and its polymer dropped. If v then lies in
+blocked, every candidate through v is blocked, the normaliser is 1 and
+the step changes nothing. Otherwise the options at v depend only on
+(v, blocked & reach[v]), reach[v] being the union of v's candidate masks:
+with nothing blocked they are v's whole list and its precomputed
+normaliser, else an entry of the chain's memo, else a scan in table order
+that fills the memo. The memo belongs to the chain's candidate view: grow
+resets it, and it is emptied whenever it would hold more than
+MEMO_FACTOR times the view's candidate triples (an entry counts 1 plus
+its options). run's output is conditional's, bit for bit: it reads one
+vertex pick and one uniform per step from the same buffered stream,
+whatever the step does, and every normaliser, whether precomputed,
+memoised or scanned, is 1.0 plus the unblocked weights added in table
+order, as the scan adds them.
 
 The region is a prefix {0..i-1} of the vertices (the whole graph by
 default); PolymerChain.grow extends it in place. Polymer connectivity and
@@ -36,6 +49,9 @@ from .logspace import NEG_INF
 from .polymer import Polymer, PolymerModel
 
 _RNG_BUFFER = 4096
+# A chain's memo of blocked options holds at most MEMO_FACTOR times its
+# view's candidate triples, counting each entry as 1 plus its options.
+MEMO_FACTOR = 16
 
 # Stream domains, the first spawn-key slot of every random stream.
 RATIO = 0  # telescope chains: chain = median run, stage 0
@@ -214,6 +230,8 @@ class PolymerChain:
         self.table = candidate_table(model, config.size_cap)
         self._masks, self._blocks = self.table.masks, self.table.blocks  # read on every step
         self._current: list[int] = []  # table indices of present polymers
+        self._covered = 0  # OR of their masks
+        self._blocked = 0  # OR of their blocks
         self.steps_taken = 0
         self._rng = rng
         self.prefix = 0
@@ -222,7 +240,8 @@ class PolymerChain:
     def grow(self, prefix: int) -> None:
         """Extend the region to {0..prefix-1}, keeping the state (its polymers
         lie in the new region) but dropping the buffered vertex picks, which
-        index the old active list. Refuses a smaller prefix or one above 2n."""
+        index the old active list, and the memo, which holds the old
+        region's options. Refuses a smaller prefix or one above 2n."""
         table = self.table
         num = len(table.by_vertex)
         if not self.prefix <= prefix <= num:
@@ -238,6 +257,9 @@ class PolymerChain:
         self._active = [v for v in range(prefix) if self._cands[v]]
         self._ints = self._unis = ()  # empty: the next step refills
         self._pos = 0
+        self._memo: dict[tuple[int, int], tuple[list, float]] = {}
+        self._memo_size = 0
+        self._memo_limit = MEMO_FACTOR * sum(map(len, self._cands))
 
     def conditional(self, current, v: int):
         """The heat-bath conditional at vertex v, given the table indices of
@@ -249,9 +271,6 @@ class PolymerChain:
         probability 1/total, or kept plus polymer i with probability
         w/total for each (mask, w, i) triple in options, which is a
         read-only list of the chain's own candidate triples in table order.
-        When no candidate through v is blocked, options is v's whole
-        candidate list and total its precomputed sum, with no scan; the sum
-        is added in the same order as the scan's, so the floats agree.
         """
         masks = self._masks
         blocks = self._blocks  # block zone already contains the vertex mask
@@ -262,16 +281,35 @@ class PolymerChain:
             if not masks[i] & vbit:
                 kept.append(i)
                 blocked |= blocks[i]
-        cands = self._cands[v]
-        if not blocked & self._reach[v]:
-            return kept, cands, self._totals[v]
-        options = []
-        total = 1.0
-        for c in cands:
-            if not c[0] & blocked:
-                options.append(c)
-                total += c[1]
+        options, total = self._options(v, blocked & self._reach[v])
         return kept, options, total
+
+    def _options(self, v: int, key: int) -> tuple[list, float]:
+        """(options, total) at v when key = blocked & reach[v], blocked being
+        the union of the blocks of the polymers that stay. The options
+        depend on nothing else, because every candidate mask through v lies
+        in reach[v]. With key 0 they are v's whole list and its precomputed
+        total, else the memo's entry, else the scan's."""
+        if not key:
+            return self._cands[v], self._totals[v]
+        hit = self._memo.get((v, key))
+        return self._scan(v, key) if hit is None else hit
+
+    def _scan(self, v: int, key: int) -> tuple[list, float]:
+        """Filter v's candidates against key in table order, adding their
+        weights to 1.0 in that order, and memoise the result. A memo that
+        would pass its bound is emptied first."""
+        options = [c for c in self._cands[v] if not c[0] & key]
+        total = 1.0
+        for c in options:
+            total += c[1]
+        size = 1 + len(options)
+        if self._memo_size + size > self._memo_limit:
+            self._memo.clear()
+            self._memo_size = 0
+        hit = self._memo[v, key] = (options, total)
+        self._memo_size += size
+        return hit
 
     def _refill(self) -> None:
         nact = len(self._active)
@@ -279,37 +317,93 @@ class PolymerChain:
         self._unis = self._rng.random(_RNG_BUFFER)
         self._pos = 0
 
-    def run(self, steps: int) -> None:
-        """Take `steps` heat-bath steps. A negative, bool or non-integral
-        count raises InvalidRangeError before any state changes."""
+    def run(self, steps: int, probe: int | None = None) -> float | None:
+        """Take `steps` heat-bath steps.
+
+        With probe=v (a region vertex), also read P(v uncovered | the other
+        polymers), 1/total of the conditional at v, after every full sweep
+        of len(active_vertices) steps, and return the sum of those reads,
+        added in order; a trailing part sweep is not read. Without a probe,
+        return None. A negative, bool or non-integral count, or a probe
+        outside the region, raises InvalidRangeError before any state
+        changes.
+        """
         check_count("steps", steps, 0)
+        if probe is not None:
+            check_count("probe", probe, 0)
+            if probe >= self.prefix:
+                raise InvalidRangeError(f"probe must lie in [0, {self.prefix}), got {probe}")
         self.steps_taken += steps
         active = self._active
         if not active:
-            return
-        conditional = self.conditional
-        current = self._current
+            return None if probe is None else 0.0
+        masks, blocks = self._masks, self._blocks
+        cands, reach, totals = self._cands, self._reach, self._totals
+        memo, scan = self._memo, self._scan
+        current, covered, blocked = self._current, self._covered, self._blocked
         ints, unis, pos = self._ints, self._unis, self._pos
-        for _ in range(steps):
+        sweep = steps if probe is None else len(active)
+        until = sweep  # steps to the next probe read
+        acc = 0.0
+        left = steps
+        while left:
             if pos >= len(ints):
                 self._refill()
                 ints, unis, pos = self._ints, self._unis, 0
-            v = active[ints[pos]]
-            u = unis[pos]
-            pos += 1
-            current, options, total = conditional(current, v)
-            r = u * total
-            if r >= 1.0:
-                r -= 1.0
-                chosen = options[-1][2]
-                for _, w, i in options:
-                    if r < w:
-                        chosen = i
-                        break
-                    r -= w
-                current.append(chosen)
-        self._current = current
+            # Python scalars step faster than numpy ones and give the same floats
+            n = min(left, len(ints) - pos, until)
+            picks = ints[pos : pos + n].tolist()
+            draws = unis[pos : pos + n].tolist()
+            pos += n
+            left -= n
+            until -= n
+            for k, u in zip(picks, draws):
+                v = active[k]
+                vbit = 1 << v
+                if covered & vbit:
+                    # drop the polymer covering v; present polymers are disjoint
+                    for j, i in enumerate(current):
+                        if masks[i] & vbit:
+                            del current[j]
+                            break
+                    covered = blocked = 0
+                    for i in current:
+                        covered |= masks[i]
+                        blocked |= blocks[i]
+                if blocked & vbit:
+                    continue  # nothing through v fits: total is 1, the state stays
+                key = blocked & reach[v]  # self._options, inlined
+                if key:
+                    hit = memo.get((v, key))
+                    options, total = scan(v, key) if hit is None else hit
+                else:
+                    options, total = cands[v], totals[v]
+                r = u * total
+                if r >= 1.0:
+                    r -= 1.0
+                    chosen = options[-1][2]
+                    for _, w, i in options:
+                        if r < w:
+                            chosen = i
+                            break
+                        r -= w
+                    current.append(chosen)
+                    covered |= masks[chosen]
+                    blocked |= blocks[chosen]
+            if not until:
+                until = sweep
+                if probe is not None:
+                    rest = blocked  # the blocks of the polymers not covering probe
+                    pbit = 1 << probe
+                    if covered & pbit:
+                        rest = 0
+                        for i in current:
+                            if not masks[i] & pbit:
+                                rest |= blocks[i]
+                    acc += 1.0 / self._options(probe, rest & reach[probe])[1]
+        self._covered, self._blocked = covered, blocked
         self._pos = pos
+        return None if probe is None else acc
 
     # -- state inspection ---------------------------------------------------
 
@@ -319,8 +413,7 @@ class PolymerChain:
         return tuple(self._active)
 
     def covered(self, v: int) -> bool:
-        vbit = 1 << v
-        return any(self._masks[i] & vbit for i in self._current)
+        return bool(self._covered >> v & 1)
 
     def current_polymers(self) -> tuple[Polymer, ...]:
         return tuple(self.table.polymers[i] for i in sorted(self._current))

@@ -29,6 +29,7 @@ from .dynamics import (
     RATIO,
     EstimatorConfig,
     PolymerChain,
+    candidate_table,
     check_count,
     default_mixing_steps,
     random_stream,
@@ -67,6 +68,8 @@ class MixtureRecord:
     ln_polymer_z: float
     model: PolymerModel
     chain_config: EstimatorConfig | None
+    candidates: int  # sampleable polymers in the candidate table, 0 without one
+    steps: int  # chain steps its telescope took
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,9 @@ def estimate_polymer_Z(
     *,
     biclique: int = 0,
     median_runs: int = 1,
-) -> float:
-    """ln Z of one polymer model via the telescoping ratio product.
+) -> tuple[float, int]:
+    """ln Z of one polymer model via the telescoping ratio product, and the
+    chain steps taken over all runs.
 
     ln Z = -sum over i of ln p_i, where p_i is the probability that vertex
     i-1 is uncovered in region {0..i-1}. Each of the median_runs runs is
@@ -118,6 +122,7 @@ def estimate_polymer_Z(
     check_count("median_runs", median_runs, 1)
     m = math.ceil(SAMPLE_FACTOR * model.graph.n / eps_star**2)
     values = []
+    steps = 0
     for run in range(median_runs):
         rng = random_stream(seed, RATIO, biclique, 0, run)
         chain = PolymerChain(model, config, rng, prefix=0)
@@ -126,7 +131,8 @@ def estimate_polymer_Z(
             chain.grow(i)
             ln_z -= math.log(_uncovered_ratio(chain, config, m))
         values.append(ln_z)
-    return float(np.median(values))
+        steps += chain.steps_taken
+    return float(np.median(values)), steps
 
 
 def _uncovered_ratio(chain: PolymerChain, config: EstimatorConfig, m: int) -> float:
@@ -135,13 +141,8 @@ def _uncovered_ratio(chain: PolymerChain, config: EstimatorConfig, m: int) -> fl
     active = chain.active_vertices  # ascending, so v is active iff it is last
     if not active or active[-1] != v:
         return 1.0  # no region polymer covers v
-    spacing = len(active)
     chain.run(default_mixing_steps(config, chain.prefix, 1e-3))
-    acc = 0.0
-    for _ in range(m):
-        chain.run(spacing)
-        acc += 1.0 / chain.conditional(chain._current, v)[2]
-    return acc / m
+    return chain.run(m * len(active), probe=v) / m
 
 
 def _median_schedule(eps_star: float, num_bicliques: int) -> int:
@@ -187,13 +188,16 @@ def build_mixture(
         model = PolymerModel(graph, matrix, biclique, eps)
         prefactor = n * (math.log(len(biclique.b0)) + math.log(len(biclique.b1)))
         if model.max_size < 1 or not model.active_vertices:
-            chain_config, ln_z = None, 0.0
+            chain_config, ln_z, candidates, steps = None, 0.0, 0, 0
         else:
             chain_config = config.chain_params(model)
-            ln_z = estimate_polymer_Z(
+            ln_z, steps = estimate_polymer_Z(
                 model, chain_config, inner_eps, seed, biclique=b_idx, median_runs=runs
             )
-        records.append(MixtureRecord(biclique, prefactor, ln_z, model, chain_config))
+            candidates = len(candidate_table(model, chain_config.size_cap))
+        records.append(
+            MixtureRecord(biclique, prefactor, ln_z, model, chain_config, candidates, steps)
+        )
         acc.add(prefactor + ln_z)
     return MixtureTable(records=tuple(records), ln_total=acc.value)
 

@@ -7,7 +7,18 @@ import re
 import numpy as np
 import pytest
 
-from polyspin import EstimatorConfig, complete_bipartite, exact, load_graph, save_matrix
+from polyspin import (
+    EstimatorConfig,
+    PolymerChain,
+    complete_bipartite,
+    enumerate_maximal_bicliques,
+    exact,
+    load_graph,
+    load_matrix,
+    save_matrix,
+)
+from polyspin.dynamics import default_mixing_steps
+from polyspin.estimator import SAMPLE_FACTOR
 from polyspin.cli import build_parser, main
 from polyspin import verify as verify_mod
 from polyspin.polymer import PolymerModel
@@ -81,6 +92,36 @@ def test_estimate_exact_path_record(tmp_path, capsys, hardcore_path):
     assert float(fields["lnZ"]) == pytest.approx(math.log(15.0), rel=1e-12)
     assert float(fields["wallclock_ms"]) > 0
     assert fields["eps"] == "-"
+    # no chain runs on the exact path
+    assert (fields["size_cap"], fields["candidates"], fields["steps"]) == ("-", "-", "0")
+
+
+def test_estimate_record_names_cap_candidates_and_steps(tmp_path, capsys, hardcore_path):
+    gpath = tmp_path / "g8.txt"
+    run(["gen", "-n", "8", "-d", "3", "--seed", "1", "-o", str(gpath)], capsys)
+    knobs = ["-e", "0.5", "--seed", "7", "--eps-model", "0.2", "--size-cap", "2"]
+    argv = ["estimate", str(gpath), hardcore_path, *knobs, "--brute-force-budget", "0"]
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0
+    fields = dict(kv.split("=") for kv in stdout.split())
+    assert fields["lnZ"] == "7.3170248666"
+    assert (fields["size_cap"], fields["candidates"], fields["steps"]) == ("2", "28,28", "30970")
+    _, stdout, _ = run(argv + ["--format", "json"], capsys)
+    record = json.loads(stdout)
+    assert (record["size_cap"], record["candidates"], record["steps"]) == (2, "28,28", 30970)
+    # the steps are the telescope's schedule: per region whose last vertex is
+    # active, a burn-in and m sweeps of its active vertices
+    graph, matrix = load_graph(gpath), load_matrix(hardcore_path)
+    m = math.ceil(SAMPLE_FACTOR * graph.n / 0.5**2)
+    config = EstimatorConfig(size_cap=2)
+    steps = 0
+    for biclique in enumerate_maximal_bicliques(matrix):
+        model = PolymerModel(graph, matrix, biclique, 0.2)
+        for i in range(1, graph.num_vertices + 1):
+            active = PolymerChain(model, config, None, prefix=i).active_vertices
+            if active and active[-1] == i - 1:
+                steps += default_mixing_steps(config, i, 1e-3) + m * len(active)
+    assert steps == 30970
 
 
 def test_estimate_all_ones(tmp_path, capsys, all_ones_path):

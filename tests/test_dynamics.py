@@ -108,6 +108,15 @@ def test_run_rejects_bad_step_counts(k33_model, steps):
     assert chain.current_polymers() == twin.current_polymers()
 
 
+@pytest.mark.parametrize("probe", [-1, 6, True, 2.0])
+def test_run_rejects_probes_outside_the_region(k33_model, probe):
+    chain = PolymerChain(k33_model, EstimatorConfig(size_cap=2), random_stream(3, DRAW, 0, 0, 0))
+    with pytest.raises(InvalidRangeError):
+        chain.run(10, probe=probe)
+    assert chain.steps_taken == 0
+    assert chain.run(0, probe=5) == 0.0  # no full sweep, no read
+
+
 # sha1 of current_polymers() after each of 5 000 single steps of a 3-Potts
 # cap-3 chain on g12 d4, where most steps scan a partly blocked candidate
 # list; pinned from the kernel that always scanned
@@ -303,6 +312,101 @@ def test_conditional_matches_naive_filter(k33, c8, hardcore, potts3, gname, mnam
     assert paths["free"] and paths["blocked"], paths
 
 
+def _reference_steps(model, config, prefix, key):
+    """The states of a chain keyed `key`, stepped through conditional.
+
+    The vertex picks and uniforms are drawn as run draws them, and the
+    reference's memo is emptied before every conditional, so each blocked
+    read scans; yields (current, reference) after each step.
+    """
+    ref = PolymerChain(model, config, None, prefix=prefix)
+    active = ref.active_vertices
+    rng = random_stream(*key)
+    current = []
+    while True:
+        picks = rng.integers(0, len(active), size=dynamics._RNG_BUFFER)
+        draws = rng.random(dynamics._RNG_BUFFER)
+        for k, u in zip(picks, draws):
+            ref._memo.clear()
+            current, options, total = ref.conditional(current, active[k])
+            r = u * total
+            if r >= 1.0:
+                r -= 1.0
+                chosen = options[-1][2]
+                for _, w, i in options:
+                    if r < w:
+                        chosen = i
+                        break
+                    r -= w
+                current = current + [chosen]
+            yield current, ref
+
+
+def _check_lockstep(model, config, prefix, steps, probe_steps):
+    """Compare run with the reference for `steps` single steps, then the
+    probe's sum over probe_steps // sweep sweeps; returns the memo clears."""
+    key = (5, DRAW, 0, 0, 0)
+    chain = PolymerChain(model, config, random_stream(*key), prefix=prefix)
+    table = chain.table
+    reference = _reference_steps(model, config, prefix, key)
+    clears = 0
+    for step in range(steps):
+        size = chain._memo_size
+        chain.run(1)
+        current, _ = next(reference)
+        assert sorted(chain._current) == sorted(current), (prefix, step)
+        covered = blocked = 0
+        for i in current:
+            covered |= table.masks[i]
+            blocked |= table.blocks[i]
+        assert (chain._covered, chain._blocked) == (covered, blocked), (prefix, step)
+        # the memo stays within its bound, and its size counts what it holds
+        assert chain._memo_size <= chain._memo_limit
+        assert chain._memo_size == sum(1 + len(o) for o, _ in chain._memo.values())
+        clears += chain._memo_size < size
+    # the probe reads the conditional after every full sweep
+    probe = chain.active_vertices[-1]
+    sweep = len(chain.active_vertices)
+    sweeps = probe_steps // sweep
+    chain = PolymerChain(model, config, random_stream(*key), prefix=prefix)
+    reference = _reference_steps(model, config, prefix, key)
+    expected = 0.0
+    for _ in range(sweeps):
+        for _ in range(sweep):
+            current, ref = next(reference)
+        ref._memo.clear()
+        expected += 1.0 / ref.conditional(current, probe)[2]
+    assert chain.run(sweeps * sweep + sweep - 1, probe=probe) == expected
+    for _ in range(sweep - 1):
+        current, _ = next(reference)
+    assert sorted(chain._current) == sorted(current)
+    return clears
+
+
+@pytest.mark.parametrize("mname", ["hardcore", "potts3"])
+@pytest.mark.parametrize("gname", ["k33", "c8", "g12"])
+def test_run_matches_conditional_steps(k33, c8, hardcore, potts3, gname, mname):
+    # run's incremental unions and memo against the conditional, stepped
+    # with the same picks and uniforms; the probe runs past a buffer refill
+    graph = {"k33": k33, "c8": c8, "g12": generate_random_regular_bipartite(12, 4, 1)}[gname]
+    matrix = {"hardcore": hardcore, "potts3": potts3}[mname]
+    bicliques = enumerate_maximal_bicliques(matrix)[: 1 if mname == "potts3" else None]
+    for biclique in bicliques:
+        model = PolymerModel(graph, matrix, biclique, 0.5)
+        for cap in (1, 2, 3):
+            for prefix in (None, graph.num_vertices - graph.n // 2):
+                config = EstimatorConfig(size_cap=cap)
+                _check_lockstep(model, config, prefix, 400, 2 * dynamics._RNG_BUFFER)
+
+
+def test_memo_fills_and_clears_within_its_bound(hardcore):
+    # g32 d4, the benchmark's telescope instance: its memo fills within a
+    # few thousand steps, where the small graphs' memos never do
+    graph = generate_random_regular_bipartite(32, 4, 1)
+    model = PolymerModel(graph, hardcore, enumerate_maximal_bicliques(hardcore)[0], 0.1)
+    assert _check_lockstep(model, EstimatorConfig(size_cap=2), None, 6000, 640) >= 1
+
+
 # -- sampling --------------------------------------------------------------------
 
 
@@ -392,16 +496,12 @@ def test_grow_drops_buffered_vertex_picks(k33, hardcore):
     chain.run(10)
     chain.grow(3)
     assert chain.active_vertices == (0, 1, 2)
-    picked = []
-    real = chain.conditional
-
-    def recording(current, v):
-        picked.append(v)
-        return real(current, v)
-
-    chain.conditional = recording
-    chain.run(50)
-    assert 2 in picked
+    # only a pick of vertex 2 can cover it; kept picks would never name it
+    covered = []
+    for _ in range(50):
+        chain.run(1)
+        covered.append(chain.covered(2))
+    assert any(covered)
 
 
 def test_chain_params_validation(k33, hardcore, k33_model):
