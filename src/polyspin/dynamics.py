@@ -23,10 +23,26 @@ that fills the memo. The memo belongs to the chain's candidate view: grow
 resets it, and it is emptied whenever it would hold more than
 MEMO_FACTOR times the view's candidate triples (an entry counts 1 plus
 its options). run's output is conditional's, bit for bit: it reads one
-vertex pick and one uniform per step from the same buffered stream,
-whatever the step does, and every normaliser, whether precomputed,
-memoised or scanned, is 1.0 plus the unblocked weights added in table
-order, as the scan adds them.
+vertex pick and one uniform per step from the same stream, whatever the
+step does, and every normaliser, whether precomputed, memoised or
+scanned, is 1.0 plus the unblocked weights added in table order, as the
+scan adds them.
+
+run turns each chunk of buffered picks into one iterator of (pick,
+uniform) pairs. Without a probe it walks the chunk in one loop. With a
+probe, a countdown from the call's start cuts that walk at every full
+sweep, with islice on the same iterator, and reads the probe through the
+same key, memo and scan as a step. So a sweep costs its steps, one islice
+and one read, and a step pays nothing for the countdown, which moves
+once per cut. The stream is read as blocks of _RNG_BUFFER vertex picks,
+each followed by _RNG_BUFFER uniforms. The picks are drawn whole when the
+buffer empties (a bounded integer draw of another length would split the
+stream differently), but each chunk draws its own uniforms with
+rng.random(n) as it uses them: a Philox double is one 64-bit word, so
+split random calls return the same doubles as one call of their total
+length. grow drops the unread picks and draws their unread uniforms, so
+the next block of picks starts where the whole block would have left the
+stream.
 
 The region is a prefix {0..i-1} of the vertices (the whole graph by
 default); PolymerChain.grow extends it in place. Polymer connectivity and
@@ -41,6 +57,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -234,6 +251,8 @@ class PolymerChain:
         self._blocked = 0  # OR of their blocks
         self.steps_taken = 0
         self._rng = rng
+        self._ints = ()  # buffered vertex picks, read from _pos on
+        self._pos = 0
         self.prefix = 0
         self.grow(model.graph.num_vertices if prefix is None else prefix)
 
@@ -241,11 +260,17 @@ class PolymerChain:
         """Extend the region to {0..prefix-1}, keeping the state (its polymers
         lie in the new region) but dropping the buffered vertex picks, which
         index the old active list, and the memo, which holds the old
-        region's options. Refuses a smaller prefix or one above 2n."""
+        region's options. The uniforms of the dropped picks are drawn and
+        thrown away, so that the next picks start where a whole block of
+        picks and uniforms would have left the stream. Refuses a smaller
+        prefix or one above 2n."""
         table = self.table
         num = len(table.by_vertex)
         if not self.prefix <= prefix <= num:
             raise InvalidRangeError(f"prefix must lie in [{self.prefix}, {num}], got {prefix}")
+        unread = len(self._ints) - self._pos
+        if unread:
+            self._rng.random(unread)
         self.prefix = prefix
         if prefix == num:
             self._cands = table.by_vertex  # read in place, never modified
@@ -255,7 +280,7 @@ class PolymerChain:
             self._cands = [[c for c in row if c[0] < limit] for row in table.by_vertex[:prefix]]
             self._reach, self._totals = _vertex_sums(self._cands)
         self._active = [v for v in range(prefix) if self._cands[v]]
-        self._ints = self._unis = ()  # empty: the next step refills
+        self._ints = ()  # empty: the next step refills
         self._pos = 0
         self._memo: dict[tuple[int, int], tuple[list, float]] = {}
         self._memo_size = 0
@@ -311,22 +336,16 @@ class PolymerChain:
         self._memo_size += size
         return hit
 
-    def _refill(self) -> None:
-        nact = len(self._active)
-        self._ints = self._rng.integers(0, nact, size=_RNG_BUFFER)
-        self._unis = self._rng.random(_RNG_BUFFER)
-        self._pos = 0
-
     def run(self, steps: int, probe: int | None = None) -> float | None:
         """Take `steps` heat-bath steps.
 
         With probe=v (a region vertex), also read P(v uncovered | the other
         polymers), 1/total of the conditional at v, after every full sweep
         of len(active_vertices) steps, and return the sum of those reads,
-        added in order; a trailing part sweep is not read. Without a probe,
-        return None. A negative, bool or non-integral count, or a probe
-        outside the region, raises InvalidRangeError before any state
-        changes.
+        added in order; the sweeps count from the start of the call, and a
+        trailing part sweep is not read. Without a probe, return None. A
+        negative, bool or non-integral count, or a probe outside the region,
+        raises InvalidRangeError before any state changes.
         """
         check_count("steps", steps, 0)
         if probe is not None:
@@ -341,23 +360,28 @@ class PolymerChain:
         cands, reach, totals = self._cands, self._reach, self._totals
         memo, scan = self._memo, self._scan
         current, covered, blocked = self._current, self._covered, self._blocked
-        ints, unis, pos = self._ints, self._unis, self._pos
-        sweep = steps if probe is None else len(active)
-        until = sweep  # steps to the next probe read
+        ints, pos, rng = self._ints, self._pos, self._rng
+        # steps to the next probe read; never reached without a probe
+        sweep = until = steps + 1 if probe is None else len(active)
+        pbit = 0 if probe is None else 1 << probe
         acc = 0.0
         left = steps
+        held = 0  # steps left in the current chunk
         while left:
-            if pos >= len(ints):
-                self._refill()
-                ints, unis, pos = self._ints, self._unis, 0
-            # Python scalars step faster than numpy ones and give the same floats
-            n = min(left, len(ints) - pos, until)
-            picks = ints[pos : pos + n].tolist()
-            draws = unis[pos : pos + n].tolist()
-            pos += n
-            left -= n
-            until -= n
-            for k, u in zip(picks, draws):
+            if not held:
+                if pos >= len(ints):
+                    ints, pos = rng.integers(0, len(active), size=_RNG_BUFFER), 0
+                held = min(left, len(ints) - pos)
+                # Python scalars step faster than numpy ones and give the same
+                # floats; the uniforms are drawn here, as they are used
+                chunk = zip(ints[pos : pos + held].tolist(), rng.random(held).tolist())
+                pos += held
+            # the steps up to the next read, or the rest of the chunk
+            seg = until if until < held else held
+            held -= seg
+            left -= seg
+            until -= seg
+            for k, u in islice(chunk, seg) if held else chunk:
                 v = active[k]
                 vbit = 1 << v
                 if covered & vbit:
@@ -392,17 +416,21 @@ class PolymerChain:
                     blocked |= blocks[chosen]
             if not until:
                 until = sweep
-                if probe is not None:
-                    rest = blocked  # the blocks of the polymers not covering probe
-                    pbit = 1 << probe
-                    if covered & pbit:
-                        rest = 0
-                        for i in current:
-                            if not masks[i] & pbit:
-                                rest |= blocks[i]
-                    acc += 1.0 / self._options(probe, rest & reach[probe])[1]
+                rest = blocked  # the blocks of the polymers not covering probe
+                if covered & pbit:
+                    rest = 0
+                    for i in current:
+                        if not masks[i] & pbit:
+                            rest |= blocks[i]
+                key = rest & reach[probe]  # self._options, inlined
+                if key:
+                    hit = memo.get((probe, key))
+                    total = (scan(probe, key) if hit is None else hit)[1]
+                else:
+                    total = totals[probe]
+                acc += 1.0 / total
         self._covered, self._blocked = covered, blocked
-        self._pos = pos
+        self._ints, self._pos = ints, pos
         return None if probe is None else acc
 
     # -- state inspection ---------------------------------------------------

@@ -253,13 +253,20 @@ def sampling_condition(model: PolymerModel, cap: int) -> tuple[int, int, int]:
 
 def c7():
     """Sampling-condition diagnostics: F_u <= |B_i| - 1 + delta and w <= 1
-    over all polymers of size <= 3."""
+    over all polymers of size <= 3.
+
+    The weak 2-spin matrix has one maximal biclique, ({0}, {0}), so a
+    single-vertex polymer of K33 weighs (F_u/|B_0|)^3 / |B_1| = 0.99^3 =
+    0.970: a weight inflated by e^0.11 passes 1 and trips the weight count,
+    where the other instances' largest weight, 1/4, would hide up to 4x."""
     all_ones = InteractionMatrix([[1.0, 1.0], [1.0, 1.0]], 0.5)
+    weak, _ = normalize_matrix([[1.0, 0.99], [0.99, 0.5]])
     rand43 = generate_random_regular_bipartite(4, 3, seed=42)
     instances = [
         (complete_bipartite(3), hardcore()),
         (complete_bipartite(3), potts3()),
         (complete_bipartite(3), all_ones),
+        (complete_bipartite(3), weak),
         (even_cycle(8), hardcore()),
         (rand43, hardcore()),
         (rand43, potts3()),

@@ -305,11 +305,11 @@ def test_verify_detects_injected_weight_fault(monkeypatch):
 @pytest.mark.parametrize("fault", ["weight", "boundary"])
 def test_verify_detects_injected_sampling_condition_fault(monkeypatch, fault):
     # w > 1 must trip c7's weight count, and a doubled F_u its boundary count;
-    # c7's largest weight is 1/4, so e^2 w exceeds 1 where e w would not
+    # c7's largest weight is 0.970, so e^0.11 w exceeds 1
     if fault == "weight":
         original = PolymerModel.weight_log
         monkeypatch.setattr(
-            PolymerModel, "weight_log", lambda self, poly: original(self, poly) + 2.0
+            PolymerModel, "weight_log", lambda self, poly: original(self, poly) + 0.11
         )
     else:
         original = PolymerModel.boundary_entry

@@ -313,16 +313,22 @@ def test_conditional_matches_naive_filter(k33, c8, hardcore, potts3, gname, mnam
 
 
 def _reference_steps(model, config, prefix, key):
-    """The states of a chain keyed `key`, stepped through conditional.
-
-    The vertex picks and uniforms are drawn as run draws them, and the
-    reference's memo is emptied before every conditional, so each blocked
-    read scans; yields (current, reference) after each step.
-    """
+    """The states of a chain keyed `key`, stepped through conditional; see
+    _reference_walk."""
     ref = PolymerChain(model, config, None, prefix=prefix)
+    return _reference_walk(ref, random_stream(*key), [])
+
+
+def _reference_walk(ref, rng, current):
+    """Step the state `current` through ref.conditional on ref's region.
+
+    The vertex picks and uniforms are drawn in whole blocks of
+    integers(_RNG_BUFFER) then random(_RNG_BUFFER), the stream run reads
+    however it splits its uniform draws, and the reference's memo is
+    emptied before every conditional, so each blocked read scans; yields
+    (current, ref) after each step.
+    """
     active = ref.active_vertices
-    rng = random_stream(*key)
-    current = []
     while True:
         picks = rng.integers(0, len(active), size=dynamics._RNG_BUFFER)
         draws = rng.random(dynamics._RNG_BUFFER)
@@ -405,6 +411,58 @@ def test_memo_fills_and_clears_within_its_bound(hardcore):
     graph = generate_random_regular_bipartite(32, 4, 1)
     model = PolymerModel(graph, hardcore, enumerate_maximal_bicliques(hardcore)[0], 0.1)
     assert _check_lockstep(model, EstimatorConfig(size_cap=2), None, 6000, 640) >= 1
+
+
+def _reference_probe_sums(model, config, prefix, key, probe, calls):
+    """Per run call of calls[c] steps, the sum of 1/total of the reference's
+    conditional at probe after each full sweep counted from the call's
+    start, and the reads whose options were cut by a blocked candidate."""
+    reference = _reference_steps(model, config, prefix, key)
+    sweep = len(PolymerChain(model, config, None, prefix=prefix).active_vertices)
+    sums, cut = [], 0
+    for steps in calls:
+        acc = 0.0
+        for t in range(1, steps + 1):
+            current, ref = next(reference)
+            if t % sweep == 0:
+                ref._memo.clear()
+                _, options, total = ref.conditional(current, probe)
+                acc += 1.0 / total
+                cut += 0 < len(options) < len(ref._cands[probe])
+        sums.append(acc)
+    return sums, cut
+
+
+# call lengths whose boundaries fall mid-sweep for every sweep below, one
+# of them empty, and whose sum passes a buffer refill mid-call
+_PROBE_CALLS = (5, 37, 0, 1, 4000, 100, 3, 250)
+
+
+@pytest.mark.parametrize("case", ["k33", "k33-one-active", "g12"])
+def test_probe_sums_split_over_calls(k33, hardcore, case):
+    # each call reads after its own full sweeps, its trailing part sweep
+    # unread, and an empty call reads nothing. On region {0..3} of K33
+    # vertex 3 is the one active vertex, so every step is a sweep and is
+    # read; on g12 cap 2 the probe's candidates are often partly blocked,
+    # so its reads take a non-zero key through the memo or a scan
+    if case == "g12":
+        graph = generate_random_regular_bipartite(12, 4, 1)
+        model = PolymerModel(graph, hardcore, enumerate_maximal_bicliques(hardcore)[0], 0.5)
+    else:
+        model = PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), 0.4)
+    config = EstimatorConfig(size_cap=2)
+    prefix = 4 if case == "k33-one-active" else None
+    key = (5, DRAW, 0, 0, 0)
+    chain = PolymerChain(model, config, random_stream(*key), prefix=prefix)
+    probe = chain.active_vertices[-1]
+    sums, cut = _reference_probe_sums(model, config, prefix, key, probe, _PROBE_CALLS)
+    assert [chain.run(steps, probe=probe) for steps in _PROBE_CALLS] == sums
+    assert sums[2] == 0.0
+    if case == "k33-one-active":
+        assert chain.active_vertices == (3,)
+        assert sums[3] > 0.0
+    if case == "g12":
+        assert cut > 0
 
 
 # -- sampling --------------------------------------------------------------------
@@ -502,6 +560,30 @@ def test_grow_drops_buffered_vertex_picks(k33, hardcore):
         chain.run(1)
         covered.append(chain.covered(2))
     assert any(covered)
+
+
+def test_grow_keeps_the_stream_offset(k33, hardcore):
+    # a chain that grows mid-block draws the block's unread uniforms, so
+    # its next picks start where whole integers + random blocks would have
+    # left the stream; regions 2 and 3 have 2 and 3 active vertices
+    model = PolymerModel(k33, hardcore, Biclique((1,), (0, 1)), 0.4)
+    config = EstimatorConfig(size_cap=1)
+    key = (0, RATIO, 0, 0, 0)
+    chain = PolymerChain(model, config, random_stream(*key), prefix=2)
+    ref = PolymerChain(model, config, None, prefix=2)
+    rng = random_stream(*key)
+    reference = _reference_walk(ref, rng, [])
+    for _ in range(100):
+        current, _ = next(reference)
+    chain.run(100)
+    assert sorted(chain._current) == sorted(current)
+    chain.grow(3)
+    ref.grow(3)
+    reference = _reference_walk(ref, rng, current)
+    for step in range(dynamics._RNG_BUFFER + 100):
+        chain.run(1)
+        current, _ = next(reference)
+        assert sorted(chain._current) == sorted(current), step
 
 
 def test_chain_params_validation(k33, hardcore, k33_model):
