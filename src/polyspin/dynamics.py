@@ -22,27 +22,29 @@ normaliser, else an entry of the chain's memo, else a scan in table order
 that fills the memo. The memo belongs to the chain's candidate view: grow
 resets it, and it is emptied whenever it would hold more than
 MEMO_FACTOR times the view's candidate triples (an entry counts 1 plus
-its options). run's output is conditional's, bit for bit: it reads one
-vertex pick and one uniform per step from the same stream, whatever the
-step does, and every normaliser, whether precomputed, memoised or
-scanned, is 1.0 plus the unblocked weights added in table order, as the
-scan adds them.
+its options). run's output is conditional's, bit for bit: every
+normaliser, whether precomputed, memoised or scanned, is 1.0 plus the
+unblocked weights added in table order, as the scan adds them.
 
-run turns each chunk of buffered picks into one iterator of (pick,
-uniform) pairs. Without a probe it walks the chunk in one loop. With a
-probe, a countdown from the call's start cuts that walk at every full
-sweep, with islice on the same iterator, and reads the probe through the
-same key, memo and scan as a step. So a sweep costs its steps, one islice
-and one read, and a step pays nothing for the countdown, which moves
-once per cut. The stream is read as blocks of _RNG_BUFFER vertex picks,
-each followed by _RNG_BUFFER uniforms. The picks are drawn whole when the
-buffer empties (a bounded integer draw of another length would split the
-stream differently), but each chunk draws its own uniforms with
-rng.random(n) as it uses them: a Philox double is one 64-bit word, so
-split random calls return the same doubles as one call of their total
-length. grow drops the unread picks and draws their unread uniforms, so
-the next block of picks starts where the whole block would have left the
-stream.
+Step t of a chain reads doubles 2t and 2t+1 of its stream, whatever the
+step does: u picks active[floor(u * len(active))], u' is the heat-bath
+uniform. A Philox double is one 64-bit word, so split random calls return
+the same doubles as one call of their total length; run draws each chunk
+of at most _RNG_BUFFER steps as one rng.random(2 * steps). grow draws
+nothing, so however the same steps are split over run calls and grow
+points, a chain's stream stands at double 2 * steps_taken (a step on a
+region with no active vertex draws nothing and changes nothing). The law is exact: each P_v is a heat-bath
+resampling, reversible for the polymer Gibbs law pi, so any mixture
+sum_v p_v P_v with every p_v > 0 is pi-reversible. A double u is a
+multiple of 2^-53 in [0, 1 - 2^-53], so the pick lies in the active list
+and each p_v differs from 1/len(active) by less than 2^-52.
+
+run turns each chunk into one iterator of (pick, uniform) pairs. Without
+a probe it walks the chunk in one loop. With a probe, a countdown from
+the call's start cuts that walk at every full sweep, with islice on the
+same iterator, and reads the probe through the same key, memo and scan as
+a step. So a sweep costs its steps, one islice and one read, and a step
+pays nothing for the countdown, which moves once per cut.
 
 The region is a prefix {0..i-1} of the vertices (the whole graph by
 default); PolymerChain.grow extends it in place. Polymer connectivity and
@@ -65,13 +67,13 @@ from .errors import InvalidRangeError
 from .logspace import NEG_INF
 from .polymer import Polymer, PolymerModel
 
-_RNG_BUFFER = 4096
+_RNG_BUFFER = 4096  # steps drawn per chunk: bounds memory, not the stream
 # A chain's memo of blocked options holds at most MEMO_FACTOR times its
 # view's candidate triples, counting each entry as 1 plus its options.
 MEMO_FACTOR = 16
 
 # Stream domains, the first spawn-key slot of every random stream.
-RATIO = 0  # telescope chains: chain = median run, stage 0
+RATIO = 0  # telescope chains: chain = median run
 DRAW = 1  # per-draw sampler chains: chain = draw index
 FILL = 2  # the sampler's biclique choice and spin_fill
 EXACT = 3  # the exact-path sampler
@@ -79,18 +81,16 @@ EXACT = 3  # the exact-path sampler
 _KEY_LIMIT = 1 << 32
 
 
-def random_stream(
-    seed: int, domain: int, biclique: int, stage: int, chain: int
-) -> np.random.Generator:
+def random_stream(seed: int, domain: int, biclique: int, chain: int) -> np.random.Generator:
     """The one source of the estimator's and sampler's random streams: a
-    Philox generator keyed by (seed mod 2^64, domain, biclique, stage, chain).
+    Philox generator keyed by (seed mod 2^64, domain, biclique, chain).
 
     SeedSequence pads the seed to its pool size before appending the spawn
     key, and each key slot below 2^32 is one 32-bit word, so distinct keys
     give distinct streams; a slot outside [0, 2^32) is refused rather than
     allowed to spill into its neighbour.
     """
-    key = (domain, biclique, stage, chain)
+    key = (domain, biclique, chain)
     for k in key:
         if not 0 <= k < _KEY_LIMIT:
             raise InvalidRangeError(f"stream key slots must lie in [0, 2^32), got {key}")
@@ -132,10 +132,14 @@ class EstimatorConfig:
             isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1
         ):
             raise InvalidRangeError(f"size_cap must be an integer >= 1, got {cap!r}")
-        if not (math.isfinite(self.mixing_constant) and self.mixing_constant > 0):
-            raise InvalidRangeError(
-                f"mixing_constant must be positive and finite, got {self.mixing_constant}"
-            )
+        c = self.mixing_constant
+        if isinstance(c, bool) or not isinstance(c, numbers.Real) or not (
+            math.isfinite(c) and c > 0
+        ):
+            raise InvalidRangeError(f"mixing_constant must be positive and finite, got {c!r}")
+        budget = self.brute_force_budget
+        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
+            raise InvalidRangeError(f"brute_force_budget must be an integer, got {budget!r}")
         if self.eps_override is not None and not (0.0 < self.eps_override < 1.0):
             raise InvalidRangeError(f"eps_override must lie in (0,1), got {self.eps_override}")
 
@@ -251,26 +255,18 @@ class PolymerChain:
         self._blocked = 0  # OR of their blocks
         self.steps_taken = 0
         self._rng = rng
-        self._ints = ()  # buffered vertex picks, read from _pos on
-        self._pos = 0
         self.prefix = 0
         self.grow(model.graph.num_vertices if prefix is None else prefix)
 
     def grow(self, prefix: int) -> None:
         """Extend the region to {0..prefix-1}, keeping the state (its polymers
-        lie in the new region) but dropping the buffered vertex picks, which
-        index the old active list, and the memo, which holds the old
-        region's options. The uniforms of the dropped picks are drawn and
-        thrown away, so that the next picks start where a whole block of
-        picks and uniforms would have left the stream. Refuses a smaller
-        prefix or one above 2n."""
+        lie in the new region) but dropping the memo, which holds the old
+        region's options. Draws nothing. Refuses a smaller prefix or one
+        above 2n."""
         table = self.table
         num = len(table.by_vertex)
         if not self.prefix <= prefix <= num:
             raise InvalidRangeError(f"prefix must lie in [{self.prefix}, {num}], got {prefix}")
-        unread = len(self._ints) - self._pos
-        if unread:
-            self._rng.random(unread)
         self.prefix = prefix
         if prefix == num:
             self._cands = table.by_vertex  # read in place, never modified
@@ -280,8 +276,6 @@ class PolymerChain:
             self._cands = [[c for c in row if c[0] < limit] for row in table.by_vertex[:prefix]]
             self._reach, self._totals = _vertex_sums(self._cands)
         self._active = [v for v in range(prefix) if self._cands[v]]
-        self._ints = ()  # empty: the next step refills
-        self._pos = 0
         self._memo: dict[tuple[int, int], tuple[list, float]] = {}
         self._memo_size = 0
         self._memo_limit = MEMO_FACTOR * sum(map(len, self._cands))
@@ -360,7 +354,7 @@ class PolymerChain:
         cands, reach, totals = self._cands, self._reach, self._totals
         memo, scan = self._memo, self._scan
         current, covered, blocked = self._current, self._covered, self._blocked
-        ints, pos, rng = self._ints, self._pos, self._rng
+        rng = self._rng
         # steps to the next probe read; never reached without a probe
         sweep = until = steps + 1 if probe is None else len(active)
         pbit = 0 if probe is None else 1 << probe
@@ -369,13 +363,12 @@ class PolymerChain:
         held = 0  # steps left in the current chunk
         while left:
             if not held:
-                if pos >= len(ints):
-                    ints, pos = rng.integers(0, len(active), size=_RNG_BUFFER), 0
-                held = min(left, len(ints) - pos)
+                held = min(left, _RNG_BUFFER)
+                draws = rng.random(2 * held)
                 # Python scalars step faster than numpy ones and give the same
-                # floats; the uniforms are drawn here, as they are used
-                chunk = zip(ints[pos : pos + held].tolist(), rng.random(held).tolist())
-                pos += held
+                # floats; the cast truncates u * len(active) as floor does
+                picks = (draws[::2] * len(active)).astype(np.intp)
+                chunk = zip(picks.tolist(), draws[1::2].tolist())
             # the steps up to the next read, or the rest of the chunk
             seg = until if until < held else held
             held -= seg
@@ -430,7 +423,6 @@ class PolymerChain:
                     total = totals[probe]
                 acc += 1.0 / total
         self._covered, self._blocked = covered, blocked
-        self._ints, self._pos = ints, pos
         return None if probe is None else acc
 
     # -- state inspection ---------------------------------------------------

@@ -114,7 +114,7 @@ def estimate_polymer_Z(
     Rao-Blackwellised value: it lies in [0, 1] with the same mean p_i and
     variance at most p_i(1 - p_i), its bias under the chain's law is at most
     the total-variation distance to the Gibbs law, and it is never 0. Run r
-    draws from random_stream(seed, RATIO, biclique, 0, r), where biclique
+    draws from random_stream(seed, RATIO, biclique, r), where biclique
     is the model's index in the mixture; the result is the median over runs.
     """
     if not (0.0 < eps_star < 1.0):
@@ -124,7 +124,7 @@ def estimate_polymer_Z(
     values = []
     steps = 0
     for run in range(median_runs):
-        rng = random_stream(seed, RATIO, biclique, 0, run)
+        rng = random_stream(seed, RATIO, biclique, run)
         chain = PolymerChain(model, config, rng, prefix=0)
         ln_z = 0.0
         for i in range(1, model.graph.num_vertices + 1):
@@ -355,7 +355,7 @@ def spin_sample_many(
         return np.empty((0, graph.num_vertices), dtype=np.int64)
 
     if exact_fallback(graph, matrix, eps_star, config.brute_force_budget)[0]:
-        return exact.sample(graph, matrix, count, random_stream(seed, EXACT, 0, 0, 0))
+        return exact.sample(graph, matrix, count, random_stream(seed, EXACT, 0, 0))
 
     table = approximate_Z(graph, matrix, eps_star, seed, mode=mode, config=config).table
     return sample_mixture(table, eps_star, seed, count)
@@ -372,7 +372,7 @@ def sample_mixture(table: MixtureTable, eps_star: float, seed: int, count: int) 
     probs = np.exp(masses - masses.max())
     probs /= probs.sum()
     cdf = np.cumsum(probs)
-    rng = random_stream(seed, FILL, 0, 0, 0)
+    rng = random_stream(seed, FILL, 0, 0)
     out = np.empty((count, num), dtype=np.int64)
     for d in range(count):
         b_idx = int(np.searchsorted(cdf, rng.random(), side="right"))
@@ -384,7 +384,7 @@ def sample_mixture(table: MixtureTable, eps_star: float, seed: int, count: int) 
                 record.model,
                 record.chain_config,
                 eps_star / 6.0,
-                random_stream(seed, DRAW, b_idx, 0, d),
+                random_stream(seed, DRAW, b_idx, d),
             )
         out[d] = spin_fill(record.model, polymers, rng)
     return out

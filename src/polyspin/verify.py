@@ -316,7 +316,7 @@ def chain_tv():
     draws = 40_000
     counts = np.zeros(len(configs))
     for r in range(draws):
-        draw = sample_polymer_config(model, config, 0.02, random_stream(29, DRAW, 0, 0, r))
+        draw = sample_polymer_config(model, config, 0.02, random_stream(29, DRAW, 0, r))
         counts[key[draw]] += 1
     tv = 0.5 * float(np.abs(counts / draws - probs).sum())
     return ("chain-tv", tv <= 0.02, f"polymer chain draws, TV = {tv:.4f} over {draws} draws")

@@ -104,7 +104,7 @@ def test_estimate_record_names_cap_candidates_and_steps(tmp_path, capsys, hardco
     code, stdout, _ = run(argv, capsys)
     assert code == 0
     fields = dict(kv.split("=") for kv in stdout.split())
-    assert fields["lnZ"] == "7.3170248666"
+    assert fields["lnZ"] == "7.31897548277"
     assert (fields["size_cap"], fields["candidates"], fields["steps"]) == ("2", "28,28", "30970")
     _, stdout, _ = run(argv + ["--format", "json"], capsys)
     record = json.loads(stdout)

@@ -43,7 +43,7 @@ def empty_model(k33, all_ones2) -> PolymerModel:
 
 
 def test_no_polymers_means_empty_forever(empty_model):
-    chain = PolymerChain(empty_model, EstimatorConfig(size_cap=1), random_stream(3, DRAW, 0, 0, 0))
+    chain = PolymerChain(empty_model, EstimatorConfig(size_cap=1), random_stream(3, DRAW, 0, 0))
     chain.run(500)
     assert chain.current_polymers() == ()
     assert chain.steps_taken == 500
@@ -52,14 +52,14 @@ def test_no_polymers_means_empty_forever(empty_model):
 def test_left_vertices_admit_no_polymers(k33_model):
     # ground set on the left is the whole spin space, so only right
     # vertices are ever proposed
-    chain = PolymerChain(k33_model, EstimatorConfig(size_cap=1), random_stream(3, DRAW, 0, 0, 0))
+    chain = PolymerChain(k33_model, EstimatorConfig(size_cap=1), random_stream(3, DRAW, 0, 0))
     assert chain.active_vertices == (3, 4, 5)
     assert 0 not in chain.active_vertices
 
 
 def test_region_restricts_membership(k33_model):
     chain = PolymerChain(
-        k33_model, EstimatorConfig(size_cap=2), random_stream(0, DRAW, 0, 0, 0), prefix=4
+        k33_model, EstimatorConfig(size_cap=2), random_stream(0, DRAW, 0, 0), prefix=4
     )
     # only vertex 3 on the right is available; pairs exceed the region
     assert chain.active_vertices == (3,)
@@ -80,22 +80,22 @@ def test_chain_reproducible(k33_model):
         assert chain.steps_taken == 997
         return states
 
-    key = (11, DRAW, 0, 0, 5)
+    key = (11, DRAW, 0, 5)
     base = trajectory(random_stream(*key))
     assert trajectory(random_stream(*key)) == base
     # changing any one slot of the key gives another stream, so another path
-    for slot in range(5):
+    for slot in range(4):
         other = list(key)
         other[slot] += 1
         assert trajectory(random_stream(*other)) != base, other
-    assert trajectory(random_stream(-11, DRAW, 0, 0, 5)) != base
+    assert trajectory(random_stream(-11, DRAW, 0, 5)) != base
 
 
 @pytest.mark.parametrize("steps", [-5, 2.5, True, "3", None])
 def test_run_rejects_bad_step_counts(k33_model, steps):
     params = EstimatorConfig(size_cap=2)
-    chain = PolymerChain(k33_model, params, random_stream(3, DRAW, 0, 0, 0))
-    twin = PolymerChain(k33_model, params, random_stream(3, DRAW, 0, 0, 0))
+    chain = PolymerChain(k33_model, params, random_stream(3, DRAW, 0, 0))
+    twin = PolymerChain(k33_model, params, random_stream(3, DRAW, 0, 0))
     chain.run(10)
     twin.run(10)
     with pytest.raises(InvalidRangeError):
@@ -110,7 +110,7 @@ def test_run_rejects_bad_step_counts(k33_model, steps):
 
 @pytest.mark.parametrize("probe", [-1, 6, True, 2.0])
 def test_run_rejects_probes_outside_the_region(k33_model, probe):
-    chain = PolymerChain(k33_model, EstimatorConfig(size_cap=2), random_stream(3, DRAW, 0, 0, 0))
+    chain = PolymerChain(k33_model, EstimatorConfig(size_cap=2), random_stream(3, DRAW, 0, 0))
     with pytest.raises(InvalidRangeError):
         chain.run(10, probe=probe)
     assert chain.steps_taken == 0
@@ -119,10 +119,11 @@ def test_run_rejects_probes_outside_the_region(k33_model, probe):
 
 # sha1 of current_polymers() after each of 5 000 single steps of a 3-Potts
 # cap-3 chain on g12 d4, where most steps scan a partly blocked candidate
-# list; pinned from the kernel that always scanned
+# list; pinned from the two-doubles step and checked against the same
+# walk through conditional
 _TRAJECTORY_DIGESTS = {
-    None: "b1667116fdc54e86bcec17bf224262e3f95d63df",
-    18: "3288198fa00fcb11f7eddbc27eda4168b11e4bc6",
+    None: "5945cf2f58e797a10e4a30bf52f15a55ae1b2ed2",
+    18: "03d05275947e265a413568b60efed21c6d10b693",
 }
 
 
@@ -131,7 +132,7 @@ def test_dense_trajectory_pinned(potts3, prefix):
     graph = generate_random_regular_bipartite(12, 4, 1)
     model = PolymerModel(graph, potts3, enumerate_maximal_bicliques(potts3)[0], 0.5)
     chain = PolymerChain(
-        model, EstimatorConfig(size_cap=3), random_stream(12, DRAW, 0, 0, 0), prefix=prefix
+        model, EstimatorConfig(size_cap=3), random_stream(12, DRAW, 0, 0), prefix=prefix
     )
     digest = hashlib.sha1()
     for _ in range(5000):
@@ -146,15 +147,14 @@ _KEYS = st.tuples(
     st.integers(-(2**63), 2**63 - 1),  # one seed per residue mod 2^64
     st.sampled_from((RATIO, DRAW, FILL, EXACT)),
     st.integers(0, 1000),  # biclique
-    st.integers(0, 10_000),  # stage: ratio index up to 2n
-    st.integers(0, 50),  # chain: median run
+    st.integers(0, 10_000),  # chain: median run or draw index
 )
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_KEYS, min_size=2, max_size=40, unique=True))
 def test_stream_keys_are_distinct(keys):
-    # distinct (seed, domain, biclique, stage, chain) keys must seed distinct
+    # distinct (seed, domain, biclique, chain) keys must seed distinct
     # Philox streams; compared through the seed state, no chain is run
     states = {
         tuple(random_stream(*key).bit_generator.seed_seq.generate_state(4))
@@ -166,12 +166,12 @@ def test_stream_keys_are_distinct(keys):
 def test_stream_key_slots_are_bounded():
     # a slot past 32 bits would spill into the next one and could collide
     with pytest.raises(InvalidRangeError):
-        random_stream(0, DRAW, 0, 0, 1 << 32)
+        random_stream(0, DRAW, 0, 1 << 32)
     with pytest.raises(InvalidRangeError):
-        random_stream(0, DRAW, -1, 0, 0)
+        random_stream(0, DRAW, -1, 0)
     # negative seeds are their residue mod 2^64
-    negative = random_stream(-1, DRAW, 0, 0, 0).random()
-    assert negative == random_stream(2**64 - 1, DRAW, 0, 0, 0).random()
+    negative = random_stream(-1, DRAW, 0, 0).random()
+    assert negative == random_stream(2**64 - 1, DRAW, 0, 0).random()
 
 
 # -- exact transition-matrix checks ----------------------------------------------
@@ -282,7 +282,7 @@ def test_conditional_matches_naive_filter(k33, c8, hardcore, potts3, gname, mnam
         model = PolymerModel(graph, matrix, biclique, 0.5)
         for cap in (1, 2, 3):
             config = EstimatorConfig(size_cap=cap)
-            whole = PolymerChain(model, config, random_stream(1, DRAW, 0, 0, 0))
+            whole = PolymerChain(model, config, random_stream(1, DRAW, 0, 0))
             table = whole.table
             index = {poly: i for i, poly in enumerate(table.polymers)}
             if (gname, mname, cap) == ("g12", "potts3", 3):
@@ -322,36 +322,45 @@ def _reference_steps(model, config, prefix, key):
 def _reference_walk(ref, rng, current):
     """Step the state `current` through ref.conditional on ref's region.
 
-    The vertex picks and uniforms are drawn in whole blocks of
-    integers(_RNG_BUFFER) then random(_RNG_BUFFER), the stream run reads
-    however it splits its uniform draws, and the reference's memo is
-    emptied before every conditional, so each blocked read scans; yields
+    Each step reads the next two doubles of rng: the first picks
+    active[floor(u * len(active))], the second is the heat-bath uniform.
+    They are drawn one step at a time, so a walk started on the same rng
+    after a grow continues the stream. The reference's memo is emptied
+    before every conditional, so each blocked read scans; yields
     (current, ref) after each step.
     """
     active = ref.active_vertices
     while True:
-        picks = rng.integers(0, len(active), size=dynamics._RNG_BUFFER)
-        draws = rng.random(dynamics._RNG_BUFFER)
-        for k, u in zip(picks, draws):
-            ref._memo.clear()
-            current, options, total = ref.conditional(current, active[k])
-            r = u * total
-            if r >= 1.0:
-                r -= 1.0
-                chosen = options[-1][2]
-                for _, w, i in options:
-                    if r < w:
-                        chosen = i
-                        break
-                    r -= w
-                current = current + [chosen]
-            yield current, ref
+        pick, u = rng.random(2).tolist()
+        ref._memo.clear()
+        current, options, total = ref.conditional(current, active[math.floor(pick * len(active))])
+        r = u * total
+        if r >= 1.0:
+            r -= 1.0
+            chosen = options[-1][2]
+            for _, w, i in options:
+                if r < w:
+                    chosen = i
+                    break
+                r -= w
+            current = current + [chosen]
+        yield current, ref
+
+
+def test_picks_stay_in_the_active_list():
+    # the largest double random returns, 1 - 2^-53, picks the last vertex
+    # of every active list up to 2^16 long, in run's cast and in floor
+    top = 1.0 - 2.0**-53
+    assert top == np.nextafter(1.0, 0.0)
+    sizes = np.arange(1, 2**16 + 1)
+    assert ((top * sizes).astype(np.intp) == sizes - 1).all()
+    assert all(math.floor(top * a) == a - 1 for a in range(1, 2**16 + 1))
 
 
 def _check_lockstep(model, config, prefix, steps, probe_steps):
     """Compare run with the reference for `steps` single steps, then the
     probe's sum over probe_steps // sweep sweeps; returns the memo clears."""
-    key = (5, DRAW, 0, 0, 0)
+    key = (5, DRAW, 0, 0)
     chain = PolymerChain(model, config, random_stream(*key), prefix=prefix)
     table = chain.table
     reference = _reference_steps(model, config, prefix, key)
@@ -393,7 +402,7 @@ def _check_lockstep(model, config, prefix, steps, probe_steps):
 @pytest.mark.parametrize("gname", ["k33", "c8", "g12"])
 def test_run_matches_conditional_steps(k33, c8, hardcore, potts3, gname, mname):
     # run's incremental unions and memo against the conditional, stepped
-    # with the same picks and uniforms; the probe runs past a buffer refill
+    # with the same picks and uniforms; the probe's call spans two chunks
     graph = {"k33": k33, "c8": c8, "g12": generate_random_regular_bipartite(12, 4, 1)}[gname]
     matrix = {"hardcore": hardcore, "potts3": potts3}[mname]
     bicliques = enumerate_maximal_bicliques(matrix)[: 1 if mname == "potts3" else None]
@@ -434,8 +443,8 @@ def _reference_probe_sums(model, config, prefix, key, probe, calls):
 
 
 # call lengths whose boundaries fall mid-sweep for every sweep below, one
-# of them empty, and whose sum passes a buffer refill mid-call
-_PROBE_CALLS = (5, 37, 0, 1, 4000, 100, 3, 250)
+# of them empty, and one long enough to take two chunks
+_PROBE_CALLS = (5, 37, 0, 1, 4201, 100, 3, 250)
 
 
 @pytest.mark.parametrize("case", ["k33", "k33-one-active", "g12"])
@@ -452,7 +461,7 @@ def test_probe_sums_split_over_calls(k33, hardcore, case):
         model = PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), 0.4)
     config = EstimatorConfig(size_cap=2)
     prefix = 4 if case == "k33-one-active" else None
-    key = (5, DRAW, 0, 0, 0)
+    key = (5, DRAW, 0, 0)
     chain = PolymerChain(model, config, random_stream(*key), prefix=prefix)
     probe = chain.active_vertices[-1]
     sums, cut = _reference_probe_sums(model, config, prefix, key, probe, _PROBE_CALLS)
@@ -470,15 +479,15 @@ def test_probe_sums_split_over_calls(k33, hardcore, case):
 
 def test_sample_polymer_config_empty_model(empty_model):
     config = sample_polymer_config(
-        empty_model, EstimatorConfig(size_cap=1), 0.1, random_stream(4, DRAW, 0, 0, 0)
+        empty_model, EstimatorConfig(size_cap=1), 0.1, random_stream(4, DRAW, 0, 0)
     )
     assert len(config) == 0
 
 
 def test_sample_reproducible(k33_model):
     params = EstimatorConfig(size_cap=2)
-    a = sample_polymer_config(k33_model, params, 0.05, random_stream(9, DRAW, 0, 0, 0))
-    b = sample_polymer_config(k33_model, params, 0.05, random_stream(9, DRAW, 0, 0, 0))
+    a = sample_polymer_config(k33_model, params, 0.05, random_stream(9, DRAW, 0, 0))
+    b = sample_polymer_config(k33_model, params, 0.05, random_stream(9, DRAW, 0, 0))
     assert a == b
 
 
@@ -487,7 +496,7 @@ def test_ergodic_average_matches_enumeration(k33_model):
     params = EstimatorConfig(size_cap=2)
     configs, probs = exact_polymer_distribution(k33_model, 2)
     expect = float(sum(p * len(c) for c, p in zip(configs, probs)))
-    chain = PolymerChain(k33_model, params, random_stream(2, DRAW, 0, 0, 0))
+    chain = PolymerChain(k33_model, params, random_stream(2, DRAW, 0, 0))
     chain.run(2000)
     total = 0
     steps = 60_000
@@ -506,7 +515,7 @@ def test_ergodic_average_matches_enumeration(k33_model):
 
 def test_uncovered_ratio_no_polymers(empty_model):
     chain = PolymerChain(
-        empty_model, EstimatorConfig(size_cap=1), random_stream(1, RATIO, 0, 0, 0), prefix=6
+        empty_model, EstimatorConfig(size_cap=1), random_stream(1, RATIO, 0, 0), prefix=6
     )
     assert _uncovered_ratio(chain, EstimatorConfig(size_cap=1), 10) == 1.0
 
@@ -520,7 +529,7 @@ def test_uncovered_ratio_matches_exact(k33_model):
     )
     assert exact == pytest.approx(10.0 / 11.0, abs=1e-12)
     m = 10_000
-    chain = PolymerChain(k33_model, params, random_stream(6, RATIO, 0, 0, 0), prefix=6)
+    chain = PolymerChain(k33_model, params, random_stream(6, RATIO, 0, 0), prefix=6)
     est = _uncovered_ratio(chain, params, m)
     # samples one sweep apart are nearly independent; allow for correlation
     stderr = 2.0 * math.sqrt(exact * (1 - exact) / m)
@@ -532,7 +541,7 @@ def test_uncovered_ratio_matches_exact(k33_model):
 
 def test_grow_refuses_shrinking_or_overflowing(k33_model):
     chain = PolymerChain(
-        k33_model, EstimatorConfig(size_cap=2), random_stream(0, RATIO, 0, 0, 0), prefix=4
+        k33_model, EstimatorConfig(size_cap=2), random_stream(0, RATIO, 0, 0), prefix=4
     )
     for prefix in (3, 7):
         with pytest.raises(InvalidRangeError):
@@ -542,48 +551,39 @@ def test_grow_refuses_shrinking_or_overflowing(k33_model):
     assert chain.active_vertices == (3, 4, 5)
 
 
-def test_grow_drops_buffered_vertex_picks(k33, hardcore):
-    # left vertices carry the polymers of this biclique, so regions 2 and 3
-    # have 2 and 3 active vertices; picks buffered for region 2 never name
-    # vertex 2
-    model = PolymerModel(k33, hardcore, Biclique((1,), (0, 1)), 0.4)
-    chain = PolymerChain(
-        model, EstimatorConfig(size_cap=1), random_stream(0, RATIO, 0, 0, 0), prefix=2
-    )
-    assert chain.active_vertices == (0, 1)
-    chain.run(10)
-    chain.grow(3)
-    assert chain.active_vertices == (0, 1, 2)
-    # only a pick of vertex 2 can cover it; kept picks would never name it
-    covered = []
-    for _ in range(50):
-        chain.run(1)
-        covered.append(chain.covered(2))
-    assert any(covered)
+# (prefix, run call lengths) per grow, all over the same 5 400 steps with
+# the same region at every step: grows that fall mid-chunk, an empty call,
+# a call of two chunks, single steps and a repeated grow
+_GROW_PLANS = {
+    "whole": ((13, (100,)), (17, (5000,)), (24, (300,))),
+    "pieces": ((13, (37, 63)), (17, (0, 4096)), (17, (904,)), (24, (299, 1))),
+    "steps": ((13, (1,) * 100), (17, (2500, 2500)), (24, (1,) * 300)),
+}
 
 
-def test_grow_keeps_the_stream_offset(k33, hardcore):
-    # a chain that grows mid-block draws the block's unread uniforms, so
-    # its next picks start where whole integers + random blocks would have
-    # left the stream; regions 2 and 3 have 2 and 3 active vertices
-    model = PolymerModel(k33, hardcore, Biclique((1,), (0, 1)), 0.4)
-    config = EstimatorConfig(size_cap=1)
-    key = (0, RATIO, 0, 0, 0)
-    chain = PolymerChain(model, config, random_stream(*key), prefix=2)
-    ref = PolymerChain(model, config, None, prefix=2)
+@pytest.mark.parametrize("plan", sorted(_GROW_PLANS))
+def test_any_split_over_runs_and_grows_gives_the_reference_chain(hardcore, plan):
+    # g12 hard-core: regions 13, 17 and 24 have 1, 5 and 12 active vertices
+    graph = generate_random_regular_bipartite(12, 4, 1)
+    model = PolymerModel(graph, hardcore, enumerate_maximal_bicliques(hardcore)[0], 0.5)
+    config = EstimatorConfig(size_cap=2)
+    key = (0, RATIO, 0, 0)
+    chain = PolymerChain(model, config, random_stream(*key), prefix=13)
+    ref = PolymerChain(model, config, None, prefix=13)
     rng = random_stream(*key)
-    reference = _reference_walk(ref, rng, [])
-    for _ in range(100):
-        current, _ = next(reference)
-    chain.run(100)
-    assert sorted(chain._current) == sorted(current)
-    chain.grow(3)
-    ref.grow(3)
-    reference = _reference_walk(ref, rng, current)
-    for step in range(dynamics._RNG_BUFFER + 100):
-        chain.run(1)
-        current, _ = next(reference)
-        assert sorted(chain._current) == sorted(current), step
+    current = []
+    for prefix, calls in _GROW_PLANS[plan]:
+        chain.grow(prefix)
+        ref.grow(prefix)
+        reference = _reference_walk(ref, rng, current)
+        for steps in calls:
+            chain.run(steps)
+            for _ in range(steps):
+                current, _ = next(reference)
+            assert sorted(chain._current) == sorted(current), (prefix, chain.steps_taken)
+    assert chain.steps_taken == 5400
+    # grow drew nothing: both streams stand at double 2 * 5400
+    assert chain._rng.random() == rng.random()
 
 
 def test_chain_params_validation(k33, hardcore, k33_model):
