@@ -67,17 +67,21 @@ def _config(args) -> estimator.EstimatorConfig:
     )
 
 
-def _chain_fields(table) -> dict:
+def _run_fields(table, ln_stderr) -> dict:
     """The mixture's resolved size cap (0 when no biclique admits polymers),
-    candidate count per biclique and total telescope steps; the exact path,
-    which runs no chain, has no cap or candidates and 0 steps."""
+    candidate count per biclique, total telescope steps and the standard
+    error of lnZ. Without a table no chain ran: no cap or candidates and 0
+    steps; ln_stderr is 0 on the exact path and None ("-") where no error
+    is estimated (strict mode, or no estimate at all)."""
+    stderr = "-" if ln_stderr is None else f"{ln_stderr:.6g}"
     if table is None:
-        return {"size_cap": "-", "candidates": "-", "steps": 0}
+        return {"size_cap": "-", "candidates": "-", "steps": 0, "lnZ_stderr": stderr}
     records = table.records
     return {
         "size_cap": max((r.chain_config.size_cap for r in records if r.chain_config), default=0),
         "candidates": ",".join(str(r.candidates) for r in records),
         "steps": sum(r.steps for r in records),
+        "lnZ_stderr": stderr,
     }
 
 
@@ -96,7 +100,7 @@ def cmd_estimate(args) -> int:
         "eps": "-" if result.eps is None else f"{result.eps:.6g}",
         "seed": args.seed,
         "bicliques": result.bicliques,
-        **_chain_fields(result.table),
+        **_run_fields(result.table, result.ln_stderr),
         "wallclock_ms": f"{elapsed_ms:.3f}",
     }
     _emit(record, args.format)
@@ -115,11 +119,13 @@ def cmd_sample(args) -> int:
         samples = estimator.spin_sample_many(
             graph, matrix, args.eps, args.seed, args.count, mode=args.mode, config=config
         )
+        fields = _run_fields(None, 0.0 if exact_path else None)
     else:
         result = estimator.approximate_Z(
             graph, matrix, args.eps, args.seed, mode=args.mode, config=config
         )
         samples = estimator.sample_mixture(result.table, args.eps, args.seed, args.count)
+        fields = _run_fields(result.table, result.ln_stderr)
         warnings = result.warnings
     with open(args.out, "w", encoding="utf-8") as fh:
         for row in samples:
@@ -129,6 +135,7 @@ def cmd_sample(args) -> int:
         "mode": "exact" if exact_path else args.mode,
         "vertices": graph.num_vertices,
         "seed": args.seed,
+        **fields,
         "out": args.out,
     }
     _emit(record, args.format)

@@ -113,11 +113,13 @@ class EstimatorConfig:
 
     size_cap truncates polymer generation (None -> floor(2 eps n), the
     exact truncation; see chain_params); mixing_constant is C in
-    default_mixing_steps; the exact path runs iff its q^n left
-    configurations fit brute_force_budget (so 0 disables it);
-    eps_override replaces the analysis closeness eps. The per-ratio sample
-    count is estimator.SAMPLE_FACTOR; the per-biclique error split and the
-    median amplification come from the mode in estimator.build_mixture
+    default_mixing_steps, the sampler's chain length and strict mode's
+    burn-in; the exact path runs iff its q^n left configurations fit
+    brute_force_budget (so 0 disables it); eps_override replaces the
+    analysis closeness eps. The per-ratio schedule is
+    estimator.estimate_polymer_Z's (strict: SAMPLE_FACTOR sweeps, lab: a
+    two-stage count with that ceiling); the per-biclique error split and
+    the median amplification come from the mode in estimator.build_mixture
     (strict: the worst-case split, lab: one run at accuracy eps*).
     """
 

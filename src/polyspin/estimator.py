@@ -7,10 +7,12 @@ under the region-L_i polymer Gibbs measure, estimated on one chain that
 grows through the regions (Rao-Blackwellised; see estimate_polymer_Z).
 The per-biclique estimates combine into the mixture
     sum over (B_0,B_1) of |B_0|^n |B_1|^n * Z^{B_0,B_1},
-everything in log-space. Configuration sampling draws a biclique from the
-mixture, a polymer configuration from its chain, and fills the remaining
-vertices: ground spins uniformly off the boundary, and boundary vertices u
-with P(j) proportional to prod of H[j, spin of covered neighbors].
+everything in log-space; in lab mode their variances combine into the
+standard error of ln Z, each weighted by its biclique's squared mass
+share. Configuration sampling draws a biclique from the mixture, a polymer
+configuration from its chain, and fills the remaining vertices: ground
+spins uniformly off the boundary, and boundary vertices u with P(j)
+proportional to prod of H[j, spin of covered neighbors].
 """
 
 from __future__ import annotations
@@ -53,8 +55,17 @@ from .spin_model import (
 )
 
 
-# c in the per-ratio sample count m = ceil(c n / eps^2)
+# c in the per-ratio sample count m = ceil(c n / eps^2): strict mode's count,
+# lab mode's ceiling
 SAMPLE_FACTOR = 8.0
+# Lab mode's two-stage ratio (see estimate_polymer_Z): a pilot of
+# PILOT_BATCHES batches of BATCH_SWEEPS sweeps, then at least MIN_SAMPLES
+# fresh sweeps, sized so that the 2n ratios together leave ln Z a standard
+# error of eps* / STDERR_FACTOR.
+PILOT_BATCHES = 16
+BATCH_SWEEPS = 4
+MIN_SAMPLES = 128
+STDERR_FACTOR = 20.0
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,7 @@ class MixtureRecord:
     biclique: Biclique
     ln_prefactor: float  # n ln|B_0| + n ln|B_1|
     ln_polymer_z: float
+    ln_polymer_var: float  # estimated variance of ln_polymer_z; nan in strict mode
     model: PolymerModel
     chain_config: EstimatorConfig | None
     candidates: int  # sampleable polymers in the candidate table, 0 without one
@@ -80,6 +92,14 @@ class MixtureTable:
     def biclique_log_masses(self) -> np.ndarray:
         return np.array([r.ln_prefactor + r.ln_polymer_z for r in self.records])
 
+    def ln_stderr(self) -> float:
+        """Standard error of ln_total (nan in strict mode): d ln_total /
+        d ln Z_b is biclique b's mass share, so the variances add weighted
+        by the squared shares."""
+        shares = np.exp(self.biclique_log_masses() - self.ln_total)
+        var = sum(w * w * r.ln_polymer_var for w, r in zip(shares.tolist(), self.records))
+        return math.sqrt(var)
+
 
 @dataclass(frozen=True)
 class ApproxResult:
@@ -88,6 +108,7 @@ class ApproxResult:
     bicliques: int
     eps: float | None
     table: MixtureTable | None
+    ln_stderr: float | None  # 0 on the exact path, None in strict mode
     warnings: tuple[str, ...] = field(default=())
 
 
@@ -99,40 +120,73 @@ def estimate_polymer_Z(
     *,
     biclique: int = 0,
     median_runs: int = 1,
-) -> tuple[float, int]:
-    """ln Z of one polymer model via the telescoping ratio product, and the
-    chain steps taken over all runs.
+    mode: str = "lab",
+) -> tuple[float, int, float]:
+    """ln Z of one polymer model via the telescoping ratio product, the
+    chain steps taken over all runs, and the estimated variance of ln Z.
 
     ln Z = -sum over i of ln p_i, where p_i is the probability that vertex
     i-1 is uncovered in region {0..i-1}. Each of the median_runs runs is
     one chain (config, size_cap resolved) grown through the regions 1..2n.
-    At region i, after a burn-in, it takes m = ceil(SAMPLE_FACTOR * n /
-    eps_star^2) samples one sweep apart, each adding 1/total of the heat-bath
-    conditional at i-1, which is exactly P(i-1 uncovered | the other
-    polymers). Vertices no region polymer can cover give p_i = 1 exactly.
-    Strict mode's proof carries over from the 0/1 "uncovered" hit to this
-    Rao-Blackwellised value: it lies in [0, 1] with the same mean p_i and
-    variance at most p_i(1 - p_i), its bias under the chain's law is at most
-    the total-variation distance to the Gibbs law, and it is never 0. Run r
-    draws from random_stream(seed, RATIO, biclique, r), where biclique
-    is the model's index in the mixture; the result is the median over runs.
+    At region i it takes samples one sweep apart, each adding 1/total of
+    the heat-bath conditional at i-1, which is exactly P(i-1 uncovered |
+    the other polymers). Vertices no region polymer can cover give p_i = 1
+    exactly, with variance 0. Run r draws from random_stream(seed, RATIO,
+    biclique, r), where biclique is the model's index in the mixture; the
+    result is the median over runs.
+
+    Strict mode keeps the proof's schedule: a cold burn-in of
+    default_mixing_steps(config, i, 1e-3) steps, then m = ceil(SAMPLE_FACTOR
+    * n / eps_star^2) samples. The proof carries over from the 0/1
+    "uncovered" hit to the Rao-Blackwellised value: it lies in [0, 1] with
+    the same mean p_i and variance at most p_i(1 - p_i), its bias under the
+    chain's law is at most the total-variation distance to the Gibbs law,
+    and it is never 0. Strict reports no variance (nan).
+
+    Lab mode sizes each ratio by Stein's two-stage rule. A pilot of
+    PILOT_BATCHES batches of BATCH_SWEEPS sweeps continues from the
+    previous region's state, which is a polymer configuration of the new
+    region too, and takes the place of the cold burn-in. From the mean p0
+    and sample variance s^2 of its batch means it fixes m_i = min(m,
+    max(MIN_SAMPLES, ceil(BATCH_SWEEPS s^2 / (p0^2 beta)))), with beta =
+    (eps_star / STDERR_FACTOR)^2 / (2n) each ratio's share of the relative
+    variance, and then averages m_i fresh sweeps only, with variance
+    BATCH_SWEEPS s^2 / (m_i p^2) for ln p. Because m_i is fixed before any
+    sample it averages is seen, the stop cannot favour a high or a low
+    mean, which a sequential stop at a standard error would. m is the
+    ceiling, so no ratio takes more sweeps than strict's count, and a pilot
+    of 64 sweeps of at most i active vertices is shorter than the cold
+    burn-in at the default mixing_constant. The returned variance is the
+    sum of the ratios' for one lab run, and nan for a median of runs.
     """
     if not (0.0 < eps_star < 1.0):
         raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
     check_count("median_runs", median_runs, 1)
-    m = math.ceil(SAMPLE_FACTOR * model.graph.n / eps_star**2)
+    if mode not in ("lab", "strict"):
+        raise InvalidRangeError(f"mode must be 'lab' or 'strict', got {mode!r}")
+    n = model.graph.n
+    m = math.ceil(SAMPLE_FACTOR * n / eps_star**2)
+    beta = (eps_star / STDERR_FACTOR) ** 2 / (2 * n)
     values = []
     steps = 0
+    var = 0.0
     for run in range(median_runs):
         rng = random_stream(seed, RATIO, biclique, run)
         chain = PolymerChain(model, config, rng, prefix=0)
         ln_z = 0.0
         for i in range(1, model.graph.num_vertices + 1):
             chain.grow(i)
-            ln_z -= math.log(_uncovered_ratio(chain, config, m))
+            if mode == "strict":
+                ln_z -= math.log(_uncovered_ratio(chain, config, m))
+            else:
+                p, p_var = _two_stage_ratio(chain, m, beta)
+                ln_z -= math.log(p)
+                var += p_var
         values.append(ln_z)
         steps += chain.steps_taken
-    return float(np.median(values)), steps
+    if mode == "strict" or median_runs > 1:
+        var = math.nan
+    return float(np.median(values)), steps, var
 
 
 def _uncovered_ratio(chain: PolymerChain, config: EstimatorConfig, m: int) -> float:
@@ -143,6 +197,22 @@ def _uncovered_ratio(chain: PolymerChain, config: EstimatorConfig, m: int) -> fl
         return 1.0  # no region polymer covers v
     chain.run(default_mixing_steps(config, chain.prefix, 1e-3))
     return chain.run(m * len(active), probe=v) / m
+
+
+def _two_stage_ratio(chain: PolymerChain, m: int, beta: float) -> tuple[float, float]:
+    """Lab mode's ratio and the variance of its log: a pilot of batch means
+    sizes the count of fresh sweeps, whose mean alone is the ratio."""
+    v = chain.prefix - 1
+    active = chain.active_vertices  # ascending, so v is active iff it is last
+    if not active or active[-1] != v:
+        return 1.0, 0.0  # no region polymer covers v
+    batch = BATCH_SWEEPS * len(active)
+    means = [chain.run(batch, probe=v) / BATCH_SWEEPS for _ in range(PILOT_BATCHES)]
+    p0 = sum(means) / PILOT_BATCHES
+    s2 = sum((x - p0) ** 2 for x in means) / (PILOT_BATCHES - 1)
+    samples = min(m, max(MIN_SAMPLES, math.ceil(BATCH_SWEEPS * s2 / (p0 * p0 * beta))))
+    p = chain.run(samples * len(active), probe=v) / samples
+    return p, BATCH_SWEEPS * s2 / (samples * p * p)
 
 
 def _median_schedule(eps_star: float, num_bicliques: int) -> int:
@@ -165,10 +235,11 @@ def build_mixture(
     """Per-maximal-biclique estimates assembled by log-sum-exp.
 
     The mode sets the schedule. Strict: each biclique at accuracy
-    eps_star/8, with median amplification sized so the union failure mass
-    stays below eps_star/16. Lab: each biclique in one run at accuracy
-    eps_star. A biclique whose model admits no polymers contributes
-    ln Z = 0 exactly.
+    eps_star/8 on the proof's per-ratio schedule, with median amplification
+    sized so the union failure mass stays below eps_star/16. Lab: each
+    biclique in one two-stage run at accuracy eps_star (see
+    estimate_polymer_Z). A biclique whose model admits no polymers
+    contributes ln Z = 0 exactly, with variance 0.
     """
     if not (0.0 < eps_star < 1.0):
         raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
@@ -188,15 +259,15 @@ def build_mixture(
         model = PolymerModel(graph, matrix, biclique, eps)
         prefactor = n * (math.log(len(biclique.b0)) + math.log(len(biclique.b1)))
         if model.max_size < 1 or not model.active_vertices:
-            chain_config, ln_z, candidates, steps = None, 0.0, 0, 0
+            chain_config, ln_z, var, candidates, steps = None, 0.0, 0.0, 0, 0
         else:
             chain_config = config.chain_params(model)
-            ln_z, steps = estimate_polymer_Z(
-                model, chain_config, inner_eps, seed, biclique=b_idx, median_runs=runs
+            ln_z, steps, var = estimate_polymer_Z(
+                model, chain_config, inner_eps, seed, biclique=b_idx, median_runs=runs, mode=mode
             )
             candidates = len(candidate_table(model, chain_config.size_cap))
         records.append(
-            MixtureRecord(biclique, prefactor, ln_z, model, chain_config, candidates, steps)
+            MixtureRecord(biclique, prefactor, ln_z, var, model, chain_config, candidates, steps)
         )
         acc.add(prefactor + ln_z)
     return MixtureTable(records=tuple(records), ln_total=acc.value)
@@ -246,6 +317,7 @@ def approximate_Z(
             bicliques=len(enumerate_maximal_bicliques(matrix)),
             eps=None,
             table=None,
+            ln_stderr=0.0,
         )
 
     warnings: list[str] = []
@@ -285,6 +357,7 @@ def approximate_Z(
         bicliques=len(table.records),
         eps=eps,
         table=table,
+        ln_stderr=None if mode == "strict" else table.ln_stderr(),
         warnings=tuple(warnings),
     )
 

@@ -9,17 +9,14 @@ import pytest
 
 from polyspin import (
     EstimatorConfig,
-    PolymerChain,
+    PremiseReport,
     complete_bipartite,
-    enumerate_maximal_bicliques,
     exact,
     load_graph,
-    load_matrix,
     save_matrix,
 )
-from polyspin.dynamics import default_mixing_steps
-from polyspin.estimator import SAMPLE_FACTOR
 from polyspin.cli import build_parser, main
+from polyspin import estimator
 from polyspin import verify as verify_mod
 from polyspin.polymer import PolymerModel
 
@@ -92,8 +89,9 @@ def test_estimate_exact_path_record(tmp_path, capsys, hardcore_path):
     assert float(fields["lnZ"]) == pytest.approx(math.log(15.0), rel=1e-12)
     assert float(fields["wallclock_ms"]) > 0
     assert fields["eps"] == "-"
-    # no chain runs on the exact path
+    # no chain runs on the exact path, and its answer has no sampling error
     assert (fields["size_cap"], fields["candidates"], fields["steps"]) == ("-", "-", "0")
+    assert fields["lnZ_stderr"] == "0"
 
 
 def test_estimate_record_names_cap_candidates_and_steps(tmp_path, capsys, hardcore_path):
@@ -104,24 +102,13 @@ def test_estimate_record_names_cap_candidates_and_steps(tmp_path, capsys, hardco
     code, stdout, _ = run(argv, capsys)
     assert code == 0
     fields = dict(kv.split("=") for kv in stdout.split())
-    assert fields["lnZ"] == "7.31897548277"
-    assert (fields["size_cap"], fields["candidates"], fields["steps"]) == ("2", "28,28", "30970")
+    assert fields["lnZ"] == "7.30607853147"
+    assert (fields["size_cap"], fields["candidates"], fields["steps"]) == ("2", "28,28", "20493")
+    assert fields["lnZ_stderr"] == "0.0137862"
     _, stdout, _ = run(argv + ["--format", "json"], capsys)
     record = json.loads(stdout)
-    assert (record["size_cap"], record["candidates"], record["steps"]) == (2, "28,28", 30970)
-    # the steps are the telescope's schedule: per region whose last vertex is
-    # active, a burn-in and m sweeps of its active vertices
-    graph, matrix = load_graph(gpath), load_matrix(hardcore_path)
-    m = math.ceil(SAMPLE_FACTOR * graph.n / 0.5**2)
-    config = EstimatorConfig(size_cap=2)
-    steps = 0
-    for biclique in enumerate_maximal_bicliques(matrix):
-        model = PolymerModel(graph, matrix, biclique, 0.2)
-        for i in range(1, graph.num_vertices + 1):
-            active = PolymerChain(model, config, None, prefix=i).active_vertices
-            if active and active[-1] == i - 1:
-                steps += default_mixing_steps(config, i, 1e-3) + m * len(active)
-    assert steps == 30970
+    assert (record["size_cap"], record["candidates"], record["steps"]) == (2, "28,28", 20493)
+    assert record["lnZ_stderr"] == "0.0137862"
 
 
 def test_estimate_all_ones(tmp_path, capsys, all_ones_path):
@@ -208,6 +195,38 @@ def test_sample_record_names_the_path(tmp_path, capsys, hardcore_path):
         code, stdout, _ = run(base + extra, capsys)
         assert code == 0
         assert dict(kv.split("=") for kv in stdout.split())["mode"] == mode
+
+
+def test_sample_record_reports_its_estimate(tmp_path, capsys, hardcore_path):
+    # sample names the cap, candidates, steps and lnZ_stderr of the estimate
+    # it draws from, as estimate does with the same flags
+    gpath = str(tmp_path / "g8.txt")
+    run(["gen", "-n", "8", "-d", "3", "--seed", "1", "-o", gpath], capsys)
+    out = str(tmp_path / "samples.txt")
+    fields = ("size_cap", "candidates", "steps", "lnZ_stderr")
+    knobs = [gpath, hardcore_path, "-e", "0.5", "--seed", "7"]
+    lab = ["--eps-model", "0.2", "--size-cap", "2", "--brute-force-budget", "0"]
+    for extra, want in ((lab, ("2", "28,28", "20493", "0.0137862")), ([], ("-", "-", "0", "0"))):
+        _, estimate_out, _ = run(["estimate", *knobs, *extra], capsys)
+        code, sample_out, _ = run(["sample", *knobs, *extra, "-c", "2", "-o", out], capsys)
+        assert code == 0
+        estimate_rec = dict(kv.split("=") for kv in estimate_out.split())
+        sample_rec = dict(kv.split("=") for kv in sample_out.split())
+        assert tuple(sample_rec[k] for k in fields) == want
+        assert tuple(estimate_rec[k] for k in fields) == want
+
+
+def test_estimate_strict_record_has_no_stderr(tmp_path, capsys, hardcore_path, monkeypatch):
+    # strict mode's bound is the proof's, so it reports no standard error
+    passing = PremiseReport(True, True, 0.1, 10.0, True)
+    monkeypatch.setattr(estimator, "check_premises", lambda *args: passing)
+    gpath = str(tmp_path / "k33.txt")
+    run(["gen", "-n", "3", "-d", "3", "--seed", "1", "-o", gpath], capsys)
+    argv = ["estimate", gpath, hardcore_path, "-e", "0.9", "--seed", "1", "--mode", "strict"]
+    code, stdout, _ = run(argv + ["--eps-model", "0.4", "--brute-force-budget", "0"], capsys)
+    assert code == 0
+    fields = dict(kv.split("=") for kv in stdout.split())
+    assert (fields["mode"], fields["lnZ_stderr"]) == ("strict", "-")
 
 
 def test_sample_prints_the_estimate_warnings(tmp_path, capsys, hardcore_path):

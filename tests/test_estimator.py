@@ -10,6 +10,7 @@ import pytest
 
 from polyspin import (
     Biclique,
+    PolymerChain,
     BipartiteRegularGraph,
     PremiseReport,
     EstimatorConfig,
@@ -28,6 +29,7 @@ from polyspin import (
     spin_sample_many,
 )
 from polyspin import estimator
+from polyspin.dynamics import default_mixing_steps
 from polyspin.errors import (
     InvalidAccuracyError,
     InvalidRangeError,
@@ -50,7 +52,7 @@ from polyspin.polymer import Polymer
 def test_estimate_no_polymers_is_exact_zero(k33, all_ones2):
     model = PolymerModel(k33, all_ones2, Biclique((0, 1), (0, 1)), 0.4)
     # no ratio has a vertex a polymer can cover, so no chain step is taken
-    assert estimate_polymer_Z(model, EstimatorConfig(size_cap=1), 0.2, seed=5) == (0.0, 0)
+    assert estimate_polymer_Z(model, EstimatorConfig(size_cap=1), 0.2, seed=5) == (0.0, 0, 0.0)
 
 
 def test_estimate_matches_oracle_on_k33(k33, hardcore):
@@ -58,7 +60,7 @@ def test_estimate_matches_oracle_on_k33(k33, hardcore):
     exact = exact_polymer_Z(model)
     hits = 0
     for seed in range(10):
-        est, _ = estimate_polymer_Z(
+        est, _, _ = estimate_polymer_Z(
             model, EstimatorConfig(size_cap=model.max_size), 0.05, seed=seed
         )
         hits += abs(est - exact) <= 0.05
@@ -75,10 +77,111 @@ def test_estimate_rejects_bad_accuracy(k33, hardcore):
 
 def test_median_amplification_runs(k33, hardcore):
     model = PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), 0.4)
-    est, _ = estimate_polymer_Z(
+    est, _, _ = estimate_polymer_Z(
         model, EstimatorConfig(size_cap=2), 0.2, seed=3, median_runs=3
     )
     assert abs(est - exact_polymer_Z(model)) <= 0.2
+
+
+def test_estimate_rejects_unknown_mode(k33, hardcore):
+    model = PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), 0.4)
+    with pytest.raises(InvalidRangeError):
+        estimate_polymer_Z(model, EstimatorConfig(size_cap=1), 0.2, seed=1, mode="bogus")
+
+
+def test_lab_ratio_averages_only_the_fresh_sweeps(k33, hardcore, monkeypatch):
+    # replay the two-stage schedule from the chain's own probe sums: per
+    # ratio, PILOT_BATCHES pilot batches size m_i, and ln p comes from the
+    # m_i fresh sweeps of the next call alone
+    calls = []
+    real_run = PolymerChain.run
+
+    def recording(self, steps, probe=None):
+        out = real_run(self, steps, probe)
+        calls.append((len(self.active_vertices), steps, probe, out))
+        return out
+
+    monkeypatch.setattr(PolymerChain, "run", recording)
+    model = PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), 0.4)
+    eps_star = 0.05
+    ln_z, steps, var = estimate_polymer_Z(
+        model, EstimatorConfig(size_cap=model.max_size), eps_star, seed=3
+    )
+    m = math.ceil(estimator.SAMPLE_FACTOR * 3 / eps_star**2)
+    beta = (eps_star / estimator.STDERR_FACTOR) ** 2 / 6
+    batches, sweeps = estimator.PILOT_BATCHES, estimator.BATCH_SWEEPS
+    want_ln_z = want_var = 0.0
+    ratios = 0
+    for k in range(0, len(calls), batches + 1):
+        active, _, probe, _ = calls[k]
+        pilot, fresh = calls[k : k + batches], calls[k + batches]
+        assert [c[1:3] for c in pilot] == [(sweeps * active, probe)] * batches
+        means = [c[3] / sweeps for c in pilot]
+        p0 = sum(means) / batches
+        s2 = sum((x - p0) ** 2 for x in means) / (batches - 1)
+        samples = min(m, max(estimator.MIN_SAMPLES, math.ceil(sweeps * s2 / (p0 * p0 * beta))))
+        assert fresh[1:3] == (samples * active, probe)
+        p = fresh[3] / samples
+        want_ln_z -= math.log(p)
+        want_var += sweeps * s2 / (samples * p * p)
+        ratios += 1
+    assert ratios == 3  # polymers cover only right vertices, at spin 0 off their ground set {1}
+    assert ln_z == pytest.approx(want_ln_z, rel=1e-14)
+    assert var == pytest.approx(want_var, rel=1e-12)
+    assert steps == sum(c[1] for c in calls)
+
+
+def _cold_schedule_steps(model, config, eps_star):
+    """The steps of one run of strict mode's per-ratio schedule: per region
+    whose last vertex is active, the cold burn-in and m sweeps."""
+    m = math.ceil(estimator.SAMPLE_FACTOR * model.graph.n / eps_star**2)
+    steps = 0
+    for i in range(1, model.graph.num_vertices + 1):
+        active = PolymerChain(model, config, None, prefix=i).active_vertices
+        if active and active[-1] == i - 1:
+            steps += default_mixing_steps(config, i, 1e-3) + m * len(active)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "graph_name,eps_star,config",
+    [
+        ("k33", 0.05, EstimatorConfig(brute_force_budget=0, eps_override=0.4)),
+        ("rand-n4-d3", 0.05, EstimatorConfig(brute_force_budget=0, eps_override=0.4)),
+        ("g12-d4", 0.5, EstimatorConfig(brute_force_budget=0, eps_override=0.1, size_cap=2)),
+    ],
+)
+def test_lab_steps_never_exceed_the_cold_schedule(request, hardcore, graph_name, eps_star, config):
+    graph = {
+        "k33": lambda: request.getfixturevalue("k33"),
+        "rand-n4-d3": lambda: generate_random_regular_bipartite(4, 3, seed=42),
+        "g12-d4": lambda: generate_random_regular_bipartite(12, 4, seed=1),
+    }[graph_name]()
+    table = approximate_Z(graph, hardcore, eps_star, 0, config=config).table
+    chained = [r for r in table.records if r.chain_config is not None]
+    assert chained
+    for record in chained:
+        cold = _cold_schedule_steps(record.model, record.chain_config, eps_star)
+        assert 0 < record.steps <= cold
+
+
+def test_ln_stderr_on_each_path(k33, hardcore, all_ones2, monkeypatch):
+    assert approximate_Z(k33, hardcore, 0.5, 1).ln_stderr == 0.0  # exact path
+    lab = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
+    assert approximate_Z(k33, all_ones2, 0.5, 1, config=lab).ln_stderr == 0.0  # no polymers
+    result = approximate_Z(k33, hardcore, 0.05, 1, config=lab)
+    records = result.table.records
+    shares = [math.exp(r.ln_prefactor + r.ln_polymer_z - result.ln_value) for r in records]
+    want = math.sqrt(sum(w * w * r.ln_polymer_var for w, r in zip(shares, records)))
+    assert all(r.ln_polymer_var > 0.0 for r in records)
+    assert result.ln_stderr == pytest.approx(want, rel=1e-12)
+    # the telescope's 2n ratios share a variance budget of (eps* / 20)^2
+    assert 0.0 < result.ln_stderr <= 0.05 / estimator.STDERR_FACTOR
+    passing = PremiseReport(True, True, 0.1, 10.0, True)
+    monkeypatch.setattr(estimator, "check_premises", lambda *args: passing)
+    strict = approximate_Z(k33, hardcore, 0.9, 1, mode="strict", config=lab)
+    assert strict.ln_stderr is None
+    assert all(math.isnan(r.ln_polymer_var) for r in strict.table.records)
 
 
 # -- build_mixture ------------------------------------------------------------------
@@ -260,16 +363,16 @@ def test_fixed_seed_outputs_unchanged(k33, hardcore):
     # the determinism contract: these values are pinned byte for byte
     config = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
     values = [approximate_Z(k33, hardcore, 0.05, s, config=config).ln_value for s in range(3)]
-    assert values == [3.3326207257631792, 3.334924234527567, 3.3314861809977714]
+    assert values == [3.330151221851008, 3.3324191759366633, 3.3328833661822586]
     config = EstimatorConfig(brute_force_budget=0, eps_override=0.5, mixing_constant=1.5)
     samples = spin_sample_many(k33, hardcore, 0.05, 7, 3000, config=config)
     assert (
         hashlib.sha1(samples.tobytes()).hexdigest()
-        == "db872ce619d37dbc4aa1fea0e283256c91d19cb2"
+        == "f3a005858f2228c5361dd85adf2b27c12295c8ff"
     )
     graph = generate_random_regular_bipartite(16, 4, 1)
     config = EstimatorConfig(brute_force_budget=0, eps_override=0.1, size_cap=2)
-    assert approximate_Z(graph, hardcore, 0.8, 1, config=config).ln_value == 12.900293408589942
+    assert approximate_Z(graph, hardcore, 0.8, 1, config=config).ln_value == 12.898795705589645
 
 
 def test_strict_mode_refuses_at_desk_scale(hardcore):
