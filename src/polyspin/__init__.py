@@ -34,7 +34,6 @@ from .spin_model import (
     check_premises,
     configuration_weight_log,
     enumerate_maximal_bicliques,
-    is_biclique,
     load_matrix,
     normalize_matrix,
     parse_matrix,
@@ -68,7 +67,6 @@ __all__ = [
     "estimate_polymer_Z",
     "even_cycle",
     "generate_random_regular_bipartite",
-    "is_biclique",
     "load_graph",
     "load_matrix",
     "normalize_matrix",

@@ -221,10 +221,7 @@ def main(argv=None) -> int:
     except PremisesUnmetError as exc:
         print(f"premises unmet: {exc}", file=sys.stderr)
         return EXIT_PREMISES
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PolyspinError as exc:
+    except (FileNotFoundError, PolyspinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -68,6 +68,14 @@ MIN_SAMPLES = 128
 STDERR_FACTOR = 20.0
 
 
+def _check_run(eps_star: float, mode: str) -> None:
+    """Refuse an accuracy target outside (0, 1) or an unknown mode."""
+    if not (0.0 < eps_star < 1.0):
+        raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
+    if mode not in ("lab", "strict"):
+        raise InvalidRangeError(f"mode must be 'lab' or 'strict', got {mode!r}")
+
+
 @dataclass(frozen=True)
 class MixtureRecord:
     """One biclique's term of the mixture, with the model and the resolved
@@ -159,11 +167,8 @@ def estimate_polymer_Z(
     burn-in at the default mixing_constant. The returned variance is the
     sum of the ratios' for one lab run, and nan for a median of runs.
     """
-    if not (0.0 < eps_star < 1.0):
-        raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
+    _check_run(eps_star, mode)
     check_count("median_runs", median_runs, 1)
-    if mode not in ("lab", "strict"):
-        raise InvalidRangeError(f"mode must be 'lab' or 'strict', got {mode!r}")
     n = model.graph.n
     m = math.ceil(SAMPLE_FACTOR * n / eps_star**2)
     beta = (eps_star / STDERR_FACTOR) ** 2 / (2 * n)
@@ -241,16 +246,13 @@ def build_mixture(
     estimate_polymer_Z). A biclique whose model admits no polymers
     contributes ln Z = 0 exactly, with variance 0.
     """
-    if not (0.0 < eps_star < 1.0):
-        raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
+    _check_run(eps_star, mode)
     config = config or EstimatorConfig()
     bicliques = enumerate_maximal_bicliques(matrix)
     if mode == "strict":
         inner_eps, runs = 0.125 * eps_star, _median_schedule(eps_star, len(bicliques))
-    elif mode == "lab":
-        inner_eps, runs = eps_star, 1
     else:
-        raise InvalidRangeError(f"mode must be 'lab' or 'strict', got {mode!r}")
+        inner_eps, runs = eps_star, 1
     n = graph.n
 
     records = []
@@ -303,10 +305,7 @@ def approximate_Z(
     and uses the worst-case error split; lab mode proceeds with relaxed
     inner budgets and records that no guarantee is claimed.
     """
-    if not (0.0 < eps_star < 1.0):
-        raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
-    if mode not in ("lab", "strict"):
-        raise InvalidRangeError(f"mode must be 'lab' or 'strict', got {mode!r}")
+    _check_run(eps_star, mode)
     config = config or EstimatorConfig()
 
     exact_path, forced = exact_fallback(graph, matrix, eps_star, config.brute_force_budget)
@@ -351,13 +350,22 @@ def approximate_Z(
             f"polymer correction is vacuous: every biclique's polymer ln Z is 0 "
             f"at model eps={eps:.6g}, so lnZ counts ground states only"
         )
+    ln_stderr = None if mode == "strict" else table.ln_stderr()
+    target = eps_star / STDERR_FACTOR
+    if ln_stderr is not None and ln_stderr > target:
+        m = math.ceil(SAMPLE_FACTOR * graph.n / eps_star**2)
+        warnings.append(
+            f"lnZ_stderr={ln_stderr:.6g} misses its target eps_star/{STDERR_FACTOR:g} = "
+            f"{target:.6g}: the ratios' sample counts stop at the ceiling "
+            f"m = ceil({SAMPLE_FACTOR:g} n / eps_star^2) = {m} sweeps"
+        )
     return ApproxResult(
         ln_value=table.ln_total,
         mode=mode,
         bicliques=len(table.records),
         eps=eps,
         table=table,
-        ln_stderr=None if mode == "strict" else table.ln_stderr(),
+        ln_stderr=ln_stderr,
         warnings=tuple(warnings),
     )
 
@@ -418,10 +426,7 @@ def spin_sample_many(
     approximate_Z, the draws are exact (exact.sample); otherwise they come
     from sample_mixture on approximate_Z's table.
     """
-    if not (0.0 < eps_star < 1.0):
-        raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
-    if mode not in ("lab", "strict"):
-        raise InvalidRangeError(f"mode must be 'lab' or 'strict', got {mode!r}")
+    _check_run(eps_star, mode)
     check_count("count", count, 0)
     config = config or EstimatorConfig()
     if count == 0:

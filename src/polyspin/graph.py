@@ -53,7 +53,6 @@ class BipartiteRegularGraph:
         self.adjacency = adj
         self.degree = max_degree  # common degree when regular, else max degree
         self.is_regular = regular
-        self.oracle_only = oracle_only
         edges = [(v, u) for v in range(n) for u in adj[v]]
         self.edge_array = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
         self.num_edges = self.edge_array.shape[0]

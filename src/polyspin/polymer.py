@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidRangeError, ResourceLimitError
 from .logspace import NEG_INF
-from .spin_model import Biclique, InteractionMatrix, is_biclique
+from .spin_model import Biclique, InteractionMatrix, enumerate_maximal_bicliques
 
 SIZE_FUZZ = 1e-9  # 2*eps*n can land one ulp under an integer; bound is inclusive
 
@@ -94,10 +94,9 @@ class PolymerModel:
     ):
         if not (0.0 < eps < 1.0):
             raise InvalidRangeError(f"eps must lie in (0,1), got {eps}")
-        if not is_biclique(matrix, biclique.b0, biclique.b1):
-            raise InvalidRangeError(f"{biclique} is not a biclique of the matrix")
         # the boundary bound F_u <= |B_i|-1+delta needs maximality
-        _assert_maximal(matrix, biclique)
+        if biclique not in enumerate_maximal_bicliques(matrix):
+            raise InvalidRangeError(f"{biclique} is not a maximal biclique of the matrix")
         self.graph = graph
         self.matrix = matrix
         self.biclique = biclique
@@ -216,12 +215,3 @@ class PolymerModel:
         out.sort()
         return [Polymer(vertices, spins) for vertices, spins in out]
 
-
-def _assert_maximal(matrix: InteractionMatrix, biclique: Biclique) -> None:
-    q = matrix.q
-    s0, s1 = set(biclique.b0), set(biclique.b1)
-    for j in range(q):
-        if j not in s0 and is_biclique(matrix, s0 | {j}, s1):
-            raise InvalidRangeError(f"{biclique} not maximal: spin {j} extends b0")
-        if j not in s1 and is_biclique(matrix, s0, s1 | {j}):
-            raise InvalidRangeError(f"{biclique} not maximal: spin {j} extends b1")

@@ -8,6 +8,7 @@ form and reports the log-scale factor that restores raw-matrix weights.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,10 +26,20 @@ from .logspace import NEG_INF
 DEFAULT_DELTA = 0.5  # used when every non-1 entry is 0 and any delta in (0,1) works
 
 
-def _require_finite(arr: np.ndarray) -> None:
+def _check_entries(arr: np.ndarray) -> None:
+    """Refuse a matrix that is not square q x q with q >= 2 or whose entries
+    are not finite, symmetric and nonnegative."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise InvalidRangeError(f"matrix must be square, got shape {arr.shape}")
+    if arr.shape[0] < 2:
+        raise InvalidRangeError(f"need q >= 2 spins, got q={arr.shape[0]}")
     # checked before symmetry: nan != nan would read as an asymmetric matrix
     if not np.all(np.isfinite(arr)):
         raise InvalidRangeError("matrix entries must be finite")
+    if not np.array_equal(arr, arr.T):
+        raise AsymmetricMatrixError("matrix must be symmetric (exact equality)")
+    if np.any(arr < 0.0):
+        raise InvalidRangeError("matrix entries must be nonnegative")
 
 
 class InteractionMatrix:
@@ -43,16 +54,7 @@ class InteractionMatrix:
     def __init__(self, entries, delta: float):
         arr = np.array(entries, dtype=float)
         arr.setflags(write=False)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidRangeError(f"entries must be square, got shape {arr.shape}")
-        q = arr.shape[0]
-        if q < 2:
-            raise InvalidRangeError(f"need q >= 2 spins, got q={q}")
-        _require_finite(arr)
-        if not np.array_equal(arr, arr.T):
-            raise AsymmetricMatrixError("interaction matrix must be symmetric")
-        if np.any(arr < 0.0):
-            raise InvalidRangeError("interaction matrix entries must be nonnegative")
+        _check_entries(arr)
         if arr.max() != 1.0:
             raise InvalidRangeError("normalized matrix must have max entry exactly 1")
         if not (0.0 < delta < 1.0):
@@ -62,7 +64,7 @@ class InteractionMatrix:
             raise InvalidRangeError(
                 f"entry {off.max()} exceeds delta={delta} but is not 1"
             )
-        self.q = q
+        self.q = arr.shape[0]
         self.entries = arr
         self.delta = float(delta)
         with np.errstate(divide="ignore"):
@@ -95,15 +97,6 @@ class Biclique:
         return self.b0 if i == 0 else self.b1
 
 
-def is_biclique(matrix: InteractionMatrix, b0, b1) -> bool:
-    """True iff matrix[i, j] == 1 for every i in b0, j in b1."""
-    b0 = list(b0)
-    b1 = list(b1)
-    if not b0 or not b1:
-        return True  # vacuous
-    return bool(np.all(matrix.entries[np.ix_(b0, b1)] == 1.0))
-
-
 def normalize_matrix(raw):
     """Scale a raw symmetric nonnegative matrix to normalized form.
 
@@ -114,15 +107,7 @@ def normalize_matrix(raw):
     stored.
     """
     arr = np.array(raw, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidRangeError(f"matrix must be square, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise InvalidRangeError("need q >= 2 spins")
-    _require_finite(arr)
-    if not np.array_equal(arr, arr.T):
-        raise AsymmetricMatrixError("matrix must be symmetric (exact equality)")
-    if np.any(arr < 0.0):
-        raise InvalidRangeError("matrix entries must be nonnegative")
+    _check_entries(arr)
     top = float(arr.max())
     if top == 0.0:
         raise AllZeroMatrixError("all entries are zero; Z=0 on any nonempty graph")
@@ -137,49 +122,26 @@ def normalize_matrix(raw):
 
 
 def enumerate_maximal_bicliques(matrix: InteractionMatrix) -> list[Biclique]:
-    """All inclusion-maximal bicliques with both sides nonempty.
+    """All inclusion-maximal bicliques with both sides nonempty, sorted by
+    (b0, b1); PolymerModel admits exactly these.
 
-    Uses the closure characterization: (B0, B1) is maximal iff B1 is the
-    full set of columns compatible with B0 and vice versa, so it suffices
-    to close each nonempty row subset (2^q closures instead of the 2^q x
-    2^q pair scan; the pair scan survives as the test oracle). Output is
-    sorted lexicographically by (b0, b1).
+    (B0, B1) is maximal iff B1 is the set of columns where every row of B0
+    has a 1, and B0 the set of rows whose 1-columns contain B1. Closing
+    each nonempty row set this way reaches every maximal biclique (from its
+    own B0), so the closed nonempty B1 sets list them all. The 2^q x 2^q
+    pair scan survives as the test oracle.
     """
     q = matrix.q
-    ones = matrix.entries == 1.0
-    full = (1 << q) - 1
-
-    col_mask = [0] * q  # col_mask[i] = bitmask of j with H[i,j] == 1
-    for i in range(q):
-        m = 0
-        for j in range(q):
-            if ones[i, j]:
-                m |= 1 << j
-        col_mask[i] = m
-
-    def common(mask: int) -> int:
-        out = full
-        i = 0
-        while mask:
-            if mask & 1:
-                out &= col_mask[i]
-                if not out:
-                    return 0
-            mask >>= 1
-            i += 1
-        return out
-
-    def bits(mask: int) -> tuple[int, ...]:
-        return tuple(i for i in range(q) if (mask >> i) & 1)
-
-    found = set()
-    for sub in range(1, 1 << q):
-        b1 = common(sub)
-        if not b1:
-            continue
-        b0 = common(b1)  # closure; symmetric H makes row/col roles interchangeable
-        found.add((b0, b1))
-    return sorted(Biclique(bits(m0), bits(m1)) for m0, m1 in found)
+    ones = [frozenset(np.flatnonzero(row == 1.0).tolist()) for row in matrix.entries]
+    closed = {
+        frozenset.intersection(*(ones[i] for i in rows))
+        for size in range(1, q + 1)
+        for rows in itertools.combinations(range(q), size)
+    }
+    closed.discard(frozenset())
+    return sorted(
+        Biclique(tuple(i for i in range(q) if ones[i] >= b1), tuple(b1)) for b1 in closed
+    )
 
 
 def configuration_weight_log(graph, matrix: InteractionMatrix, sigma) -> float:

@@ -177,11 +177,26 @@ def test_ln_stderr_on_each_path(k33, hardcore, all_ones2, monkeypatch):
     assert result.ln_stderr == pytest.approx(want, rel=1e-12)
     # the telescope's 2n ratios share a variance budget of (eps* / 20)^2
     assert 0.0 < result.ln_stderr <= 0.05 / estimator.STDERR_FACTOR
+    assert not any("misses its target" in w for w in result.warnings)
     passing = PremiseReport(True, True, 0.1, 10.0, True)
     monkeypatch.setattr(estimator, "check_premises", lambda *args: passing)
     strict = approximate_Z(k33, hardcore, 0.9, 1, mode="strict", config=lab)
     assert strict.ln_stderr is None
     assert all(math.isnan(r.ln_polymer_var) for r in strict.table.records)
+
+
+def test_stderr_warning_names_the_sample_ceiling():
+    # antiferromagnetic 3-Potts at cap 3: many ratios would need more than
+    # the ceiling m = ceil(8 n / eps*^2) = 256 sweeps to reach eps*/20
+    potts_af = InteractionMatrix(np.where(np.eye(3, dtype=bool), 0.2, 1.0), 0.2)
+    graph = generate_random_regular_bipartite(8, 3, seed=1)
+    config = EstimatorConfig(brute_force_budget=0, eps_override=0.2, size_cap=3)
+    result = approximate_Z(graph, potts_af, 0.5, 7, config=config)
+    assert result.ln_stderr > 0.5 / estimator.STDERR_FACTOR
+    assert any(
+        "misses its target eps_star/20 = 0.025" in w and "m = ceil(8 n / eps_star^2) = 256" in w
+        for w in result.warnings
+    )
 
 
 # -- build_mixture ------------------------------------------------------------------

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyspin import (
     Biclique,
@@ -21,7 +24,12 @@ from polyspin.oracle import ground_state_sum_log
 from polyspin.polymer import connected_vertex_sets
 from polyspin.verify import sampling_condition
 
-from conftest import bfs_distances, brute_force_connected_sets, random_delta_matrix
+from conftest import (
+    bfs_distances,
+    brute_force_connected_sets,
+    brute_force_maximal_bicliques,
+    random_delta_matrix,
+)
 
 
 def hardcore_model(graph, hardcore, eps=0.4) -> PolymerModel:
@@ -290,6 +298,35 @@ def test_model_rejects_non_maximal_biclique(k33, hardcore):
 def test_model_rejects_non_biclique(k33, hardcore):
     with pytest.raises(InvalidRangeError):
         PolymerModel(k33, hardcore, Biclique((0,), (0,)), 0.4)
+
+
+def test_model_rejects_out_of_range_spins(k33, hardcore):
+    for biclique in (Biclique((0, 1), (2,)), Biclique((-1,), (1,))):
+        with pytest.raises(InvalidRangeError):
+            PolymerModel(k33, hardcore, biclique, 0.4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 4))
+def test_model_admits_exactly_the_maximal_bicliques(k33, seed, q):
+    rng = np.random.default_rng(seed)
+    raw = rng.choice([0.0, 0.3, 1.0], size=(q, q))
+    raw = np.maximum(raw, raw.T)
+    i, j = rng.integers(0, q, size=2)
+    raw[i, j] = raw[j, i] = 1.0
+    matrix = InteractionMatrix(raw, 0.5)
+    maximal = brute_force_maximal_bicliques(matrix)
+    subsets = [
+        combo for size in range(1, q + 1) for combo in itertools.combinations(range(q), size)
+    ]
+    for b0 in subsets:
+        for b1 in subsets:
+            biclique = Biclique(b0, b1)
+            if biclique in maximal:
+                assert PolymerModel(k33, matrix, biclique, 0.4).biclique == biclique
+            else:
+                with pytest.raises(InvalidRangeError):
+                    PolymerModel(k33, matrix, biclique, 0.4)
 
 
 def test_random_matrices_keep_boundary_bound(rand43):

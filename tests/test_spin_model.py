@@ -15,7 +15,6 @@ from polyspin import (
     configuration_weight_log,
     enumerate_maximal_bicliques,
     even_cycle,
-    is_biclique,
     normalize_matrix,
     parse_matrix,
 )
@@ -132,6 +131,11 @@ def test_maximal_bicliques_match_subset_pair_scan():
             assert enumerate_maximal_bicliques(matrix) == brute_force_maximal_bicliques(
                 matrix
             )
+
+
+def is_biclique(matrix: InteractionMatrix, b0, b1) -> bool:
+    """True iff matrix[i, j] == 1 for every i in b0, j in b1."""
+    return all(matrix.entries[i, j] == 1.0 for i in b0 for j in b1)
 
 
 @settings(max_examples=40, deadline=None)
