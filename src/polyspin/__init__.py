@@ -7,7 +7,6 @@ from .estimator import (
     ApproxResult,
     EstimatorConfig,
     MixtureRecord,
-    MixtureTable,
     approximate_Z,
     build_mixture,
     estimate_polymer_Z,
@@ -32,7 +31,6 @@ from .spin_model import (
     InteractionMatrix,
     PremiseReport,
     check_premises,
-    configuration_weight_log,
     enumerate_maximal_bicliques,
     load_matrix,
     normalize_matrix,
@@ -50,7 +48,6 @@ __all__ = [
     "EstimatorConfig",
     "InteractionMatrix",
     "MixtureRecord",
-    "MixtureTable",
     "Polymer",
     "PolymerChain",
     "PolymerModel",
@@ -62,7 +59,6 @@ __all__ = [
     "check_expansion_inequalities",
     "check_premises",
     "complete_bipartite",
-    "configuration_weight_log",
     "enumerate_maximal_bicliques",
     "estimate_polymer_Z",
     "even_cycle",

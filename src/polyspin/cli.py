@@ -67,16 +67,15 @@ def _config(args) -> estimator.EstimatorConfig:
     )
 
 
-def _run_fields(table, ln_stderr) -> dict:
+def _run_fields(records, ln_stderr) -> dict:
     """The mixture's resolved size cap (0 when no biclique admits polymers),
     candidate count per biclique, total telescope steps and the standard
-    error of lnZ. Without a table no chain ran: no cap or candidates and 0
+    error of lnZ. Without records no chain ran: no cap or candidates and 0
     steps; ln_stderr is 0 on the exact path and None ("-") where no error
     is estimated (strict mode, or no estimate at all)."""
     stderr = "-" if ln_stderr is None else f"{ln_stderr:.6g}"
-    if table is None:
+    if not records:
         return {"size_cap": "-", "candidates": "-", "steps": 0, "lnZ_stderr": stderr}
-    records = table.records
     return {
         "size_cap": max((r.chain_config.size_cap for r in records if r.chain_config), default=0),
         "candidates": ",".join(str(r.candidates) for r in records),
@@ -100,7 +99,7 @@ def cmd_estimate(args) -> int:
         "eps": "-" if result.eps is None else f"{result.eps:.6g}",
         "seed": args.seed,
         "bicliques": result.bicliques,
-        **_run_fields(result.table, result.ln_stderr),
+        **_run_fields(result.records, result.ln_stderr),
         "wallclock_ms": f"{elapsed_ms:.3f}",
     }
     _emit(record, args.format)
@@ -113,19 +112,19 @@ def cmd_sample(args) -> int:
     graph = load_graph(args.graph, oracle_only=args.relaxed)
     matrix = load_matrix(args.matrix)
     config = _config(args)
-    exact_path, _ = estimator.exact_fallback(graph, matrix, args.eps, config.brute_force_budget)
+    exact_path = estimator.exact_fallback(graph, matrix, config.brute_force_budget)
     warnings = ()
     if exact_path or args.count < 1:  # a count below 1 needs no estimate: refused or empty
         samples = estimator.spin_sample_many(
             graph, matrix, args.eps, args.seed, args.count, mode=args.mode, config=config
         )
-        fields = _run_fields(None, 0.0 if exact_path else None)
+        fields = _run_fields((), 0.0 if exact_path else None)
     else:
         result = estimator.approximate_Z(
             graph, matrix, args.eps, args.seed, mode=args.mode, config=config
         )
-        samples = estimator.sample_mixture(result.table, args.eps, args.seed, args.count)
-        fields = _run_fields(result.table, result.ln_stderr)
+        samples = estimator.sample_mixture(result, args.eps, args.seed, args.count)
+        fields = _run_fields(result.records, result.ln_stderr)
         warnings = result.warnings
     with open(args.out, "w", encoding="utf-8") as fh:
         for row in samples:

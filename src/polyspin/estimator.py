@@ -9,7 +9,9 @@ The per-biclique estimates combine into the mixture
     sum over (B_0,B_1) of |B_0|^n |B_1|^n * Z^{B_0,B_1},
 everything in log-space; in lab mode their variances combine into the
 standard error of ln Z, each weighted by its biclique's squared mass
-share. Configuration sampling draws a biclique from the mixture, a polymer
+share. One ApproxResult holds the outcome: ln Z, its standard error and
+the per-biclique MixtureRecords, which the exact path leaves empty.
+Configuration sampling draws a biclique from a result's records, a polymer
 configuration from its chain, and fills the remaining vertices: ground
 spins uniformly off the boundary, and boundary vertices u with P(j)
 proportional to prod of H[j, spin of covered neighbors].
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,9 +80,9 @@ def _check_run(eps_star: float, mode: str) -> None:
 
 @dataclass(frozen=True)
 class MixtureRecord:
-    """One biclique's term of the mixture, with the model and the resolved
-    chain config (None when the model admits no polymers) that both the
-    estimate and the sampler's draws use."""
+    """One biclique's term of the mixture, as an ApproxResult lists it, with
+    the model and the resolved chain config (None when the model admits no
+    polymers) that both the estimate and sample_mixture's draws use."""
 
     biclique: Biclique
     ln_prefactor: float  # n ln|B_0| + n ln|B_1|
@@ -93,31 +95,17 @@ class MixtureRecord:
 
 
 @dataclass(frozen=True)
-class MixtureTable:
-    records: tuple[MixtureRecord, ...]
-    ln_total: float
-
-    def biclique_log_masses(self) -> np.ndarray:
-        return np.array([r.ln_prefactor + r.ln_polymer_z for r in self.records])
-
-    def ln_stderr(self) -> float:
-        """Standard error of ln_total (nan in strict mode): d ln_total /
-        d ln Z_b is biclique b's mass share, so the variances add weighted
-        by the squared shares."""
-        shares = np.exp(self.biclique_log_masses() - self.ln_total)
-        var = sum(w * w * r.ln_polymer_var for w, r in zip(shares.tolist(), self.records))
-        return math.sqrt(var)
-
-
-@dataclass(frozen=True)
 class ApproxResult:
     ln_value: float
     mode: str  # "exact" | "lab" | "strict"
     bicliques: int
-    eps: float | None
-    table: MixtureTable | None
+    eps: float | None  # the model closeness; None on the exact path
+    records: tuple[MixtureRecord, ...]  # one per biclique; empty on the exact path
     ln_stderr: float | None  # 0 on the exact path, None in strict mode
     warnings: tuple[str, ...] = field(default=())
+
+    def biclique_log_masses(self) -> np.ndarray:
+        return np.array([r.ln_prefactor + r.ln_polymer_z for r in self.records])
 
 
 def estimate_polymer_Z(
@@ -181,12 +169,9 @@ def estimate_polymer_Z(
         ln_z = 0.0
         for i in range(1, model.graph.num_vertices + 1):
             chain.grow(i)
-            if mode == "strict":
-                ln_z -= math.log(_uncovered_ratio(chain, config, m))
-            else:
-                p, p_var = _two_stage_ratio(chain, m, beta)
-                ln_z -= math.log(p)
-                var += p_var
+            p, p_var = _ratio(chain, config, m, beta, mode)
+            ln_z -= math.log(p)
+            var += p_var
         values.append(ln_z)
         steps += chain.steps_taken
     if mode == "strict" or median_runs > 1:
@@ -194,28 +179,26 @@ def estimate_polymer_Z(
     return float(np.median(values)), steps, var
 
 
-def _uncovered_ratio(chain: PolymerChain, config: EstimatorConfig, m: int) -> float:
-    """Mean P(region's last vertex uncovered | the rest) over m sweeps after a burn-in."""
-    v = chain.prefix - 1
-    active = chain.active_vertices  # ascending, so v is active iff it is last
-    if not active or active[-1] != v:
-        return 1.0  # no region polymer covers v
-    chain.run(default_mixing_steps(config, chain.prefix, 1e-3))
-    return chain.run(m * len(active), probe=v) / m
-
-
-def _two_stage_ratio(chain: PolymerChain, m: int, beta: float) -> tuple[float, float]:
-    """Lab mode's ratio and the variance of its log: a pilot of batch means
-    sizes the count of fresh sweeps, whose mean alone is the ratio."""
+def _ratio(
+    chain: PolymerChain, config: EstimatorConfig, m: int, beta: float, mode: str
+) -> tuple[float, float]:
+    """Mean P(region's last vertex uncovered | the rest) over fresh sweeps,
+    and the variance of its log. Strict mode takes m sweeps after a cold
+    burn-in and reports variance nan; lab mode's pilot of batch means sizes
+    the count of fresh sweeps, whose mean alone is the ratio."""
     v = chain.prefix - 1
     active = chain.active_vertices  # ascending, so v is active iff it is last
     if not active or active[-1] != v:
         return 1.0, 0.0  # no region polymer covers v
-    batch = BATCH_SWEEPS * len(active)
-    means = [chain.run(batch, probe=v) / BATCH_SWEEPS for _ in range(PILOT_BATCHES)]
-    p0 = sum(means) / PILOT_BATCHES
-    s2 = sum((x - p0) ** 2 for x in means) / (PILOT_BATCHES - 1)
-    samples = min(m, max(MIN_SAMPLES, math.ceil(BATCH_SWEEPS * s2 / (p0 * p0 * beta))))
+    if mode == "strict":
+        chain.run(default_mixing_steps(config, chain.prefix, 1e-3))
+        samples, s2 = m, math.nan
+    else:
+        batch = BATCH_SWEEPS * len(active)
+        means = [chain.run(batch, probe=v) / BATCH_SWEEPS for _ in range(PILOT_BATCHES)]
+        p0 = sum(means) / PILOT_BATCHES
+        s2 = sum((x - p0) ** 2 for x in means) / (PILOT_BATCHES - 1)
+        samples = min(m, max(MIN_SAMPLES, math.ceil(BATCH_SWEEPS * s2 / (p0 * p0 * beta))))
     p = chain.run(samples * len(active), probe=v) / samples
     return p, BATCH_SWEEPS * s2 / (samples * p * p)
 
@@ -230,24 +213,31 @@ def _median_schedule(eps_star: float, num_bicliques: int) -> int:
 def build_mixture(
     graph: BipartiteRegularGraph,
     matrix: InteractionMatrix,
-    eps: float,
     eps_star: float,
     seed: int,
     *,
     config: EstimatorConfig | None = None,
     mode: str = "lab",
-) -> MixtureTable:
-    """Per-maximal-biclique estimates assembled by log-sum-exp.
+) -> ApproxResult:
+    """Per-maximal-biclique estimates assembled by log-sum-exp, as an
+    ApproxResult without warnings.
 
-    The mode sets the schedule. Strict: each biclique at accuracy
-    eps_star/8 on the proof's per-ratio schedule, with median amplification
-    sized so the union failure mass stays below eps_star/16. Lab: each
-    biclique in one two-stage run at accuracy eps_star (see
-    estimate_polymer_Z). A biclique whose model admits no polymers
-    contributes ln Z = 0 exactly, with variance 0.
+    The model closeness eps is config.eps_override, or else the analysis
+    epsilon proof_epsilon(matrix, degree). The mode sets the schedule.
+    Strict: each biclique at accuracy eps_star/8 on the proof's per-ratio
+    schedule, with median amplification sized so the union failure mass
+    stays below eps_star/16. Lab: each biclique in one two-stage run at
+    accuracy eps_star (see estimate_polymer_Z). A biclique whose model
+    admits no polymers contributes ln Z = 0 exactly, with variance 0. Lab
+    mode reports the standard error of ln Z: d ln Z / d ln Z_b is biclique
+    b's mass share, so the variances add weighted by the squared shares.
+    Strict mode reports none.
     """
     _check_run(eps_star, mode)
     config = config or EstimatorConfig()
+    eps = config.eps_override
+    if eps is None:
+        eps = proof_epsilon(matrix, graph.degree)
     bicliques = enumerate_maximal_bicliques(matrix)
     if mode == "strict":
         inner_eps, runs = 0.125 * eps_star, _median_schedule(eps_star, len(bicliques))
@@ -272,19 +262,18 @@ def build_mixture(
             MixtureRecord(biclique, prefactor, ln_z, var, model, chain_config, candidates, steps)
         )
         acc.add(prefactor + ln_z)
-    return MixtureTable(records=tuple(records), ln_total=acc.value)
+    result = ApproxResult(acc.value, mode, len(records), eps, tuple(records), None)
+    if mode == "strict":
+        return result
+    shares = np.exp(result.biclique_log_masses() - result.ln_value)
+    var = sum(w * w * r.ln_polymer_var for w, r in zip(shares.tolist(), records))
+    return replace(result, ln_stderr=math.sqrt(var))
 
 
-def exact_fallback(graph, matrix, eps_star, budget) -> tuple[bool, bool]:
-    """(exact, forced): whether the exact path runs, and whether eps_star
-    lies below the small-instance threshold 9 e^{-n/(4q)}.
-
-    The exact path runs iff its q^n left configurations fit the budget, so
-    a budget <= 0 disables it. forced only picks the warning when it does
-    not run.
-    """
-    forced = eps_star < 9.0 * math.exp(-graph.n / (4.0 * matrix.q))
-    return matrix.q**graph.n <= budget, forced
+def exact_fallback(graph, matrix, budget) -> bool:
+    """Whether the exact path runs: iff its q^n left configurations fit the
+    budget, so a budget <= 0 disables it."""
+    return matrix.q**graph.n <= budget
 
 
 def approximate_Z(
@@ -299,28 +288,28 @@ def approximate_Z(
     """Estimate ln Z_{G,H} to relative accuracy eps_star.
 
     Small instances, whose q^n left configurations fit the brute-force
-    budget, are answered exactly by exact.log_Z. Otherwise the polymer
-    mixture runs at the analysis epsilon (or config.eps_override). Strict
-    mode certifies lambda(G), refuses when the degree/gap premises fail,
-    and uses the worst-case error split; lab mode proceeds with relaxed
-    inner budgets and records that no guarantee is claimed.
+    budget, are answered exactly by exact.log_Z. Otherwise build_mixture
+    runs. Strict mode certifies lambda(G), refuses when the degree/gap
+    premises fail, and uses the worst-case error split; lab mode proceeds
+    with relaxed inner budgets and records that no guarantee is claimed.
+    A warning names an eps_star below the small-instance threshold
+    9 e^{-n/(4q)} that the exact path could not serve.
     """
     _check_run(eps_star, mode)
     config = config or EstimatorConfig()
 
-    exact_path, forced = exact_fallback(graph, matrix, eps_star, config.brute_force_budget)
-    if exact_path:
+    if exact_fallback(graph, matrix, config.brute_force_budget):
         return ApproxResult(
             ln_value=exact.log_Z(graph, matrix),
             mode="exact",
             bicliques=len(enumerate_maximal_bicliques(matrix)),
             eps=None,
-            table=None,
+            records=(),
             ln_stderr=0.0,
         )
 
     warnings: list[str] = []
-    if forced:
+    if eps_star < 9.0 * math.exp(-graph.n / (4.0 * matrix.q)):
         if config.brute_force_budget <= 0:
             reason = f"exact path is disabled (brute_force_budget={config.brute_force_budget})"
         else:
@@ -332,9 +321,6 @@ def approximate_Z(
             "accuracy target is below the small-instance threshold but the "
             f"{reason}; polymer estimate carries no bound"
         )
-    eps = config.eps_override
-    if eps is None:
-        eps = proof_epsilon(matrix, graph.degree)
     if mode == "strict":
         cert = second_eigenvalue(graph)
         lam_used = max(cert.lam, 1e-300)  # lambda=0 means perfect expansion
@@ -344,30 +330,21 @@ def approximate_Z(
     else:
         warnings.append("lab mode: premises unchecked, no accuracy guarantee claimed")
 
-    table = build_mixture(graph, matrix, eps, eps_star, seed, config=config, mode=mode)
-    if all(rec.ln_polymer_z == 0.0 for rec in table.records):
+    result = build_mixture(graph, matrix, eps_star, seed, config=config, mode=mode)
+    if all(rec.ln_polymer_z == 0.0 for rec in result.records):
         warnings.append(
             f"polymer correction is vacuous: every biclique's polymer ln Z is 0 "
-            f"at model eps={eps:.6g}, so lnZ counts ground states only"
+            f"at model eps={result.eps:.6g}, so lnZ counts ground states only"
         )
-    ln_stderr = None if mode == "strict" else table.ln_stderr()
     target = eps_star / STDERR_FACTOR
-    if ln_stderr is not None and ln_stderr > target:
+    if result.ln_stderr is not None and result.ln_stderr > target:
         m = math.ceil(SAMPLE_FACTOR * graph.n / eps_star**2)
         warnings.append(
-            f"lnZ_stderr={ln_stderr:.6g} misses its target eps_star/{STDERR_FACTOR:g} = "
+            f"lnZ_stderr={result.ln_stderr:.6g} misses its target eps_star/{STDERR_FACTOR:g} = "
             f"{target:.6g}: the ratios' sample counts stop at the ceiling "
             f"m = ceil({SAMPLE_FACTOR:g} n / eps_star^2) = {m} sweeps"
         )
-    return ApproxResult(
-        ln_value=table.ln_total,
-        mode=mode,
-        bicliques=len(table.records),
-        eps=eps,
-        table=table,
-        ln_stderr=ln_stderr,
-        warnings=tuple(warnings),
-    )
+    return replace(result, warnings=tuple(warnings))
 
 
 # -- configuration sampling ------------------------------------------------------
@@ -424,7 +401,7 @@ def spin_sample_many(
 
     When the q^n left configurations fit the brute-force budget, as in
     approximate_Z, the draws are exact (exact.sample); otherwise they come
-    from sample_mixture on approximate_Z's table.
+    from sample_mixture on approximate_Z's result.
     """
     _check_run(eps_star, mode)
     check_count("count", count, 0)
@@ -432,21 +409,32 @@ def spin_sample_many(
     if count == 0:
         return np.empty((0, graph.num_vertices), dtype=np.int64)
 
-    if exact_fallback(graph, matrix, eps_star, config.brute_force_budget)[0]:
+    if exact_fallback(graph, matrix, config.brute_force_budget):
         return exact.sample(graph, matrix, count, random_stream(seed, EXACT, 0, 0))
 
-    table = approximate_Z(graph, matrix, eps_star, seed, mode=mode, config=config).table
-    return sample_mixture(table, eps_star, seed, count)
+    result = approximate_Z(graph, matrix, eps_star, seed, mode=mode, config=config)
+    return sample_mixture(result, eps_star, seed, count)
 
 
-def sample_mixture(table: MixtureTable, eps_star: float, seed: int, count: int) -> np.ndarray:
+def sample_mixture(result: ApproxResult, eps_star: float, seed: int, count: int) -> np.ndarray:
     """Draw `count` configurations from an estimated mixture; shape (count, 2n).
 
-    Pipeline per draw: biclique by its mass in the table, polymer
-    configuration from its chain at accuracy eps_star/6, then spin_fill.
+    Pipeline per draw: biclique by its mass in the result's records, polymer
+    configuration from its chain at accuracy eps_star/6, then spin_fill. An
+    exact-path result has no records to draw from (spin_sample_many draws
+    exactly there); it, an eps_star outside (0, 1) and a bad count are
+    refused before any stream is drawn.
     """
-    num = table.records[0].model.graph.num_vertices
-    masses = table.biclique_log_masses()
+    records = result.records
+    if not records:
+        raise InvalidRangeError(
+            "an exact-path result has no mixture records to draw from; "
+            "spin_sample_many draws exactly there"
+        )
+    _check_run(eps_star, result.mode)
+    check_count("count", count, 0)
+    num = records[0].model.graph.num_vertices
+    masses = result.biclique_log_masses()
     probs = np.exp(masses - masses.max())
     probs /= probs.sum()
     cdf = np.cumsum(probs)
@@ -454,8 +442,8 @@ def sample_mixture(table: MixtureTable, eps_star: float, seed: int, count: int) 
     out = np.empty((count, num), dtype=np.int64)
     for d in range(count):
         b_idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-        b_idx = min(b_idx, len(table.records) - 1)
-        record = table.records[b_idx]
+        b_idx = min(b_idx, len(records) - 1)
+        record = records[b_idx]
         polymers = ()
         if record.chain_config is not None:
             polymers = sample_polymer_config(

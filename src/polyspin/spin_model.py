@@ -1,4 +1,4 @@
-"""Interaction matrices, bicliques, configuration weights, premise checks.
+"""Interaction matrices, bicliques, premise checks.
 
 Spins are 0-based: [q] = {0, ..., q-1}. An interaction matrix is kept in
 normalized form (largest entry exactly 1, every other entry <= delta for a
@@ -21,7 +21,6 @@ from .errors import (
     InvalidRangeError,
     MatrixFormatError,
 )
-from .logspace import NEG_INF
 
 DEFAULT_DELTA = 0.5  # used when every non-1 entry is 0 and any delta in (0,1) works
 
@@ -142,25 +141,6 @@ def enumerate_maximal_bicliques(matrix: InteractionMatrix) -> list[Biclique]:
     return sorted(
         Biclique(tuple(i for i in range(q) if ones[i] >= b1), tuple(b1)) for b1 in closed
     )
-
-
-def configuration_weight_log(graph, matrix: InteractionMatrix, sigma) -> float:
-    """ln of the configuration weight: sum over edges of ln H[s_u, s_v].
-
-    Returns -inf when any edge factor is exactly 0.
-    """
-    sig = np.asarray(sigma, dtype=np.int64)
-    if sig.shape != (graph.num_vertices,):
-        raise InvalidRangeError(
-            f"configuration length {sig.shape} != {graph.num_vertices} vertices"
-        )
-    edges = graph.edge_array
-    if edges.shape[0] == 0:
-        return 0.0
-    terms = matrix.log_entries[sig[edges[:, 0]], sig[edges[:, 1]]]
-    if np.any(np.isneginf(terms)):
-        return NEG_INF
-    return float(terms.sum())
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from polyspin import (
@@ -12,6 +13,8 @@ from polyspin import (
     normalize_matrix,
     verify,
 )
+from polyspin.errors import InvalidRangeError
+from polyspin.logspace import NEG_INF
 from polyspin.verify import random_delta_matrix  # noqa: F401  (imported by test modules)
 
 
@@ -134,3 +137,20 @@ def brute_force_connected_sets(adj: dict[int, tuple[int, ...]], size_cap: int):
             if len(seen) == r:
                 found.add(combo)
     return found
+
+
+def configuration_weight_log(graph, matrix: InteractionMatrix, sigma) -> float:
+    """ln of the configuration weight: sum over edges of ln H[s_u, s_v]
+    (reference). Returns -inf when any edge factor is exactly 0."""
+    sig = np.asarray(sigma, dtype=np.int64)
+    if sig.shape != (graph.num_vertices,):
+        raise InvalidRangeError(
+            f"configuration length {sig.shape} != {graph.num_vertices} vertices"
+        )
+    edges = graph.edge_array
+    if edges.shape[0] == 0:
+        return 0.0
+    terms = matrix.log_entries[sig[edges[:, 0]], sig[edges[:, 1]]]
+    if np.any(np.isneginf(terms)):
+        return NEG_INF
+    return float(terms.sum())

@@ -206,14 +206,23 @@ def test_sample_record_reports_its_estimate(tmp_path, capsys, hardcore_path):
     fields = ("size_cap", "candidates", "steps", "lnZ_stderr")
     knobs = [gpath, hardcore_path, "-e", "0.5", "--seed", "7"]
     lab = ["--eps-model", "0.2", "--size-cap", "2", "--brute-force-budget", "0"]
-    for extra, want in ((lab, ("2", "28,28", "20493", "0.0137862")), ([], ("-", "-", "0", "0"))):
+    cases = (
+        (lab, "kv", ("2", "28,28", "20493", "0.0137862")),
+        ([], "kv", ("-", "-", "0", "0")),
+        (lab, "json", (2, "28,28", 20493, "0.0137862")),
+        ([], "json", ("-", "-", 0, "0")),
+    )
+    for extra, fmt, want in cases:
+        extra = [*extra, "--format", fmt]
         _, estimate_out, _ = run(["estimate", *knobs, *extra], capsys)
         code, sample_out, _ = run(["sample", *knobs, *extra, "-c", "2", "-o", out], capsys)
         assert code == 0
-        estimate_rec = dict(kv.split("=") for kv in estimate_out.split())
-        sample_rec = dict(kv.split("=") for kv in sample_out.split())
-        assert tuple(sample_rec[k] for k in fields) == want
-        assert tuple(estimate_rec[k] for k in fields) == want
+        for stdout in (estimate_out, sample_out):
+            if fmt == "json":
+                record = json.loads(stdout)
+            else:
+                record = dict(kv.split("=") for kv in stdout.split())
+            assert tuple(record[k] for k in fields) == want, (fmt, stdout)
 
 
 def test_estimate_strict_record_has_no_stderr(tmp_path, capsys, hardcore_path, monkeypatch):

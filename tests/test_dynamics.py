@@ -22,7 +22,7 @@ from polyspin import (
 )
 from polyspin.dynamics import DRAW, EXACT, FILL, RATIO
 from polyspin.errors import InvalidRangeError
-from polyspin.estimator import _uncovered_ratio
+from polyspin.estimator import _ratio
 from polyspin.oracle import (
     exact_chain_analysis,
     exact_polymer_distribution,
@@ -517,7 +517,7 @@ def test_uncovered_ratio_no_polymers(empty_model):
     chain = PolymerChain(
         empty_model, EstimatorConfig(size_cap=1), random_stream(1, RATIO, 0, 0), prefix=6
     )
-    assert _uncovered_ratio(chain, EstimatorConfig(size_cap=1), 10) == 1.0
+    assert _ratio(chain, EstimatorConfig(size_cap=1), 10, math.nan, "strict") == (1.0, 0.0)
 
 
 def test_uncovered_ratio_matches_exact(k33_model):
@@ -530,7 +530,7 @@ def test_uncovered_ratio_matches_exact(k33_model):
     assert exact == pytest.approx(10.0 / 11.0, abs=1e-12)
     m = 10_000
     chain = PolymerChain(k33_model, params, random_stream(6, RATIO, 0, 0), prefix=6)
-    est = _uncovered_ratio(chain, params, m)
+    est, _ = _ratio(chain, params, m, math.nan, "strict")
     # samples one sweep apart are nearly independent; allow for correlation
     stderr = 2.0 * math.sqrt(exact * (1 - exact) / m)
     assert abs(est - exact) <= 3.0 * stderr

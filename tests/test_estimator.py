@@ -20,11 +20,11 @@ from polyspin import (
     are_compatible,
     build_mixture,
     complete_bipartite,
-    configuration_weight_log,
     enumerate_maximal_bicliques,
     estimate_polymer_Z,
     even_cycle,
     generate_random_regular_bipartite,
+    proof_epsilon,
     spin_fill,
     spin_sample_many,
 )
@@ -44,6 +44,8 @@ from polyspin.oracle import (
     exact_Z,
 )
 from polyspin.polymer import Polymer
+
+from conftest import configuration_weight_log
 
 
 # -- estimate_polymer_Z -----------------------------------------------------------
@@ -157,8 +159,8 @@ def test_lab_steps_never_exceed_the_cold_schedule(request, hardcore, graph_name,
         "rand-n4-d3": lambda: generate_random_regular_bipartite(4, 3, seed=42),
         "g12-d4": lambda: generate_random_regular_bipartite(12, 4, seed=1),
     }[graph_name]()
-    table = approximate_Z(graph, hardcore, eps_star, 0, config=config).table
-    chained = [r for r in table.records if r.chain_config is not None]
+    records = approximate_Z(graph, hardcore, eps_star, 0, config=config).records
+    chained = [r for r in records if r.chain_config is not None]
     assert chained
     for record in chained:
         cold = _cold_schedule_steps(record.model, record.chain_config, eps_star)
@@ -170,7 +172,7 @@ def test_ln_stderr_on_each_path(k33, hardcore, all_ones2, monkeypatch):
     lab = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
     assert approximate_Z(k33, all_ones2, 0.5, 1, config=lab).ln_stderr == 0.0  # no polymers
     result = approximate_Z(k33, hardcore, 0.05, 1, config=lab)
-    records = result.table.records
+    records = result.records
     shares = [math.exp(r.ln_prefactor + r.ln_polymer_z - result.ln_value) for r in records]
     want = math.sqrt(sum(w * w * r.ln_polymer_var for w, r in zip(shares, records)))
     assert all(r.ln_polymer_var > 0.0 for r in records)
@@ -182,7 +184,7 @@ def test_ln_stderr_on_each_path(k33, hardcore, all_ones2, monkeypatch):
     monkeypatch.setattr(estimator, "check_premises", lambda *args: passing)
     strict = approximate_Z(k33, hardcore, 0.9, 1, mode="strict", config=lab)
     assert strict.ln_stderr is None
-    assert all(math.isnan(r.ln_polymer_var) for r in strict.table.records)
+    assert all(math.isnan(r.ln_polymer_var) for r in strict.records)
 
 
 def test_stderr_warning_names_the_sample_ceiling():
@@ -203,23 +205,25 @@ def test_stderr_warning_names_the_sample_ceiling():
 
 
 def test_mixture_all_ones_exact(k33, all_ones2):
-    table = build_mixture(k33, all_ones2, 0.4, 0.25, seed=2, mode="lab")
+    table = build_mixture(
+        k33, all_ones2, 0.25, seed=2, config=EstimatorConfig(eps_override=0.4), mode="lab"
+    )
     assert len(table.records) == 1
-    assert table.ln_total == pytest.approx(6 * math.log(2.0), rel=1e-14)
-    assert table.ln_total == pytest.approx(exact_Z(k33, all_ones2), rel=1e-14)
+    assert table.ln_value == pytest.approx(6 * math.log(2.0), rel=1e-14)
+    assert table.ln_value == pytest.approx(exact_Z(k33, all_ones2), rel=1e-14)
 
 
 def test_mixture_log_sum_exp_consistency(k33, hardcore):
     table = build_mixture(
-        k33, hardcore, 0.4, 0.1, seed=4, mode="lab"
+        k33, hardcore, 0.1, seed=4, config=EstimatorConfig(eps_override=0.4), mode="lab"
     )
     direct = sum(math.exp(r.ln_prefactor + r.ln_polymer_z) for r in table.records)
-    assert math.exp(table.ln_total) == pytest.approx(direct, rel=1e-12)
+    assert math.exp(table.ln_value) == pytest.approx(direct, rel=1e-12)
 
 
 def test_mixture_hardcore_symmetry(k33, hardcore):
     table = build_mixture(
-        k33, hardcore, 0.4, 0.1, seed=4, mode="lab"
+        k33, hardcore, 0.1, seed=4, config=EstimatorConfig(eps_override=0.4), mode="lab"
     )
     assert len(table.records) == 2
     pref = sorted(r.ln_prefactor for r in table.records)
@@ -232,9 +236,33 @@ def test_mixture_potts_small_delta_close_to_exact(k33):
         [[1.0, 0.1, 0.1], [0.1, 1.0, 0.1], [0.1, 0.1, 1.0]], 0.1
     )
     table = build_mixture(
-        k33, potts, 0.4, 0.1, seed=6, mode="lab"
+        k33, potts, 0.1, seed=6, config=EstimatorConfig(eps_override=0.4), mode="lab"
     )
-    assert abs(table.ln_total - exact_Z(k33, potts)) <= 0.1
+    assert abs(table.ln_value - exact_Z(k33, potts)) <= 0.1
+
+
+def test_build_mixture_resolves_its_own_eps(k33, hardcore):
+    assert build_mixture(k33, hardcore, 0.5, 1).eps == proof_epsilon(hardcore, k33.degree)
+    config = EstimatorConfig(eps_override=0.4)
+    assert build_mixture(k33, hardcore, 0.5, 1, config=config).eps == 0.4
+
+
+def test_lab_approximate_z_adds_only_warnings_to_build_mixture(k33, hardcore):
+    config = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
+    full = approximate_Z(k33, hardcore, 0.2, 3, config=config)
+    bare = build_mixture(k33, hardcore, 0.2, 3, config=config)
+    assert bare.warnings == () and full.warnings
+
+    def fields(result):
+        # every record field but the model, which each call builds afresh
+        records = [
+            (r.biclique, r.ln_prefactor, r.ln_polymer_z, r.ln_polymer_var, r.chain_config,
+             r.candidates, r.steps)
+            for r in result.records
+        ]
+        return result.mode, result.eps, result.ln_value, result.ln_stderr, records
+
+    assert fields(full) == fields(bare)
 
 
 # -- approximate_Z ---------------------------------------------------------------------
@@ -605,6 +633,34 @@ def test_sampler_streams_are_distinct(monkeypatch):
     spin_sample_many(complete_bipartite(4), potts4, 0.5, 0, 200, config=config)
     assert len(keys) > 200
     assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize(
+    "path, eps_star, count, error",
+    [
+        # eps*/6 = 0.5 passed the chain's own accuracy check
+        ("lab", 3.0, 2, InvalidAccuracyError),
+        # numpy's bare ValueError, from np.empty
+        ("lab", 0.5, -1, InvalidRangeError),
+        # a TypeError, from np.empty
+        ("lab", 0.5, True, InvalidRangeError),
+        # an AttributeError on the exact path's missing records
+        ("exact", 0.5, 2, InvalidRangeError),
+    ],
+)
+def test_sample_mixture_refuses_bad_input_before_any_stream(
+    k33, hardcore, monkeypatch, path, eps_star, count, error
+):
+    config = EstimatorConfig(brute_force_budget=0, eps_override=0.4) if path == "lab" else None
+    result = approximate_Z(k33, hardcore, 0.5, 1, config=config)
+    assert result.mode == path
+
+    def no_stream(*args):
+        raise AssertionError("a stream was drawn before the input was checked")
+
+    monkeypatch.setattr(estimator, "random_stream", no_stream)
+    with pytest.raises(error, match="spin_sample_many" if path == "exact" else None):
+        estimator.sample_mixture(result, eps_star, 1, count)
 
 
 def test_spin_sample_zero_count(k33, hardcore):

@@ -11,7 +11,6 @@ from polyspin import (
     InteractionMatrix,
     PolymerModel,
     are_compatible,
-    configuration_weight_log,
     enumerate_maximal_bicliques,
 )
 from polyspin import oracle
@@ -26,6 +25,8 @@ from polyspin.oracle import (
     ground_state_sum_log,
     iter_compatible_subsets,
 )
+
+from conftest import configuration_weight_log
 
 
 # -- log-space helpers ------------------------------------------------------

@@ -12,7 +12,6 @@ from polyspin import (
     InteractionMatrix,
     check_premises,
     complete_bipartite,
-    configuration_weight_log,
     enumerate_maximal_bicliques,
     even_cycle,
     normalize_matrix,
@@ -28,7 +27,11 @@ from polyspin.errors import (
 from polyspin.logspace import NEG_INF
 from polyspin.spin_model import format_matrix
 
-from conftest import brute_force_maximal_bicliques, random_delta_matrix
+from conftest import (
+    brute_force_maximal_bicliques,
+    configuration_weight_log,
+    random_delta_matrix,
+)
 
 
 # -- normalize_matrix ---------------------------------------------------------
