@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 parse/usage error, 2 infeasible input,
 3 premises unmet (strict mode), 4 verify-suite failure. Every randomized
-command requires an explicit --seed so reported numbers are reproducible.
+command requires an explicit --seed, an integer in [0, 2^64), so reported
+numbers are reproducible.
 """
 
 from __future__ import annotations

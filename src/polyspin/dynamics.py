@@ -63,7 +63,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import InvalidRangeError
+from .errors import InvalidRangeError, check_seed
 from .logspace import NEG_INF
 from .polymer import Polymer, PolymerModel
 
@@ -83,20 +83,20 @@ _KEY_LIMIT = 1 << 32
 
 def random_stream(seed: int, domain: int, biclique: int, chain: int) -> np.random.Generator:
     """The one source of the estimator's and sampler's random streams: a
-    Philox generator keyed by (seed mod 2^64, domain, biclique, chain).
+    Philox generator keyed by (seed, domain, biclique, chain).
 
     SeedSequence pads the seed to its pool size before appending the spawn
     key, and each key slot below 2^32 is one 32-bit word, so distinct keys
-    give distinct streams; a slot outside [0, 2^32) is refused rather than
-    allowed to spill into its neighbour.
+    give distinct streams. A seed outside [0, 2^64) (see check_seed) and a
+    slot outside [0, 2^32) are refused rather than allowed to alias another
+    seed or to spill into the neighbouring slot.
     """
+    check_seed(seed)
     key = (domain, biclique, chain)
     for k in key:
         if not 0 <= k < _KEY_LIMIT:
             raise InvalidRangeError(f"stream key slots must lie in [0, 2^32), got {key}")
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed % (1 << 64), spawn_key=key))
-    )
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def check_count(name: str, value, low: int) -> None:
@@ -111,15 +111,15 @@ class EstimatorConfig:
     """The one validated set of knobs for the estimator, the chain, the
     sampler and the oracle's chain analysis.
 
-    size_cap truncates polymer generation (None -> floor(2 eps n), the
-    exact truncation; see chain_params); mixing_constant is C in
-    default_mixing_steps, the sampler's chain length and strict mode's
-    burn-in; the exact path runs iff its q^n left configurations fit
-    brute_force_budget (so 0 disables it); eps_override replaces the
-    analysis closeness eps. The per-ratio schedule is
+    size_cap truncates polymer generation, as each model resolves it with
+    PolymerModel.resolve_cap (None -> floor(2 eps n); see chain_params);
+    mixing_constant is C in default_mixing_steps, the sampler's chain length
+    and strict mode's burn-in; the exact path runs iff its q^n left
+    configurations fit brute_force_budget (so 0 disables it); eps_override
+    replaces the analysis closeness eps. The per-ratio schedule is
     estimator.estimate_polymer_Z's (strict: SAMPLE_FACTOR sweeps, lab: a
-    two-stage count with that ceiling); the per-biclique error split and
-    the median amplification come from the mode in estimator.build_mixture
+    two-stage count with that ceiling); the per-biclique error split and the
+    median amplification come from the mode in estimator.build_mixture
     (strict: the worst-case split, lab: one run at accuracy eps*).
     """
 
@@ -129,11 +129,8 @@ class EstimatorConfig:
     eps_override: float | None = None
 
     def __post_init__(self):
-        cap = self.size_cap
-        if cap is not None and (
-            isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1
-        ):
-            raise InvalidRangeError(f"size_cap must be an integer >= 1, got {cap!r}")
+        if self.size_cap is not None:
+            check_count("size_cap", self.size_cap, 1)
         c = self.mixing_constant
         if isinstance(c, bool) or not isinstance(c, numbers.Real) or not (
             math.isfinite(c) and c > 0
@@ -146,10 +143,9 @@ class EstimatorConfig:
             raise InvalidRangeError(f"eps_override must lie in (0,1), got {self.eps_override}")
 
     def chain_params(self, model: PolymerModel) -> EstimatorConfig:
-        """This config with size_cap resolved against model.max_size, for a
-        model that admits polymers (max_size >= 1)."""
-        cap = model.max_size if self.size_cap is None else min(self.size_cap, model.max_size)
-        return replace(self, size_cap=cap)
+        """This config with size_cap resolved by model.resolve_cap. A model
+        that admits no polymers resolves to cap 0, which is refused."""
+        return replace(self, size_cap=model.resolve_cap(self.size_cap))
 
 
 class CandidateTable:
@@ -226,12 +222,13 @@ def _vertex_sums(cands) -> tuple[list[int], list[float]]:
     return reach, totals
 
 
-def candidate_table(model: PolymerModel, size_cap: int) -> CandidateTable:
-    """Table cache lives on the (immutable) model."""
-    table = model._tables.get(size_cap)
+def candidate_table(model: PolymerModel, size_cap: int | None) -> CandidateTable:
+    """The model's table at model.resolve_cap(size_cap), cached on the
+    (immutable) model: requests that resolve alike share one table."""
+    cap = model.resolve_cap(size_cap)
+    table = model._tables.get(cap)
     if table is None:
-        table = CandidateTable(model, size_cap)
-        model._tables[size_cap] = table
+        table = model._tables[cap] = CandidateTable(model, cap)
     return table
 
 
@@ -292,6 +289,9 @@ class PolymerChain:
         probability 1/total, or kept plus polymer i with probability
         w/total for each (mask, w, i) triple in options, which is a
         read-only list of the chain's own candidate triples in table order.
+        They depend only on key = (the union of the kept blocks) & reach[v],
+        as every candidate through v lies in reach[v]: with key 0 they are
+        v's whole list and precomputed total, else the memo's or the scan's.
         """
         masks = self._masks
         blocks = self._blocks  # block zone already contains the vertex mask
@@ -302,19 +302,12 @@ class PolymerChain:
             if not masks[i] & vbit:
                 kept.append(i)
                 blocked |= blocks[i]
-        options, total = self._options(v, blocked & self._reach[v])
-        return kept, options, total
-
-    def _options(self, v: int, key: int) -> tuple[list, float]:
-        """(options, total) at v when key = blocked & reach[v], blocked being
-        the union of the blocks of the polymers that stay. The options
-        depend on nothing else, because every candidate mask through v lies
-        in reach[v]. With key 0 they are v's whole list and its precomputed
-        total, else the memo's entry, else the scan's."""
+        key = blocked & self._reach[v]
         if not key:
-            return self._cands[v], self._totals[v]
+            return kept, self._cands[v], self._totals[v]
         hit = self._memo.get((v, key))
-        return self._scan(v, key) if hit is None else hit
+        options, total = self._scan(v, key) if hit is None else hit
+        return kept, options, total
 
     def _scan(self, v: int, key: int) -> tuple[list, float]:
         """Filter v's candidates against key in table order, adding their
@@ -391,7 +384,7 @@ class PolymerChain:
                         blocked |= blocks[i]
                 if blocked & vbit:
                     continue  # nothing through v fits: total is 1, the state stays
-                key = blocked & reach[v]  # self._options, inlined
+                key = blocked & reach[v]  # conditional's lookup, inlined
                 if key:
                     hit = memo.get((v, key))
                     options, total = scan(v, key) if hit is None else hit
@@ -417,7 +410,7 @@ class PolymerChain:
                     for i in current:
                         if not masks[i] & pbit:
                             rest |= blocks[i]
-                key = rest & reach[probe]  # self._options, inlined
+                key = rest & reach[probe]  # conditional's lookup, inlined
                 if key:
                     hit = memo.get((probe, key))
                     total = (scan(probe, key) if hit is None else hit)[1]

@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one seed check.
 
 The CLI maps these onto its exit-code contract (parse errors -> 1,
 infeasible inputs -> 2, unmet premises -> 3).
 """
+
+import numpy as np
 
 
 class PolyspinError(Exception):
@@ -51,3 +53,15 @@ class PremisesUnmetError(PolyspinError):
 
 class ZeroNormalizerError(PolyspinError):
     """A boundary normalizer F_u was 0, signalling an inconsistent input."""
+
+
+def check_seed(seed) -> None:
+    """Refuse a seed that is not an integer in [0, 2^64) with InvalidRangeError.
+
+    Every seeded routine checks here, an estimator entry point even when
+    it draws nothing, so no two accepted seeds alias one stream (as -1 and
+    2^64 - 1 would mod 2^64).
+    """
+    # int and np.integer, not the slower numbers.Integral: every draw's stream checks
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 1 << 64:
+        raise InvalidRangeError(f"seed must be an integer in [0, 2^64), got {seed!r}")

@@ -44,6 +44,7 @@ from .errors import (
     InvalidRangeError,
     PremisesUnmetError,
     ZeroNormalizerError,
+    check_seed,
 )
 from .graph import BipartiteRegularGraph, second_eigenvalue
 from .logspace import LogSumAccumulator
@@ -70,8 +71,10 @@ MIN_SAMPLES = 128
 STDERR_FACTOR = 20.0
 
 
-def _check_run(eps_star: float, mode: str) -> None:
-    """Refuse an accuracy target outside (0, 1) or an unknown mode."""
+def _check_run(eps_star: float, mode: str, seed: int) -> None:
+    """Refuse an accuracy target outside (0, 1), an unknown mode or a seed
+    outside [0, 2^64), whether or not the run draws from it."""
+    check_seed(seed)
     if not (0.0 < eps_star < 1.0):
         raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
     if mode not in ("lab", "strict"):
@@ -155,7 +158,7 @@ def estimate_polymer_Z(
     burn-in at the default mixing_constant. The returned variance is the
     sum of the ratios' for one lab run, and nan for a median of runs.
     """
-    _check_run(eps_star, mode)
+    _check_run(eps_star, mode, seed)
     check_count("median_runs", median_runs, 1)
     n = model.graph.n
     m = math.ceil(SAMPLE_FACTOR * n / eps_star**2)
@@ -233,7 +236,7 @@ def build_mixture(
     b's mass share, so the variances add weighted by the squared shares.
     Strict mode reports none.
     """
-    _check_run(eps_star, mode)
+    _check_run(eps_star, mode, seed)
     config = config or EstimatorConfig()
     eps = config.eps_override
     if eps is None:
@@ -250,7 +253,7 @@ def build_mixture(
     for b_idx, biclique in enumerate(bicliques):
         model = PolymerModel(graph, matrix, biclique, eps)
         prefactor = n * (math.log(len(biclique.b0)) + math.log(len(biclique.b1)))
-        if model.max_size < 1 or not model.active_vertices:
+        if model.resolve_cap(config.size_cap) < 1:
             chain_config, ln_z, var, candidates, steps = None, 0.0, 0.0, 0, 0
         else:
             chain_config = config.chain_params(model)
@@ -295,7 +298,7 @@ def approximate_Z(
     A warning names an eps_star below the small-instance threshold
     9 e^{-n/(4q)} that the exact path could not serve.
     """
-    _check_run(eps_star, mode)
+    _check_run(eps_star, mode, seed)
     config = config or EstimatorConfig()
 
     if exact_fallback(graph, matrix, config.brute_force_budget):
@@ -403,7 +406,7 @@ def spin_sample_many(
     approximate_Z, the draws are exact (exact.sample); otherwise they come
     from sample_mixture on approximate_Z's result.
     """
-    _check_run(eps_star, mode)
+    _check_run(eps_star, mode, seed)
     check_count("count", count, 0)
     config = config or EstimatorConfig()
     if count == 0:
@@ -431,7 +434,7 @@ def sample_mixture(result: ApproxResult, eps_star: float, seed: int, count: int)
             "an exact-path result has no mixture records to draw from; "
             "spin_sample_many draws exactly there"
         )
-    _check_run(eps_star, result.mode)
+    _check_run(eps_star, result.mode, seed)
     check_count("count", count, 0)
     num = records[0].model.graph.num_vertices
     masses = result.biclique_log_masses()

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphFormatError, InfeasibleError, InvalidRangeError, ResourceLimitError
+from .errors import (
+    GraphFormatError,
+    InfeasibleError,
+    InvalidRangeError,
+    ResourceLimitError,
+    check_seed,
+)
 
 
 class BipartiteRegularGraph:
@@ -168,8 +174,10 @@ def generate_random_regular_bipartite(n: int, degree: int, seed: int) -> Biparti
     Union of `degree` random perfect matchings; a matching colliding with
     an already-placed edge is resampled (whole-graph rejection is hopeless
     here: its acceptance probability decays like e^{-Delta(Delta-1)/2}).
-    Disconnected results restart the whole construction.
+    Disconnected results restart the whole construction. A seed outside
+    [0, 2^64) raises InvalidRangeError (see errors.check_seed).
     """
+    check_seed(seed)
     if degree < 3:
         raise InvalidRangeError(f"degree must be >= 3, got {degree}")
     if n < degree:
@@ -237,8 +245,10 @@ def check_expansion_inequalities(
 
     Returns one witness string per violation. The bounds are theorems for
     lam >= lambda(G), so the tuple should stay empty; violations are
-    returned, not raised, to make lambda underestimates debuggable.
+    returned, not raised, to make lambda underestimates debuggable. A seed
+    outside [0, 2^64) raises InvalidRangeError (see errors.check_seed).
     """
+    check_seed(seed)
     n = graph.n
     deg = graph.degree
     rng = np.random.default_rng(seed)

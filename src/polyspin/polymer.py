@@ -181,18 +181,22 @@ class PolymerModel:
 
     # -- enumeration --------------------------------------------------------
 
+    def resolve_cap(self, size_cap: int | None = None) -> int:
+        """The one size-cap rule: max_size for None, else min(size_cap, max_size);
+        0 when the model admits no polymers (max_size 0 or no active vertex)."""
+        cap = self.max_size if size_cap is None else min(size_cap, self.max_size)
+        return cap if self.active_vertices else 0
+
     def enumerate_allowed(
         self, size_cap: int | None = None, *, budget: int = 1_000_000
     ) -> list[Polymer]:
-        """Every allowed polymer of size <= size_cap, exactly once, sorted.
+        """Every allowed polymer of size <= resolve_cap(size_cap), once, sorted.
 
         Vertex sets come from exclusive-neighborhood growth over the host
         graph restricted to vertices that have a non-ground spin; each set
         is crossed with all non-ground spin assignments.
         """
-        cap = self.max_size if size_cap is None else min(size_cap, self.max_size)
-        if cap < 1:
-            return []
+        cap = self.resolve_cap(size_cap)  # connected_vertex_sets yields nothing below 1
         active = self.active_vertices
         active_set = set(active)
         host = {

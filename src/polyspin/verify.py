@@ -87,9 +87,9 @@ def c1():
         biclique = bicliques[int(rng.integers(len(bicliques)))]
         eps = float(rng.uniform(0.3, 0.9))
         model = PolymerModel(graph, matrix, biclique, eps)
-        if model.max_size < 1 or not model.active_vertices:
+        if model.resolve_cap(3) < 1:
             continue
-        polymers = model.enumerate_allowed(min(model.max_size, 3))
+        polymers = model.enumerate_allowed(3)
         chosen = []
         for idx in rng.permutation(len(polymers)):
             cand = polymers[idx]
@@ -238,8 +238,8 @@ def c6():
 
 def sampling_condition(model: PolymerModel, cap: int) -> tuple[int, int, int]:
     """(checked, boundary_bad, weight_bad): counts of the allowed polymers of
-    size <= min(cap, max_size), of their boundary vertices u with F_u above
-    |B_i| - 1 + delta, and of those polymers whose weight exceeds 1."""
+    size <= model.resolve_cap(cap), of their boundary vertices u with F_u
+    above |B_i| - 1 + delta, and of those polymers whose weight exceeds 1."""
     graph = model.graph
     delta = model.matrix.delta
     checked = boundary_bad = weight_bad = 0

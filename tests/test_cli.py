@@ -157,6 +157,24 @@ def test_estimate_size_cap_zero_exit_1(tmp_path, capsys, hardcore_path):
     assert "error: size_cap" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize("command", ["gen", "estimate", "sample"])
+def test_seed_outside_64_bits_exit_1(tmp_path, capsys, hardcore_path, command, seed):
+    # -1 and 2^64 would alias 2^64 - 1 and 0; K33 takes the exact path,
+    # which draws nothing, and still refuses the seed
+    gpath = str(tmp_path / "k33.txt")
+    run(["gen", "-n", "3", "-d", "3", "--seed", "1", "-o", gpath], capsys)
+    argv = {
+        "gen": ["gen", "-n", "3", "-d", "3", "-o", str(tmp_path / "g.txt")],
+        "estimate": ["estimate", gpath, hardcore_path, "-e", "0.5"],
+        "sample": ["sample", gpath, hardcore_path, "-e", "0.5", "-c", "2", "-o", str(tmp_path / "s")],
+    }[command]
+    code, out, err = run(argv + [f"--seed={seed}"], capsys)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: seed") and seed in lines[0], err
+
+
 def test_missing_seed_is_a_usage_error(tmp_path, capsys, hardcore_path):
     code, _, _ = run(["gen", "-n", "3", "-d", "3", "-o", str(tmp_path / "g")], capsys)
     assert code == 1

@@ -88,7 +88,8 @@ def test_chain_reproducible(k33_model):
         other = list(key)
         other[slot] += 1
         assert trajectory(random_stream(*other)) != base, other
-    assert trajectory(random_stream(-11, DRAW, 0, 5)) != base
+    with pytest.raises(InvalidRangeError):
+        random_stream(-11, DRAW, 0, 5)
 
 
 @pytest.mark.parametrize("steps", [-5, 2.5, True, "3", None])
@@ -144,7 +145,7 @@ def test_dense_trajectory_pinned(potts3, prefix):
 # -- stream keys ----------------------------------------------------------------
 
 _KEYS = st.tuples(
-    st.integers(-(2**63), 2**63 - 1),  # one seed per residue mod 2^64
+    st.integers(0, 2**64 - 1),  # every accepted seed
     st.sampled_from((RATIO, DRAW, FILL, EXACT)),
     st.integers(0, 1000),  # biclique
     st.integers(0, 10_000),  # chain: median run or draw index
@@ -169,9 +170,10 @@ def test_stream_key_slots_are_bounded():
         random_stream(0, DRAW, 0, 1 << 32)
     with pytest.raises(InvalidRangeError):
         random_stream(0, DRAW, -1, 0)
-    # negative seeds are their residue mod 2^64
-    negative = random_stream(-1, DRAW, 0, 0).random()
-    assert negative == random_stream(2**64 - 1, DRAW, 0, 0).random()
+    # a seed outside [0, 2^64) is refused, not folded onto its residue
+    for seed in (-1, 1 << 64):
+        with pytest.raises(InvalidRangeError):
+            random_stream(seed, DRAW, 0, 0)
 
 
 # -- exact transition-matrix checks ----------------------------------------------
@@ -586,18 +588,37 @@ def test_any_split_over_runs_and_grows_gives_the_reference_chain(hardcore, plan)
     assert chain._rng.random() == rng.random()
 
 
-def test_chain_params_validation(k33, hardcore, k33_model):
-    # the one place the cap is resolved against the model
+def test_chain_params_validation(k33, hardcore, k33_model, empty_model):
+    # chain_params and enumerate_allowed resolve a request through
+    # model.resolve_cap, the one statement of the cap rule
     assert k33_model.max_size == 2
-    assert EstimatorConfig().chain_params(k33_model).size_cap == 2
-    assert EstimatorConfig(size_cap=5).chain_params(k33_model).size_cap == 2
     config = EstimatorConfig(size_cap=1, mixing_constant=2.0, eps_override=0.4)
     assert config.chain_params(k33_model) == config
-    # a model that admits no polymers resolves to an out-of-range cap
+    # models that admit no polymers resolve to cap 0, which chain_params
+    # refuses: max_size 0, or max_size 2 but no vertex with a non-ground spin
     tiny = PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), 0.1)
-    assert tiny.max_size == 0
-    with pytest.raises(InvalidRangeError):
-        EstimatorConfig().chain_params(tiny)
+    assert tiny.max_size == 0 and empty_model.max_size == 2
+    for model, caps in ((k33_model, [2, 1, 2, 2]), (empty_model, [0] * 4), (tiny, [0] * 4)):
+        requests = (None, 1, model.max_size, model.max_size + 5)
+        assert [model.resolve_cap(r) for r in requests] == caps
+        for request, cap in zip(requests, caps):
+            if cap:
+                assert EstimatorConfig(size_cap=request).chain_params(model).size_cap == cap
+            else:
+                with pytest.raises(InvalidRangeError):
+                    EstimatorConfig(size_cap=request).chain_params(model)
+            sizes = [len(p.vertices) for p in model.enumerate_allowed(request)]
+            assert max(sizes, default=0) == cap
+
+
+def test_one_table_per_resolved_cap(k33, hardcore):
+    # requests that resolve to one cap share one table
+    model = PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), 0.5)
+    assert model.max_size == 3
+    table = dynamics.candidate_table(model, None)
+    assert dynamics.candidate_table(model, model.max_size) is table
+    assert dynamics.candidate_table(model, model.max_size + 5) is table
+    assert len(table) == 7 and list(model._tables) == [3]
 
 
 # sha1 of (masks, blocks, log weights as float.hex) over every maximal

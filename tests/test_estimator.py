@@ -91,6 +91,15 @@ def test_estimate_rejects_unknown_mode(k33, hardcore):
         estimate_polymer_Z(model, EstimatorConfig(size_cap=1), 0.2, seed=1, mode="bogus")
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_entry_points_refuse_bad_seeds_on_the_exact_path(k33, hardcore, seed):
+    # K33 takes the exact path, which draws nothing, and still refuses the seed
+    with pytest.raises(InvalidRangeError, match="seed"):
+        approximate_Z(k33, hardcore, 0.5, seed)
+    with pytest.raises(InvalidRangeError, match="seed"):
+        spin_sample_many(k33, hardcore, 0.5, seed, 2)
+
+
 def test_lab_ratio_averages_only_the_fresh_sweeps(k33, hardcore, monkeypatch):
     # replay the two-stage schedule from the chain's own probe sums: per
     # ratio, PILOT_BATCHES pilot batches size m_i, and ln p comes from the

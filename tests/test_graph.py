@@ -23,6 +23,15 @@ from conftest import bfs_distances
 # -- generation ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, True, 2.0])
+def test_seeded_graph_routines_refuse_bad_seeds(seed):
+    # -1 and 2^64 would alias 2^64 - 1 and 0 mod 2^64
+    with pytest.raises(InvalidRangeError, match="seed"):
+        generate_random_regular_bipartite(4, 3, seed)
+    with pytest.raises(InvalidRangeError, match="seed"):
+        check_expansion_inequalities(complete_bipartite(3), 0.0, trials=1, seed=seed)
+
+
 def test_n3_d3_is_forced_to_k33():
     for seed in (0, 1, 17):
         graph = generate_random_regular_bipartite(3, 3, seed=seed)
