@@ -78,8 +78,8 @@ def _run_fields(records, ln_stderr) -> dict:
     if not records:
         return {"size_cap": "-", "candidates": "-", "steps": 0, "lnZ_stderr": stderr}
     return {
-        "size_cap": max((r.chain_config.size_cap for r in records if r.chain_config), default=0),
-        "candidates": ",".join(str(r.candidates) for r in records),
+        "size_cap": max(r.table.size_cap for r in records),
+        "candidates": ",".join(str(len(r.table)) for r in records),
         "steps": sum(r.steps for r in records),
         "lnZ_stderr": stderr,
     }

@@ -1,14 +1,17 @@
 """Reversible heat-bath dynamics on polymer configurations.
 
+Every chain runs on a CandidateTable: one biclique's polymers up to the
+size cap the table resolved when built (none if the model admits none).
+
 One step: pick a vertex v of the region uniformly (among vertices that
 admit any polymer), drop the polymer covering v if there is one, then
-resample the v-slot from {no polymer} u {allowed polymers through v,
-inside the region, of size <= size_cap, compatible with the rest} with
-probability proportional to 1 resp. the polymer weight. Each P_v is a
-conditional resampling, so the chain is reversible for the size-truncated
-polymer Gibbs distribution restricted to the region. The rule is written
-as PolymerChain.conditional, which oracle.exact_chain_analysis reads; its
-options are the chain's own (mask, weight, index) candidate triples.
+resample the v-slot from {no polymer} u {the table's polymers through v,
+inside the region, compatible with the rest} with probability
+proportional to 1 resp. the polymer weight. Each P_v is a conditional
+resampling, so the chain is reversible for the size-truncated polymer
+Gibbs distribution restricted to the region. The rule is written as
+PolymerChain.conditional, which oracle.exact_chain_analysis reads; its
+options are the table's own (mask, weight, index) candidate triples.
 
 PolymerChain.run takes the same steps incrementally. The chain holds two
 unions of its present polymers as state, covered (the OR of their masks)
@@ -56,8 +59,6 @@ partition functions telescope.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
 
@@ -106,64 +107,24 @@ def check_count(name: str, value, low: int) -> None:
         raise InvalidRangeError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """The one validated set of knobs for the estimator, the chain, the
-    sampler and the oracle's chain analysis.
-
-    size_cap truncates polymer generation, as each model resolves it with
-    PolymerModel.resolve_cap (None -> floor(2 eps n); see chain_params);
-    mixing_constant is C in default_mixing_steps, the sampler's chain length
-    and strict mode's burn-in; the exact path runs iff its q^n left
-    configurations fit brute_force_budget (so 0 disables it); eps_override
-    replaces the analysis closeness eps. The per-ratio schedule is
-    estimator.estimate_polymer_Z's (strict: SAMPLE_FACTOR sweeps, lab: a
-    two-stage count with that ceiling); the per-biclique error split and the
-    median amplification come from the mode in estimator.build_mixture
-    (strict: the worst-case split, lab: one run at accuracy eps*).
-    """
-
-    size_cap: int | None = None
-    mixing_constant: float = 10.0
-    brute_force_budget: int = 1 << 24
-    eps_override: float | None = None
-
-    def __post_init__(self):
-        if self.size_cap is not None:
-            check_count("size_cap", self.size_cap, 1)
-        c = self.mixing_constant
-        if isinstance(c, bool) or not isinstance(c, numbers.Real) or not (
-            math.isfinite(c) and c > 0
-        ):
-            raise InvalidRangeError(f"mixing_constant must be positive and finite, got {c!r}")
-        budget = self.brute_force_budget
-        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
-            raise InvalidRangeError(f"brute_force_budget must be an integer, got {budget!r}")
-        if self.eps_override is not None and not (0.0 < self.eps_override < 1.0):
-            raise InvalidRangeError(f"eps_override must lie in (0,1), got {self.eps_override}")
-
-    def chain_params(self, model: PolymerModel) -> EstimatorConfig:
-        """This config with size_cap resolved by model.resolve_cap. A model
-        that admits no polymers resolves to cap 0, which is refused."""
-        return replace(self, size_cap=model.resolve_cap(self.size_cap))
-
-
 class CandidateTable:
-    """All sampleable polymers of a model up to a size cap, with bitmasks.
+    """All sampleable polymers of a model up to size_cap, with bitmasks.
 
-    blocks[i] covers V_gamma and its G^3 neighborhood: polymer j is
-    compatible with i iff mask[j] & blocks[i] == 0. by_vertex[v] lists the
-    (mask, weight, index) triples of the polymers through v in table order,
-    which is the list the heat bath scans at v. Zero-weight polymers
-    (including weights that underflow exp) are omitted; the heat bath could
-    never select them.
+    size_cap is model.resolve_cap of the request. blocks[i] covers V_gamma
+    and its G^3 neighborhood: polymer j is compatible with i iff mask[j] &
+    blocks[i] == 0. by_vertex[v] lists the (mask, weight, index) triples of
+    the polymers through v in table order, which is the list the heat bath
+    scans at v. Zero-weight polymers (including weights that underflow exp)
+    are omitted; the heat bath could never select them. A table without
+    polymers is false and never builds the host graph.
     """
 
-    def __init__(self, model: PolymerModel, size_cap: int):
-        polymers = model.enumerate_allowed(size_cap)
+    def __init__(self, model: PolymerModel, size_cap: int | None):
+        self.size_cap = model.resolve_cap(size_cap)
+        polymers = model.enumerate_allowed(self.size_cap)
         # closed G^3 zone of each vertex: itself plus its host neighbors
         zones = []
-        for v, nbrs in enumerate(model.graph.host_adjacency):
+        for v, nbrs in enumerate(model.graph.host_adjacency if polymers else ()):
             zone = 1 << v
             for u in nbrs:
                 zone |= 1 << u
@@ -224,7 +185,8 @@ def _vertex_sums(cands) -> tuple[list[int], list[float]]:
 
 def candidate_table(model: PolymerModel, size_cap: int | None) -> CandidateTable:
     """The model's table at model.resolve_cap(size_cap), cached on the
-    (immutable) model: requests that resolve alike share one table."""
+    (immutable) model: requests that resolve alike share one table, and a
+    model that admits no polymers gets an empty one."""
     cap = model.resolve_cap(size_cap)
     table = model._tables.get(cap)
     if table is None:
@@ -233,29 +195,25 @@ def candidate_table(model: PolymerModel, size_cap: int | None) -> CandidateTable
 
 
 class PolymerChain:
-    """One heat-bath chain on the region {0..prefix-1} (the whole graph when
-    prefix is None), deterministic given its stream and the sequence of
-    steps and grow calls. rng is the chain's own random_stream; a chain
-    that is only probed through conditional, never run, may take None.
+    """One heat-bath chain on a table's polymers in the region
+    {0..prefix-1} (the whole graph when prefix is None), deterministic given
+    its stream and the sequence of steps and grow calls. rng is the chain's
+    own random_stream; a chain that is only probed through conditional,
+    never run, may take None.
     """
 
     def __init__(
-        self,
-        model: PolymerModel,
-        config: EstimatorConfig,
-        rng: np.random.Generator | None,
-        *,
-        prefix: int | None = None,
+        self, table: CandidateTable, rng: np.random.Generator | None, *, prefix: int | None = None
     ):
-        self.table = candidate_table(model, config.size_cap)
-        self._masks, self._blocks = self.table.masks, self.table.blocks  # read on every step
+        self.table = table
+        self._masks, self._blocks = table.masks, table.blocks  # read on every step
         self._current: list[int] = []  # table indices of present polymers
         self._covered = 0  # OR of their masks
         self._blocked = 0  # OR of their blocks
         self.steps_taken = 0
         self._rng = rng
         self.prefix = 0
-        self.grow(model.graph.num_vertices if prefix is None else prefix)
+        self.grow(len(table.by_vertex) if prefix is None else prefix)
 
     def grow(self, prefix: int) -> None:
         """Extend the region to {0..prefix-1}, keeping the state (its polymers
@@ -434,35 +392,14 @@ class PolymerChain:
         return tuple(self.table.polymers[i] for i in sorted(self._current))
 
 
-def default_mixing_steps(config: EstimatorConfig, region_size: int, eps_sample: float) -> int:
-    """ceil(C * |region| * ln(|region| / eps_sample)), at least 1."""
-    if region_size < 1:
-        return 0
-    return max(
-        1,
-        math.ceil(
-            config.mixing_constant * region_size * math.log(region_size / eps_sample)
-        ),
-    )
-
-
 def sample_polymer_config(
-    model: PolymerModel,
-    config: EstimatorConfig,
-    eps_sample: float,
-    rng: np.random.Generator,
+    table: CandidateTable, steps: int, rng: np.random.Generator
 ) -> tuple[Polymer, ...]:
-    """Approximate sample from the size-truncated polymer Gibbs distribution.
-
-    Runs the chain from the empty configuration for
-    ceil(C |V| ln(|V|/eps_sample)) steps and returns the final state as a
-    sorted tuple of polymers. The target is mu truncated to polymers of
-    size <= size_cap; the neglected tail is the caller's responsibility
-    (exact when size_cap = floor(2 eps n)).
-    """
-    if not (0.0 < eps_sample < 1.0):
-        raise InvalidRangeError(f"eps_sample must lie in (0,1), got {eps_sample}")
-    chain = PolymerChain(model, config, rng)
-    chain.run(default_mixing_steps(config, chain.prefix, eps_sample))
+    """The state a fresh whole-graph chain on the table reaches from the
+    empty configuration in `steps` steps, as a sorted tuple of polymers: an
+    approximate draw from the table's size-truncated polymer Gibbs law,
+    whose neglected tail is the caller's responsibility. The caller sizes
+    steps (the estimator's sampler takes default_mixing_steps)."""
+    chain = PolymerChain(table, rng)
+    chain.run(steps)
     return chain.current_polymers()
-

@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and the one seed check.
+"""Exception types shared across the package, the one seed check and the
+one check of a number in (0, 1).
 
 The CLI maps these onto its exit-code contract (parse errors -> 1,
 infeasible inputs -> 2, unmet premises -> 3).
 """
+
+import numbers
 
 import numpy as np
 
@@ -65,3 +68,9 @@ def check_seed(seed) -> None:
     # int and np.integer, not the slower numbers.Integral: every draw's stream checks
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 1 << 64:
         raise InvalidRangeError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+
+
+def check_fraction(name: str, value, error=InvalidRangeError) -> None:
+    """Refuse anything but a real number in (0, 1), a string or nan say, with `error`."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
+        raise error(f"{name} must lie in (0,1), got {value!r}")

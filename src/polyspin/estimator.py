@@ -1,26 +1,29 @@
-"""Top-level approximation and sampling algorithms.
+"""Top-level approximation and sampling algorithms, and their knobs.
 
 Per maximal biclique, ln Z of the polymer model is estimated by vertex
 telescoping: with regions L_0 = {} through L_{2n} = V, each ratio
 Z(L_{i-1})/Z(L_i) equals the probability that vertex i-1 is uncovered
 under the region-L_i polymer Gibbs measure, estimated on one chain that
 grows through the regions (Rao-Blackwellised; see estimate_polymer_Z).
+Only regions whose last vertex a polymer covers have a ratio below 1.
 The per-biclique estimates combine into the mixture
     sum over (B_0,B_1) of |B_0|^n |B_1|^n * Z^{B_0,B_1},
 everything in log-space; in lab mode their variances combine into the
 standard error of ln Z, each weighted by its biclique's squared mass
-share. One ApproxResult holds the outcome: ln Z, its standard error and
-the per-biclique MixtureRecords, which the exact path leaves empty.
-Configuration sampling draws a biclique from a result's records, a polymer
-configuration from its chain, and fills the remaining vertices: ground
-spins uniformly off the boundary, and boundary vertices u with P(j)
-proportional to prod of H[j, spin of covered neighbors].
+share. One ApproxResult holds the outcome: ln Z, its standard error, the
+run's config and the per-biclique MixtureRecords (model, candidate table),
+which the exact path leaves empty. Configuration sampling draws a biclique
+from a result's records, a polymer configuration from a chain on its
+table, and fills the remaining vertices: ground spins uniformly off the
+boundary, and boundary vertices u with P(j) proportional to prod of H[j,
+spin of covered neighbors].
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,11 +34,10 @@ from .dynamics import (
     EXACT,
     FILL,
     RATIO,
-    EstimatorConfig,
+    CandidateTable,
     PolymerChain,
     candidate_table,
     check_count,
-    default_mixing_steps,
     random_stream,
     sample_polymer_config,
 )
@@ -44,6 +46,7 @@ from .errors import (
     InvalidRangeError,
     PremisesUnmetError,
     ZeroNormalizerError,
+    check_fraction,
     check_seed,
 )
 from .graph import BipartiteRegularGraph, second_eigenvalue
@@ -71,20 +74,70 @@ MIN_SAMPLES = 128
 STDERR_FACTOR = 20.0
 
 
+@dataclass(frozen=True)
+class EstimatorConfig:
+    """The one validated set of knobs for a run of the estimator and the
+    sampler.
+
+    size_cap truncates polymer generation, as each model resolves it with
+    PolymerModel.resolve_cap (None -> floor(2 eps n)) into the cap of its
+    candidate table; mixing_constant is C in default_mixing_steps, the
+    sampler's chain length and strict mode's burn-in; the exact path runs
+    iff its q^n left configurations fit brute_force_budget (so 0 disables
+    it); eps_override replaces the analysis closeness eps. The per-ratio
+    schedule is estimate_polymer_Z's (strict: SAMPLE_FACTOR sweeps, lab: a
+    two-stage count with that ceiling); the per-biclique error split and the
+    median amplification come from the mode in build_mixture (strict: the
+    worst-case split, lab: one run at accuracy eps*).
+    """
+
+    size_cap: int | None = None
+    mixing_constant: float = 10.0
+    brute_force_budget: int = 1 << 24
+    eps_override: float | None = None
+
+    def __post_init__(self):
+        if self.size_cap is not None:
+            check_count("size_cap", self.size_cap, 1)
+        c = self.mixing_constant
+        if isinstance(c, bool) or not (isinstance(c, numbers.Real) and math.isfinite(c) and c > 0):
+            raise InvalidRangeError(f"mixing_constant must be positive and finite, got {c!r}")
+        budget = self.brute_force_budget
+        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
+            raise InvalidRangeError(f"brute_force_budget must be an integer, got {budget!r}")
+        if self.eps_override is not None:
+            check_fraction("eps_override", self.eps_override)
+
+    def chain_params(self, model: PolymerModel) -> EstimatorConfig:
+        """This config with size_cap resolved by model.resolve_cap. A model
+        that admits no polymers resolves to cap 0, which is refused."""
+        return replace(self, size_cap=model.resolve_cap(self.size_cap))
+
+
+def default_mixing_steps(config: EstimatorConfig, region_size: int, eps_sample: float) -> int:
+    """ceil(C * |region| * ln(|region| / eps_sample)) for a nonempty region, at least 1."""
+    steps = config.mixing_constant * region_size * math.log(region_size / eps_sample)
+    return max(1, math.ceil(steps))
+
+
 def _check_run(eps_star: float, mode: str, seed: int) -> None:
     """Refuse an accuracy target outside (0, 1), an unknown mode or a seed
     outside [0, 2^64), whether or not the run draws from it."""
     check_seed(seed)
-    if not (0.0 < eps_star < 1.0):
-        raise InvalidAccuracyError(f"eps_star must lie in (0,1), got {eps_star}")
+    check_fraction("eps_star", eps_star, InvalidAccuracyError)
     if mode not in ("lab", "strict"):
         raise InvalidRangeError(f"mode must be 'lab' or 'strict', got {mode!r}")
+
+
+def _sample_ceiling(n: int, eps_star: float) -> int:
+    """m = ceil(SAMPLE_FACTOR n / eps_star^2), strict's sweeps per ratio and lab's ceiling."""
+    return math.ceil(SAMPLE_FACTOR * n / eps_star**2)
 
 
 @dataclass(frozen=True)
 class MixtureRecord:
     """One biclique's term of the mixture, as an ApproxResult lists it, with
-    the model and the resolved chain config (None when the model admits no
+    the model and the candidate table (empty when the model admits no
     polymers) that both the estimate and sample_mixture's draws use."""
 
     biclique: Biclique
@@ -92,8 +145,7 @@ class MixtureRecord:
     ln_polymer_z: float
     ln_polymer_var: float  # estimated variance of ln_polymer_z; nan in strict mode
     model: PolymerModel
-    chain_config: EstimatorConfig | None
-    candidates: int  # sampleable polymers in the candidate table, 0 without one
+    table: CandidateTable
     steps: int  # chain steps its telescope took
 
 
@@ -103,6 +155,7 @@ class ApproxResult:
     mode: str  # "exact" | "lab" | "strict"
     bicliques: int
     eps: float | None  # the model closeness; None on the exact path
+    config: EstimatorConfig  # the run's knobs, as given
     records: tuple[MixtureRecord, ...]  # one per biclique; empty on the exact path
     ln_stderr: float | None  # 0 on the exact path, None in strict mode
     warnings: tuple[str, ...] = field(default=())
@@ -125,12 +178,12 @@ def estimate_polymer_Z(
     chain steps taken over all runs, and the estimated variance of ln Z.
 
     ln Z = -sum over i of ln p_i, where p_i is the probability that vertex
-    i-1 is uncovered in region {0..i-1}. Each of the median_runs runs is
-    one chain (config, size_cap resolved) grown through the regions 1..2n.
+    i-1 is uncovered in region {0..i-1}. p_i = 1 exactly unless a polymer
+    of the model's candidate table at config.size_cap ends at i-1, so each
+    of the median_runs runs is one chain grown through those regions only.
     At region i it takes samples one sweep apart, each adding 1/total of
     the heat-bath conditional at i-1, which is exactly P(i-1 uncovered |
-    the other polymers). Vertices no region polymer can cover give p_i = 1
-    exactly, with variance 0. Run r draws from random_stream(seed, RATIO,
+    the other polymers). Run r draws from random_stream(seed, RATIO,
     biclique, r), where biclique is the model's index in the mixture; the
     result is the median over runs.
 
@@ -160,17 +213,19 @@ def estimate_polymer_Z(
     """
     _check_run(eps_star, mode, seed)
     check_count("median_runs", median_runs, 1)
+    table = candidate_table(model, config.size_cap)
+    regions = sorted({mask.bit_length() for mask in table.masks})
     n = model.graph.n
-    m = math.ceil(SAMPLE_FACTOR * n / eps_star**2)
+    # no region, no ratio to size: eps_star^2 may underflow on a vacuous run
+    m = _sample_ceiling(n, eps_star) if regions else 0
     beta = (eps_star / STDERR_FACTOR) ** 2 / (2 * n)
     values = []
     steps = 0
     var = 0.0
     for run in range(median_runs):
-        rng = random_stream(seed, RATIO, biclique, run)
-        chain = PolymerChain(model, config, rng, prefix=0)
+        chain = PolymerChain(table, random_stream(seed, RATIO, biclique, run), prefix=0)
         ln_z = 0.0
-        for i in range(1, model.graph.num_vertices + 1):
+        for i in regions:
             chain.grow(i)
             p, p_var = _ratio(chain, config, m, beta, mode)
             ln_z -= math.log(p)
@@ -186,23 +241,22 @@ def _ratio(
     chain: PolymerChain, config: EstimatorConfig, m: int, beta: float, mode: str
 ) -> tuple[float, float]:
     """Mean P(region's last vertex uncovered | the rest) over fresh sweeps,
-    and the variance of its log. Strict mode takes m sweeps after a cold
-    burn-in and reports variance nan; lab mode's pilot of batch means sizes
-    the count of fresh sweeps, whose mean alone is the ratio."""
+    and the variance of its log; a region polymer covers that vertex.
+    Strict mode takes m sweeps after a cold burn-in and reports variance
+    nan; lab mode's pilot of batch means sizes the count of fresh sweeps,
+    whose mean alone is the ratio."""
     v = chain.prefix - 1
-    active = chain.active_vertices  # ascending, so v is active iff it is last
-    if not active or active[-1] != v:
-        return 1.0, 0.0  # no region polymer covers v
+    sweep = len(chain.active_vertices)
     if mode == "strict":
         chain.run(default_mixing_steps(config, chain.prefix, 1e-3))
         samples, s2 = m, math.nan
     else:
-        batch = BATCH_SWEEPS * len(active)
+        batch = BATCH_SWEEPS * sweep
         means = [chain.run(batch, probe=v) / BATCH_SWEEPS for _ in range(PILOT_BATCHES)]
         p0 = sum(means) / PILOT_BATCHES
         s2 = sum((x - p0) ** 2 for x in means) / (PILOT_BATCHES - 1)
         samples = min(m, max(MIN_SAMPLES, math.ceil(BATCH_SWEEPS * s2 / (p0 * p0 * beta))))
-    p = chain.run(samples * len(active), probe=v) / samples
+    p = chain.run(samples * sweep, probe=v) / samples
     return p, BATCH_SWEEPS * s2 / (samples * p * p)
 
 
@@ -230,11 +284,12 @@ def build_mixture(
     Strict: each biclique at accuracy eps_star/8 on the proof's per-ratio
     schedule, with median amplification sized so the union failure mass
     stays below eps_star/16. Lab: each biclique in one two-stage run at
-    accuracy eps_star (see estimate_polymer_Z). A biclique whose model
-    admits no polymers contributes ln Z = 0 exactly, with variance 0. Lab
-    mode reports the standard error of ln Z: d ln Z / d ln Z_b is biclique
-    b's mass share, so the variances add weighted by the squared shares.
-    Strict mode reports none.
+    accuracy eps_star (see estimate_polymer_Z). Each biclique's record
+    holds its model and its candidate table at config.size_cap; a model
+    that admits no polymers has an empty table and contributes ln Z = 0
+    exactly. Lab mode reports the standard error of ln Z: d ln Z / d ln
+    Z_b is biclique b's mass share, so the variances add weighted by the
+    squared shares. Strict mode reports none.
     """
     _check_run(eps_star, mode, seed)
     config = config or EstimatorConfig()
@@ -253,19 +308,13 @@ def build_mixture(
     for b_idx, biclique in enumerate(bicliques):
         model = PolymerModel(graph, matrix, biclique, eps)
         prefactor = n * (math.log(len(biclique.b0)) + math.log(len(biclique.b1)))
-        if model.resolve_cap(config.size_cap) < 1:
-            chain_config, ln_z, var, candidates, steps = None, 0.0, 0.0, 0, 0
-        else:
-            chain_config = config.chain_params(model)
-            ln_z, steps, var = estimate_polymer_Z(
-                model, chain_config, inner_eps, seed, biclique=b_idx, median_runs=runs, mode=mode
-            )
-            candidates = len(candidate_table(model, chain_config.size_cap))
-        records.append(
-            MixtureRecord(biclique, prefactor, ln_z, var, model, chain_config, candidates, steps)
+        table = candidate_table(model, config.size_cap)
+        ln_z, steps, var = estimate_polymer_Z(
+            model, config, inner_eps, seed, biclique=b_idx, median_runs=runs, mode=mode
         )
+        records.append(MixtureRecord(biclique, prefactor, ln_z, var, model, table, steps))
         acc.add(prefactor + ln_z)
-    result = ApproxResult(acc.value, mode, len(records), eps, tuple(records), None)
+    result = ApproxResult(acc.value, mode, len(records), eps, config, tuple(records), None)
     if mode == "strict":
         return result
     shares = np.exp(result.biclique_log_masses() - result.ln_value)
@@ -307,6 +356,7 @@ def approximate_Z(
             mode="exact",
             bicliques=len(enumerate_maximal_bicliques(matrix)),
             eps=None,
+            config=config,
             records=(),
             ln_stderr=0.0,
         )
@@ -341,7 +391,7 @@ def approximate_Z(
         )
     target = eps_star / STDERR_FACTOR
     if result.ln_stderr is not None and result.ln_stderr > target:
-        m = math.ceil(SAMPLE_FACTOR * graph.n / eps_star**2)
+        m = _sample_ceiling(graph.n, eps_star)
         warnings.append(
             f"lnZ_stderr={result.ln_stderr:.6g} misses its target eps_star/{STDERR_FACTOR:g} = "
             f"{target:.6g}: the ratios' sample counts stop at the ceiling "
@@ -423,10 +473,12 @@ def sample_mixture(result: ApproxResult, eps_star: float, seed: int, count: int)
     """Draw `count` configurations from an estimated mixture; shape (count, 2n).
 
     Pipeline per draw: biclique by its mass in the result's records, polymer
-    configuration from its chain at accuracy eps_star/6, then spin_fill. An
-    exact-path result has no records to draw from (spin_sample_many draws
-    exactly there); it, an eps_star outside (0, 1) and a bad count are
-    refused before any stream is drawn.
+    configuration from a fresh chain on its candidate table, run for
+    default_mixing_steps(result.config, 2n, eps_star/6) steps (an empty
+    table draws no chain and no stream), then spin_fill. An exact-path
+    result has no records to draw from (spin_sample_many draws exactly
+    there); it, an eps_star outside (0, 1) and a bad count are refused
+    before any stream is drawn.
     """
     records = result.records
     if not records:
@@ -437,6 +489,7 @@ def sample_mixture(result: ApproxResult, eps_star: float, seed: int, count: int)
     _check_run(eps_star, result.mode, seed)
     check_count("count", count, 0)
     num = records[0].model.graph.num_vertices
+    steps = default_mixing_steps(result.config, num, eps_star / 6.0)
     masses = result.biclique_log_masses()
     probs = np.exp(masses - masses.max())
     probs /= probs.sum()
@@ -448,12 +501,9 @@ def sample_mixture(result: ApproxResult, eps_star: float, seed: int, count: int)
         b_idx = min(b_idx, len(records) - 1)
         record = records[b_idx]
         polymers = ()
-        if record.chain_config is not None:
+        if record.table:
             polymers = sample_polymer_config(
-                record.model,
-                record.chain_config,
-                eps_star / 6.0,
-                random_stream(seed, DRAW, b_idx, d),
+                record.table, steps, random_stream(seed, DRAW, b_idx, d)
             )
         out[d] = spin_fill(record.model, polymers, rng)
     return out

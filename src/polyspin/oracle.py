@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EstimatorConfig, PolymerChain
+from .dynamics import CandidateTable, PolymerChain
 from .errors import ResourceLimitError
 from .logspace import NEG_INF, LogSumAccumulator
 from .polymer import PolymerModel
@@ -42,9 +42,7 @@ def _assignment_blocks(allowed):
     itertools.product over the allowed lists.
     """
     sizes = [len(a) for a in allowed]
-    total = 1
-    for s in sizes:
-        total *= s
+    total = math.prod(sizes)
     if total == 0:
         return
     lookup = [np.asarray(a, dtype=np.int64) for a in allowed]
@@ -232,16 +230,16 @@ class ChainAnalysis:
     states: tuple
 
 
-def exact_chain_analysis(model: PolymerModel, config: EstimatorConfig) -> ChainAnalysis:
-    """Build the full transition matrix of the implemented chain step.
+def exact_chain_analysis(table: CandidateTable) -> ChainAnalysis:
+    """Build the full transition matrix of the implemented chain step on a
+    candidate table, over the whole graph.
 
     Each row comes from the chain's own heat-bath conditional, so the
     matrix is the sampler's; its stationary behaviour is compared against
     the truncated polymer Gibbs distribution, whose log-weights and
-    polymers are read from the same chain's candidate table.
+    polymers are read from the same table.
     """
-    probe = PolymerChain(model, config, None)  # probed, never run
-    table = probe.table
+    probe = PolymerChain(table, None)  # probed, never run
     active = probe.active_vertices
 
     # reachable states, BFS from the empty configuration

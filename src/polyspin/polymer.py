@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRangeError, ResourceLimitError
+from .errors import InvalidRangeError, ResourceLimitError, check_fraction
 from .logspace import NEG_INF
 from .spin_model import Biclique, InteractionMatrix, enumerate_maximal_bicliques
 
@@ -92,8 +92,7 @@ class PolymerModel:
         biclique: Biclique,
         eps: float,
     ):
-        if not (0.0 < eps < 1.0):
-            raise InvalidRangeError(f"eps must lie in (0,1), got {eps}")
+        check_fraction("eps", eps)
         # the boundary bound F_u <= |B_i|-1+delta needs maximality
         if biclique not in enumerate_maximal_bicliques(matrix):
             raise InvalidRangeError(f"{biclique} is not a maximal biclique of the matrix")
@@ -194,9 +193,12 @@ class PolymerModel:
 
         Vertex sets come from exclusive-neighborhood growth over the host
         graph restricted to vertices that have a non-ground spin; each set
-        is crossed with all non-ground spin assignments.
+        is crossed with all non-ground spin assignments. Below cap 1 the
+        list is empty, and the host graph is not built.
         """
-        cap = self.resolve_cap(size_cap)  # connected_vertex_sets yields nothing below 1
+        cap = self.resolve_cap(size_cap)
+        if cap < 1:
+            return []
         active = self.active_vertices
         active_set = set(active)
         host = {
@@ -207,10 +209,7 @@ class PolymerModel:
         for root in active:
             for vertex_set in connected_vertex_sets(host, root, cap):
                 options = [self.allowed_spins(v) for v in vertex_set]
-                count = 1
-                for opts in options:
-                    count *= len(opts)
-                if len(out) + count > budget:
+                if len(out) + math.prod(map(len, options)) > budget:
                     raise ResourceLimitError(
                         f"polymer enumeration exceeded budget {budget}"
                     )

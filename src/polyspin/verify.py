@@ -18,8 +18,8 @@ import numpy as np
 
 from . import exact as engine
 from . import oracle
-from .dynamics import DRAW, EstimatorConfig, random_stream, sample_polymer_config
-from .estimator import approximate_Z, spin_sample_many
+from .dynamics import DRAW, candidate_table, random_stream, sample_polymer_config
+from .estimator import EstimatorConfig, approximate_Z, default_mixing_steps, spin_sample_many
 from .graph import (
     check_expansion_inequalities,
     complete_bipartite,
@@ -122,7 +122,7 @@ def c2():
     worst_stat = 0.0
     gap = math.inf
     for cap in (1, 2):
-        analysis = oracle.exact_chain_analysis(model, EstimatorConfig(size_cap=cap))
+        analysis = oracle.exact_chain_analysis(candidate_table(model, cap))
         worst_db = max(worst_db, analysis.detailed_balance_violation)
         worst_stat = max(worst_stat, analysis.stationarity_violation)
         gap = min(gap, analysis.spectral_gap)
@@ -313,15 +313,17 @@ def c8():
 
 def chain_tv():
     """Fresh-chain draws from sample_polymer_config on K33 hard-core, cap 1,
+    each default_mixing_steps at C = 2 and eps 0.02 long (69 steps),
     against the enumerated truncated polymer Gibbs law: TV <= 0.02."""
     model = PolymerModel(complete_bipartite(3), hardcore(), Biclique((0, 1), (1,)), 0.4)
-    config = EstimatorConfig(size_cap=1, mixing_constant=2.0)
+    table = candidate_table(model, 1)
+    steps = default_mixing_steps(EstimatorConfig(mixing_constant=2.0), 6, 0.02)
     configs, probs = oracle.exact_polymer_distribution(model, 1)
     key = {tuple(c): k for k, c in enumerate(configs)}
     draws = 40_000
     counts = np.zeros(len(configs))
     for r in range(draws):
-        draw = sample_polymer_config(model, config, 0.02, random_stream(29, DRAW, 0, r))
+        draw = sample_polymer_config(table, steps, random_stream(29, DRAW, 0, r))
         counts[key[draw]] += 1
     tv = 0.5 * float(np.abs(counts / draws - probs).sum())
     return ("chain-tv", tv <= 0.02, f"polymer chain draws, TV = {tv:.4f} over {draws} draws")

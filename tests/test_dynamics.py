@@ -15,12 +15,14 @@ from polyspin import (
     PolymerModel,
     dynamics,
     enumerate_maximal_bicliques,
+    estimate_polymer_Z,
+    estimator,
     even_cycle,
     generate_random_regular_bipartite,
     random_stream,
     sample_polymer_config,
 )
-from polyspin.dynamics import DRAW, EXACT, FILL, RATIO
+from polyspin.dynamics import DRAW, EXACT, FILL, RATIO, candidate_table
 from polyspin.errors import InvalidRangeError
 from polyspin.estimator import _ratio
 from polyspin.oracle import (
@@ -43,7 +45,7 @@ def empty_model(k33, all_ones2) -> PolymerModel:
 
 
 def test_no_polymers_means_empty_forever(empty_model):
-    chain = PolymerChain(empty_model, EstimatorConfig(size_cap=1), random_stream(3, DRAW, 0, 0))
+    chain = PolymerChain(candidate_table(empty_model, 1), random_stream(3, DRAW, 0, 0))
     chain.run(500)
     assert chain.current_polymers() == ()
     assert chain.steps_taken == 500
@@ -52,15 +54,13 @@ def test_no_polymers_means_empty_forever(empty_model):
 def test_left_vertices_admit_no_polymers(k33_model):
     # ground set on the left is the whole spin space, so only right
     # vertices are ever proposed
-    chain = PolymerChain(k33_model, EstimatorConfig(size_cap=1), random_stream(3, DRAW, 0, 0))
+    chain = PolymerChain(candidate_table(k33_model, 1), random_stream(3, DRAW, 0, 0))
     assert chain.active_vertices == (3, 4, 5)
     assert 0 not in chain.active_vertices
 
 
 def test_region_restricts_membership(k33_model):
-    chain = PolymerChain(
-        k33_model, EstimatorConfig(size_cap=2), random_stream(0, DRAW, 0, 0), prefix=4
-    )
+    chain = PolymerChain(candidate_table(k33_model, 2), random_stream(0, DRAW, 0, 0), prefix=4)
     # only vertex 3 on the right is available; pairs exceed the region
     assert chain.active_vertices == (3,)
     chain.run(200)
@@ -69,10 +69,10 @@ def test_region_restricts_membership(k33_model):
 
 
 def test_chain_reproducible(k33_model):
-    params = EstimatorConfig(size_cap=2)
+    table = candidate_table(k33_model, 2)
 
     def trajectory(rng):
-        chain = PolymerChain(k33_model, params, rng)
+        chain = PolymerChain(table, rng)
         states = []
         for _ in range(997):
             chain.run(1)
@@ -94,9 +94,9 @@ def test_chain_reproducible(k33_model):
 
 @pytest.mark.parametrize("steps", [-5, 2.5, True, "3", None])
 def test_run_rejects_bad_step_counts(k33_model, steps):
-    params = EstimatorConfig(size_cap=2)
-    chain = PolymerChain(k33_model, params, random_stream(3, DRAW, 0, 0))
-    twin = PolymerChain(k33_model, params, random_stream(3, DRAW, 0, 0))
+    table = candidate_table(k33_model, 2)
+    chain = PolymerChain(table, random_stream(3, DRAW, 0, 0))
+    twin = PolymerChain(table, random_stream(3, DRAW, 0, 0))
     chain.run(10)
     twin.run(10)
     with pytest.raises(InvalidRangeError):
@@ -111,7 +111,7 @@ def test_run_rejects_bad_step_counts(k33_model, steps):
 
 @pytest.mark.parametrize("probe", [-1, 6, True, 2.0])
 def test_run_rejects_probes_outside_the_region(k33_model, probe):
-    chain = PolymerChain(k33_model, EstimatorConfig(size_cap=2), random_stream(3, DRAW, 0, 0))
+    chain = PolymerChain(candidate_table(k33_model, 2), random_stream(3, DRAW, 0, 0))
     with pytest.raises(InvalidRangeError):
         chain.run(10, probe=probe)
     assert chain.steps_taken == 0
@@ -132,9 +132,7 @@ _TRAJECTORY_DIGESTS = {
 def test_dense_trajectory_pinned(potts3, prefix):
     graph = generate_random_regular_bipartite(12, 4, 1)
     model = PolymerModel(graph, potts3, enumerate_maximal_bicliques(potts3)[0], 0.5)
-    chain = PolymerChain(
-        model, EstimatorConfig(size_cap=3), random_stream(12, DRAW, 0, 0), prefix=prefix
-    )
+    chain = PolymerChain(candidate_table(model, 3), random_stream(12, DRAW, 0, 0), prefix=prefix)
     digest = hashlib.sha1()
     for _ in range(5000):
         chain.run(1)
@@ -181,7 +179,7 @@ def test_stream_key_slots_are_bounded():
 
 @pytest.mark.parametrize("cap", [1, 2])
 def test_detailed_balance_and_stationarity(k33_model, cap):
-    analysis = exact_chain_analysis(k33_model, EstimatorConfig(size_cap=cap))
+    analysis = exact_chain_analysis(candidate_table(k33_model, cap))
     assert analysis.detailed_balance_violation <= 1e-12
     assert analysis.stationarity_violation <= 1e-10
     assert analysis.spectral_gap > 0.0
@@ -191,7 +189,7 @@ def test_gap_beyond_512_states(hardcore):
     # C28 hard-core, cap 1: the 14 right vertices form a 14-cycle in which
     # singletons one apart clash, so the states are its 843 independent sets
     model = PolymerModel(even_cycle(28), hardcore, Biclique((0, 1), (1,)), 0.4)
-    analysis = exact_chain_analysis(model, EstimatorConfig(size_cap=1))
+    analysis = exact_chain_analysis(candidate_table(model, 1))
     assert analysis.num_states == 843
     assert analysis.detailed_balance_violation <= 1e-12
     # the gap against the unsymmetrised transition matrix's own spectrum
@@ -202,13 +200,13 @@ def test_gap_beyond_512_states(hardcore):
 
 def test_state_space_size_cap2(k33_model):
     # 3 singletons + 3 connected pairs, all mutually incompatible
-    analysis = exact_chain_analysis(k33_model, EstimatorConfig(size_cap=2))
+    analysis = exact_chain_analysis(candidate_table(k33_model, 2))
     assert analysis.num_states == 7
 
 
 def test_detailed_balance_three_spins(rand43, potts3):
     model = PolymerModel(rand43, potts3, Biclique((0,), (0,)), 0.4)
-    analysis = exact_chain_analysis(model, EstimatorConfig(size_cap=2))
+    analysis = exact_chain_analysis(candidate_table(model, 2))
     assert analysis.num_states <= 200
     assert analysis.detailed_balance_violation <= 1e-12
     assert analysis.stationarity_violation <= 1e-10
@@ -217,7 +215,7 @@ def test_detailed_balance_three_spins(rand43, potts3):
 def test_removal_paths_have_positive_probability(k33_model):
     # irreducibility: each reachable state walks to the empty configuration
     # by dropping one polymer at a time, every step with positive probability
-    analysis = exact_chain_analysis(k33_model, EstimatorConfig(size_cap=2))
+    analysis = exact_chain_analysis(candidate_table(k33_model, 2))
     index = {state: i for i, state in enumerate(analysis.states)}
     for state in analysis.states:
         current = state
@@ -240,12 +238,12 @@ def test_analysis_reads_the_chain_kernel(k33_model, monkeypatch):
         return kept, options, total + dropped
 
     monkeypatch.setattr(PolymerChain, "conditional", stale_normaliser)
-    analysis = exact_chain_analysis(k33_model, EstimatorConfig(size_cap=2))
+    analysis = exact_chain_analysis(candidate_table(k33_model, 2))
     assert analysis.detailed_balance_violation > 1e-6
 
 
 def test_empty_model_analysis(empty_model):
-    analysis = exact_chain_analysis(empty_model, EstimatorConfig(size_cap=1))
+    analysis = exact_chain_analysis(candidate_table(empty_model, 1))
     assert analysis.num_states == 1
     assert analysis.detailed_balance_violation == 0.0
 
@@ -283,9 +281,8 @@ def test_conditional_matches_naive_filter(k33, c8, hardcore, potts3, gname, mnam
     for biclique in bicliques:
         model = PolymerModel(graph, matrix, biclique, 0.5)
         for cap in (1, 2, 3):
-            config = EstimatorConfig(size_cap=cap)
-            whole = PolymerChain(model, config, random_stream(1, DRAW, 0, 0))
-            table = whole.table
+            table = candidate_table(model, cap)
+            whole = PolymerChain(table, random_stream(1, DRAW, 0, 0))
             index = {poly: i for i, poly in enumerate(table.polymers)}
             if (gname, mname, cap) == ("g12", "potts3", 3):
                 # past the analysis' state budget: the states a chain visits
@@ -294,10 +291,10 @@ def test_conditional_matches_naive_filter(k33, c8, hardcore, potts3, gname, mnam
                     whole.run(1)
                     visited.append(whole.current_polymers())
             else:
-                visited = exact_chain_analysis(model, config).states
+                visited = exact_chain_analysis(table).states
             states = {tuple(sorted(index[p] for p in s)) for s in visited}
             prefix = num - graph.n // 2
-            region = PolymerChain(model, config, None, prefix=prefix)
+            region = PolymerChain(table, None, prefix=prefix)
             for chain in (whole, region):
                 limit = 1 << chain.prefix
                 seen = {tuple(i for i in s if table.masks[i] < limit) for s in states}
@@ -314,10 +311,10 @@ def test_conditional_matches_naive_filter(k33, c8, hardcore, potts3, gname, mnam
     assert paths["free"] and paths["blocked"], paths
 
 
-def _reference_steps(model, config, prefix, key):
+def _reference_steps(table, prefix, key):
     """The states of a chain keyed `key`, stepped through conditional; see
     _reference_walk."""
-    ref = PolymerChain(model, config, None, prefix=prefix)
+    ref = PolymerChain(table, None, prefix=prefix)
     return _reference_walk(ref, random_stream(*key), [])
 
 
@@ -359,13 +356,12 @@ def test_picks_stay_in_the_active_list():
     assert all(math.floor(top * a) == a - 1 for a in range(1, 2**16 + 1))
 
 
-def _check_lockstep(model, config, prefix, steps, probe_steps):
+def _check_lockstep(table, prefix, steps, probe_steps):
     """Compare run with the reference for `steps` single steps, then the
     probe's sum over probe_steps // sweep sweeps; returns the memo clears."""
     key = (5, DRAW, 0, 0)
-    chain = PolymerChain(model, config, random_stream(*key), prefix=prefix)
-    table = chain.table
-    reference = _reference_steps(model, config, prefix, key)
+    chain = PolymerChain(table, random_stream(*key), prefix=prefix)
+    reference = _reference_steps(table, prefix, key)
     clears = 0
     for step in range(steps):
         size = chain._memo_size
@@ -385,8 +381,8 @@ def _check_lockstep(model, config, prefix, steps, probe_steps):
     probe = chain.active_vertices[-1]
     sweep = len(chain.active_vertices)
     sweeps = probe_steps // sweep
-    chain = PolymerChain(model, config, random_stream(*key), prefix=prefix)
-    reference = _reference_steps(model, config, prefix, key)
+    chain = PolymerChain(table, random_stream(*key), prefix=prefix)
+    reference = _reference_steps(table, prefix, key)
     expected = 0.0
     for _ in range(sweeps):
         for _ in range(sweep):
@@ -412,8 +408,8 @@ def test_run_matches_conditional_steps(k33, c8, hardcore, potts3, gname, mname):
         model = PolymerModel(graph, matrix, biclique, 0.5)
         for cap in (1, 2, 3):
             for prefix in (None, graph.num_vertices - graph.n // 2):
-                config = EstimatorConfig(size_cap=cap)
-                _check_lockstep(model, config, prefix, 400, 2 * dynamics._RNG_BUFFER)
+                table = candidate_table(model, cap)
+                _check_lockstep(table, prefix, 400, 2 * dynamics._RNG_BUFFER)
 
 
 def test_memo_fills_and_clears_within_its_bound(hardcore):
@@ -421,15 +417,15 @@ def test_memo_fills_and_clears_within_its_bound(hardcore):
     # few thousand steps, where the small graphs' memos never do
     graph = generate_random_regular_bipartite(32, 4, 1)
     model = PolymerModel(graph, hardcore, enumerate_maximal_bicliques(hardcore)[0], 0.1)
-    assert _check_lockstep(model, EstimatorConfig(size_cap=2), None, 6000, 640) >= 1
+    assert _check_lockstep(candidate_table(model, 2), None, 6000, 640) >= 1
 
 
-def _reference_probe_sums(model, config, prefix, key, probe, calls):
+def _reference_probe_sums(table, prefix, key, probe, calls):
     """Per run call of calls[c] steps, the sum of 1/total of the reference's
     conditional at probe after each full sweep counted from the call's
     start, and the reads whose options were cut by a blocked candidate."""
-    reference = _reference_steps(model, config, prefix, key)
-    sweep = len(PolymerChain(model, config, None, prefix=prefix).active_vertices)
+    reference = _reference_steps(table, prefix, key)
+    sweep = len(PolymerChain(table, None, prefix=prefix).active_vertices)
     sums, cut = [], 0
     for steps in calls:
         acc = 0.0
@@ -461,12 +457,12 @@ def test_probe_sums_split_over_calls(k33, hardcore, case):
         model = PolymerModel(graph, hardcore, enumerate_maximal_bicliques(hardcore)[0], 0.5)
     else:
         model = PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), 0.4)
-    config = EstimatorConfig(size_cap=2)
+    table = candidate_table(model, 2)
     prefix = 4 if case == "k33-one-active" else None
     key = (5, DRAW, 0, 0)
-    chain = PolymerChain(model, config, random_stream(*key), prefix=prefix)
+    chain = PolymerChain(table, random_stream(*key), prefix=prefix)
     probe = chain.active_vertices[-1]
-    sums, cut = _reference_probe_sums(model, config, prefix, key, probe, _PROBE_CALLS)
+    sums, cut = _reference_probe_sums(table, prefix, key, probe, _PROBE_CALLS)
     assert [chain.run(steps, probe=probe) for steps in _PROBE_CALLS] == sums
     assert sums[2] == 0.0
     if case == "k33-one-active":
@@ -480,25 +476,23 @@ def test_probe_sums_split_over_calls(k33, hardcore, case):
 
 
 def test_sample_polymer_config_empty_model(empty_model):
-    config = sample_polymer_config(
-        empty_model, EstimatorConfig(size_cap=1), 0.1, random_stream(4, DRAW, 0, 0)
-    )
-    assert len(config) == 0
+    table = candidate_table(empty_model, 1)
+    assert len(table) == 0 and table.size_cap == 0
+    assert sample_polymer_config(table, 500, random_stream(4, DRAW, 0, 0)) == ()
 
 
 def test_sample_reproducible(k33_model):
-    params = EstimatorConfig(size_cap=2)
-    a = sample_polymer_config(k33_model, params, 0.05, random_stream(9, DRAW, 0, 0))
-    b = sample_polymer_config(k33_model, params, 0.05, random_stream(9, DRAW, 0, 0))
+    table = candidate_table(k33_model, 2)
+    a = sample_polymer_config(table, 300, random_stream(9, DRAW, 0, 0))
+    b = sample_polymer_config(table, 300, random_stream(9, DRAW, 0, 0))
     assert a == b
 
 
 def test_ergodic_average_matches_enumeration(k33_model):
     # long-run mean of the polymer count against the exact expectation
-    params = EstimatorConfig(size_cap=2)
     configs, probs = exact_polymer_distribution(k33_model, 2)
     expect = float(sum(p * len(c) for c, p in zip(configs, probs)))
-    chain = PolymerChain(k33_model, params, random_stream(2, DRAW, 0, 0))
+    chain = PolymerChain(candidate_table(k33_model, 2), random_stream(2, DRAW, 0, 0))
     chain.run(2000)
     total = 0
     steps = 60_000
@@ -515,15 +509,55 @@ def test_ergodic_average_matches_enumeration(k33_model):
 # -- uncovered ratio ---------------------------------------------------------------
 
 
-def test_uncovered_ratio_no_polymers(empty_model):
-    chain = PolymerChain(
-        empty_model, EstimatorConfig(size_cap=1), random_stream(1, RATIO, 0, 0), prefix=6
-    )
-    assert _ratio(chain, EstimatorConfig(size_cap=1), 10, math.nan, "strict") == (1.0, 0.0)
+def test_uncovered_ratio_no_polymers(empty_model, monkeypatch):
+    # an empty table leaves the telescope no region to visit: ln Z is 0
+    # exactly, with no ratio taken and no step
+    assert not candidate_table(empty_model, 1)
+
+    def no_ratio(*args):
+        raise AssertionError("a ratio was taken on an empty table")
+
+    monkeypatch.setattr(estimator, "_ratio", no_ratio)
+    for mode in ("lab", "strict"):
+        ln_z, steps, var = estimate_polymer_Z(
+            empty_model, EstimatorConfig(size_cap=1), 0.2, 1, mode=mode
+        )
+        assert (ln_z, steps) == (0.0, 0)
+        # strict reports no variance
+        assert (var == 0.0) if mode == "lab" else math.isnan(var)
+
+
+@pytest.mark.parametrize("mname", ["hardcore", "potts3"])
+@pytest.mark.parametrize("gname", ["k33", "c8", "g12"])
+def test_telescope_visits_exactly_the_covered_regions(
+    k33, c8, hardcore, potts3, monkeypatch, gname, mname
+):
+    # region i's ratio is 1 exactly unless some region polymer covers its
+    # last vertex i-1; the telescope must visit those regions and no other
+    graph = {"k33": k33, "c8": c8, "g12": generate_random_regular_bipartite(12, 4, 1)}[gname]
+    matrix = {"hardcore": hardcore, "potts3": potts3}[mname]
+    visited = []
+
+    def recording(chain, *args):
+        visited.append(chain.prefix)
+        return 1.0, 0.0
+
+    monkeypatch.setattr(estimator, "_ratio", recording)
+    for biclique in enumerate_maximal_bicliques(matrix):
+        model = PolymerModel(graph, matrix, biclique, 0.5)
+        for cap in (1, 2, 3):
+            visited.clear()
+            estimate_polymer_Z(model, EstimatorConfig(size_cap=cap), 0.5, 1)
+            chain = PolymerChain(candidate_table(model, cap), None, prefix=0)
+            covered = []
+            for i in range(1, graph.num_vertices + 1):
+                chain.grow(i)
+                if chain.active_vertices[-1:] == (i - 1,):
+                    covered.append(i)
+            assert visited and visited == covered, (biclique, cap)
 
 
 def test_uncovered_ratio_matches_exact(k33_model):
-    params = EstimatorConfig(size_cap=1)
     configs, probs = exact_polymer_distribution(k33_model, 1)
     # ratio 6: vertex 5 uncovered in region {0..5}
     exact = float(
@@ -531,8 +565,9 @@ def test_uncovered_ratio_matches_exact(k33_model):
     )
     assert exact == pytest.approx(10.0 / 11.0, abs=1e-12)
     m = 10_000
-    chain = PolymerChain(k33_model, params, random_stream(6, RATIO, 0, 0), prefix=6)
-    est, _ = _ratio(chain, params, m, math.nan, "strict")
+    chain = PolymerChain(candidate_table(k33_model, 1), random_stream(6, RATIO, 0, 0), prefix=6)
+    # the config gives strict mode's burn-in its mixing constant
+    est, _ = _ratio(chain, EstimatorConfig(), m, math.nan, "strict")
     # samples one sweep apart are nearly independent; allow for correlation
     stderr = 2.0 * math.sqrt(exact * (1 - exact) / m)
     assert abs(est - exact) <= 3.0 * stderr
@@ -542,9 +577,7 @@ def test_uncovered_ratio_matches_exact(k33_model):
 
 
 def test_grow_refuses_shrinking_or_overflowing(k33_model):
-    chain = PolymerChain(
-        k33_model, EstimatorConfig(size_cap=2), random_stream(0, RATIO, 0, 0), prefix=4
-    )
+    chain = PolymerChain(candidate_table(k33_model, 2), random_stream(0, RATIO, 0, 0), prefix=4)
     for prefix in (3, 7):
         with pytest.raises(InvalidRangeError):
             chain.grow(prefix)
@@ -568,10 +601,10 @@ def test_any_split_over_runs_and_grows_gives_the_reference_chain(hardcore, plan)
     # g12 hard-core: regions 13, 17 and 24 have 1, 5 and 12 active vertices
     graph = generate_random_regular_bipartite(12, 4, 1)
     model = PolymerModel(graph, hardcore, enumerate_maximal_bicliques(hardcore)[0], 0.5)
-    config = EstimatorConfig(size_cap=2)
+    table = candidate_table(model, 2)
     key = (0, RATIO, 0, 0)
-    chain = PolymerChain(model, config, random_stream(*key), prefix=13)
-    ref = PolymerChain(model, config, None, prefix=13)
+    chain = PolymerChain(table, random_stream(*key), prefix=13)
+    ref = PolymerChain(table, None, prefix=13)
     rng = random_stream(*key)
     current = []
     for prefix, calls in _GROW_PLANS[plan]:

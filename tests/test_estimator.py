@@ -28,8 +28,8 @@ from polyspin import (
     spin_fill,
     spin_sample_many,
 )
-from polyspin import estimator
-from polyspin.dynamics import default_mixing_steps
+from polyspin import dynamics, estimator
+from polyspin.estimator import default_mixing_steps
 from polyspin.errors import (
     InvalidAccuracyError,
     InvalidRangeError,
@@ -142,13 +142,13 @@ def test_lab_ratio_averages_only_the_fresh_sweeps(k33, hardcore, monkeypatch):
     assert steps == sum(c[1] for c in calls)
 
 
-def _cold_schedule_steps(model, config, eps_star):
+def _cold_schedule_steps(model, table, config, eps_star):
     """The steps of one run of strict mode's per-ratio schedule: per region
     whose last vertex is active, the cold burn-in and m sweeps."""
     m = math.ceil(estimator.SAMPLE_FACTOR * model.graph.n / eps_star**2)
     steps = 0
     for i in range(1, model.graph.num_vertices + 1):
-        active = PolymerChain(model, config, None, prefix=i).active_vertices
+        active = PolymerChain(table, None, prefix=i).active_vertices
         if active and active[-1] == i - 1:
             steps += default_mixing_steps(config, i, 1e-3) + m * len(active)
     return steps
@@ -169,10 +169,10 @@ def test_lab_steps_never_exceed_the_cold_schedule(request, hardcore, graph_name,
         "g12-d4": lambda: generate_random_regular_bipartite(12, 4, seed=1),
     }[graph_name]()
     records = approximate_Z(graph, hardcore, eps_star, 0, config=config).records
-    chained = [r for r in records if r.chain_config is not None]
+    chained = [r for r in records if r.table]
     assert chained
     for record in chained:
-        cold = _cold_schedule_steps(record.model, record.chain_config, eps_star)
+        cold = _cold_schedule_steps(record.model, record.table, config, eps_star)
         assert 0 < record.steps <= cold
 
 
@@ -263,13 +263,14 @@ def test_lab_approximate_z_adds_only_warnings_to_build_mixture(k33, hardcore):
     assert bare.warnings == () and full.warnings
 
     def fields(result):
-        # every record field but the model, which each call builds afresh
+        # every record field but the model and its table, which each call
+        # builds afresh: the table by its cap and masks
         records = [
-            (r.biclique, r.ln_prefactor, r.ln_polymer_z, r.ln_polymer_var, r.chain_config,
-             r.candidates, r.steps)
+            (r.biclique, r.ln_prefactor, r.ln_polymer_z, r.ln_polymer_var, r.table.size_cap,
+             r.table.masks, r.steps)
             for r in result.records
         ]
-        return result.mode, result.eps, result.ln_value, result.ln_stderr, records
+        return result.mode, result.eps, result.config, result.ln_value, result.ln_stderr, records
 
     assert fields(full) == fields(bare)
 
@@ -342,11 +343,25 @@ def test_lab_mode_matches_exact_mixture(k33, hardcore):
         {"brute_force_budget": 2.0},
         {"mixing_constant": True},
         {"mixing_constant": "x"},
+        # a string escaped the range check as a bare TypeError
+        {"eps_override": "x"},
+        {"eps_override": "0.3"},
+        {"eps_override": math.nan},
     ],
 )
 def test_estimator_config_rejects_out_of_range(kwargs):
     with pytest.raises(InvalidRangeError):
         EstimatorConfig(**kwargs)
+
+
+@pytest.mark.parametrize("bad", ["0.3", math.nan, None])
+def test_closeness_and_accuracy_refuse_non_numbers(k33, hardcore, bad):
+    # each used to compare the value with 0.0 and raise a bare TypeError
+    with pytest.raises(InvalidRangeError):
+        PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), bad)
+    for run in (approximate_Z, build_mixture):
+        with pytest.raises(InvalidAccuracyError):
+            run(k33, hardcore, bad, 1)
 
 
 def test_exact_path_warning_names_the_cause(k33, hardcore):
@@ -409,6 +424,9 @@ def test_vacuous_polymer_correction_warns(hardcore):
     result = approximate_Z(graph, hardcore, 0.1, 0)
     assert result.ln_value == 65 * math.log(2.0)
     assert any("polymer correction is vacuous" in w for w in result.warnings)
+    # every biclique's table is empty, and an empty table builds no G^3 zone
+    assert [(r.table.size_cap, len(r.table), r.steps) for r in result.records] == [(0, 0, 0)] * 2
+    assert graph._host is None
 
 
 def test_fixed_seed_outputs_unchanged(k33, hardcore):
@@ -601,28 +619,37 @@ def test_spin_sample_rejects_unknown_mode(k33, hardcore):
         spin_sample_many(k33, hardcore, 0.5, 1, 2, mode="bogus")
 
 
-def test_chain_config_resolved_once_per_biclique(k33, hardcore, monkeypatch):
-    # the sampler draws through the mixture's own models and configs, so a
-    # sampling call builds each biclique's model and resolves its config once
-    resolved, built = [], []
-    real_params = EstimatorConfig.chain_params
+def test_one_table_per_biclique_per_sampling_call(k33, hardcore, monkeypatch):
+    # the sampler draws through the mixture's own models and tables, so a
+    # sampling call builds each biclique's model and candidate table once,
+    # and every chain it runs, telescope or draw, runs on one of them
+    built, tables, chained = [], [], []
     real_init = PolymerModel.__init__
-
-    def counting_params(self, model):
-        resolved.append(model.biclique)
-        return real_params(self, model)
+    real_table = dynamics.CandidateTable.__init__
+    real_chain = PolymerChain.__init__
 
     def counting_init(self, graph, matrix, biclique, eps):
         built.append(biclique)
         real_init(self, graph, matrix, biclique, eps)
 
-    monkeypatch.setattr(EstimatorConfig, "chain_params", counting_params)
+    def counting_table(self, model, size_cap):
+        tables.append(model.biclique)
+        real_table(self, model, size_cap)
+
+    def counting_chain(self, table, rng, **kwargs):
+        chained.append(table)
+        real_chain(self, table, rng, **kwargs)
+
     monkeypatch.setattr(PolymerModel, "__init__", counting_init)
+    monkeypatch.setattr(dynamics.CandidateTable, "__init__", counting_table)
+    monkeypatch.setattr(PolymerChain, "__init__", counting_chain)
     config = EstimatorConfig(brute_force_budget=0, eps_override=0.4)
-    spin_sample_many(k33, hardcore, 0.3, 5, 50, config=config)
+    result = approximate_Z(k33, hardcore, 0.3, 5, config=config)
+    estimator.sample_mixture(result, 0.3, 5, 50)
     bicliques = enumerate_maximal_bicliques(hardcore)
-    assert sorted(resolved) == sorted(bicliques)
-    assert sorted(built) == sorted(bicliques)
+    assert sorted(built) == sorted(tables) == sorted(bicliques)
+    assert len(chained) == len(bicliques) + 50
+    assert {id(t) for t in chained} == {id(r.table) for r in result.records}
 
 
 def test_sampler_streams_are_distinct(monkeypatch):
