@@ -19,15 +19,18 @@ and blocked (the OR of their G^3 blocks), and rebuilds them only when the
 picked vertex is covered and its polymer dropped. If v then lies in
 blocked, every candidate through v is blocked, the normaliser is 1 and
 the step changes nothing. Otherwise the options at v depend only on
-(v, blocked & reach[v]), reach[v] being the union of v's candidate masks:
-with nothing blocked they are v's whole list and its precomputed
-normaliser, else an entry of the chain's memo, else a scan in table order
-that fills the memo. The memo belongs to the chain's candidate view: grow
-resets it, and it is emptied whenever it would hold more than
-MEMO_FACTOR times the view's candidate triples (an entry counts 1 plus
-its options). run's output is conditional's, bit for bit: every
-normaliser, whether precomputed, memoised or scanned, is 1.0 plus the
-unblocked weights added in table order, as the scan adds them.
+(v, key), key = blocked & reach[v], reach[v] being the union of v's
+candidate masks in the region, and _Region.options looks them up: with
+key 0 they are v's whole list and its precomputed normaliser, else an
+entry of the region's memo, else a scan in table order that fills the
+memo. The memo holds only what (v, key) and the region's triples fix, so
+chains may share it: every whole-graph chain on a table reads the table's
+one region, memo included, and a smaller region is built afresh by each
+grow. A memo is emptied whenever it would hold more than MEMO_FACTOR
+times its region's candidate triples (an entry counts 1 plus its
+options). run's output is conditional's, bit for bit: every normaliser,
+whether precomputed, memoised or scanned, is 1.0 plus the unblocked
+weights added in table order, as the scan adds them.
 
 Step t of a chain reads doubles 2t and 2t+1 of its stream, whatever the
 step does: u picks active[floor(u * len(active))], u' is the heat-bath
@@ -50,10 +53,10 @@ a step. So a sweep costs its steps, one islice and one read, and a step
 pays nothing for the countdown, which moves once per cut.
 
 The region is a prefix {0..i-1} of the vertices (the whole graph by
-default); PolymerChain.grow extends it in place. Polymer connectivity and
-compatibility always refer to G^3 of the full graph; the region only
-restricts which vertices polymers may occupy, which is what makes region
-partition functions telescope.
+default); PolymerChain.grow extends it, keeping the state. Polymer
+connectivity and compatibility always refer to G^3 of the full graph; the
+region only restricts which vertices polymers may occupy, which is what
+makes region partition functions telescope.
 """
 
 from __future__ import annotations
@@ -64,14 +67,12 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import InvalidRangeError, check_seed
+from .errors import InvalidRangeError, check_count, check_seed
 from .logspace import NEG_INF
 from .polymer import Polymer, PolymerModel
 
 _RNG_BUFFER = 4096  # steps drawn per chunk: bounds memory, not the stream
-# A chain's memo of blocked options holds at most MEMO_FACTOR times its
-# view's candidate triples, counting each entry as 1 plus its options.
-MEMO_FACTOR = 16
+MEMO_FACTOR = 16  # a region memo's bound per candidate triple; see above
 
 # Stream domains, the first spawn-key slot of every random stream.
 RATIO = 0  # telescope chains: chain = median run
@@ -98,13 +99,6 @@ def random_stream(seed: int, domain: int, biclique: int, chain: int) -> np.rando
         if not 0 <= k < _KEY_LIMIT:
             raise InvalidRangeError(f"stream key slots must lie in [0, 2^32), got {key}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
-
-
-def check_count(name: str, value, low: int) -> None:
-    """Refuse a bool, a non-integral count or one below low with InvalidRangeError."""
-    # int and np.integer, not the slower numbers.Integral: run checks every call
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise InvalidRangeError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class CandidateTable:
@@ -161,26 +155,64 @@ class CandidateTable:
         return len(self.polymers)
 
     @cached_property
-    def _sums(self) -> tuple[list[int], list[float]]:
-        # built by the first whole-graph chain, shared by every later one
-        return _vertex_sums(self.by_vertex)
+    def region(self) -> _Region:
+        """The whole graph's region, built by the first whole-graph chain and
+        shared, memo included, by every later one."""
+        return _Region(self.by_vertex, len(self.by_vertex))
 
 
-def _vertex_sums(cands) -> tuple[list[int], list[float]]:
-    """Per vertex: reach, the OR of its candidate masks, and total, 1.0 plus
-    its candidate weights added left to right, which is the heat-bath
-    normaliser when no candidate through the vertex is blocked."""
-    reach: list[int] = []
-    totals: list[float] = []
-    for row in cands:
-        r = 0
+class _Region:
+    """A table's heat-bath view of the region {0..prefix-1}. Per vertex:
+    cands, its in-region candidate triples in table order; reach, the OR of
+    their masks; totals, 1.0 plus their weights added left to right. Then
+    active, the vertices with a candidate, and the bounded memo of blocked
+    options (see the module docstring)."""
+
+    def __init__(self, by_vertex: list[list[tuple[int, float, int]]], prefix: int):
+        if prefix == len(by_vertex):
+            self.cands = by_vertex  # read in place, never modified
+        else:
+            limit = 1 << prefix  # a polymer lies in the region iff mask < limit
+            self.cands = [[c for c in row if c[0] < limit] for row in by_vertex[:prefix]]
+        self.reach: list[int] = []
+        self.totals: list[float] = []
+        for row in self.cands:
+            r = 0
+            total = 1.0
+            for m, w, _ in row:
+                r |= m
+                total += w
+            self.reach.append(r)
+            self.totals.append(total)
+        self.active = [v for v in range(prefix) if self.cands[v]]
+        self.memo: dict[tuple[int, int], tuple[list, float]] = {}
+        self.memo_size = 0
+        self.memo_limit = MEMO_FACTOR * sum(map(len, self.cands))
+
+    def options(self, v: int, key: int) -> tuple[list, float]:
+        """v's unblocked options and their normaliser, given key = (the union
+        of the kept blocks) & reach[v]: v's whole list for key 0, else the
+        memo's entry, else a scan."""
+        if not key:
+            return self.cands[v], self.totals[v]
+        hit = self.memo.get((v, key))
+        return self.scan(v, key) if hit is None else hit
+
+    def scan(self, v: int, key: int) -> tuple[list, float]:
+        """Filter v's candidates against key in table order, adding their
+        weights to 1.0 in that order, and memoise the result. A memo that
+        would pass its bound is emptied first."""
+        options = [c for c in self.cands[v] if not c[0] & key]
         total = 1.0
-        for m, w, _ in row:
-            r |= m
-            total += w
-        reach.append(r)
-        totals.append(total)
-    return reach, totals
+        for c in options:
+            total += c[1]
+        size = 1 + len(options)
+        if self.memo_size + size > self.memo_limit:
+            self.memo.clear()
+            self.memo_size = 0
+        hit = self.memo[v, key] = (options, total)
+        self.memo_size += size
+        return hit
 
 
 def candidate_table(model: PolymerModel, size_cap: int | None) -> CandidateTable:
@@ -199,14 +231,14 @@ class PolymerChain:
     {0..prefix-1} (the whole graph when prefix is None), deterministic given
     its stream and the sequence of steps and grow calls. rng is the chain's
     own random_stream; a chain that is only probed through conditional,
-    never run, may take None.
+    never run, may take None. The chain holds its state and its region's
+    view, the table's own for the whole graph.
     """
 
     def __init__(
         self, table: CandidateTable, rng: np.random.Generator | None, *, prefix: int | None = None
     ):
         self.table = table
-        self._masks, self._blocks = table.masks, table.blocks  # read on every step
         self._current: list[int] = []  # table indices of present polymers
         self._covered = 0  # OR of their masks
         self._blocked = 0  # OR of their blocks
@@ -217,25 +249,15 @@ class PolymerChain:
 
     def grow(self, prefix: int) -> None:
         """Extend the region to {0..prefix-1}, keeping the state (its polymers
-        lie in the new region) but dropping the memo, which holds the old
-        region's options. Draws nothing. Refuses a smaller prefix or one
-        above 2n."""
-        table = self.table
-        num = len(table.by_vertex)
-        if not self.prefix <= prefix <= num:
+        lie in the new region): the whole graph's view is the table's, any
+        other a fresh _Region. Draws nothing. Refuses a bool, a non-integer,
+        a smaller prefix or one above 2n before any state changes."""
+        num = len(self.table.by_vertex)
+        check_count("prefix", prefix, self.prefix)
+        if prefix > num:
             raise InvalidRangeError(f"prefix must lie in [{self.prefix}, {num}], got {prefix}")
         self.prefix = prefix
-        if prefix == num:
-            self._cands = table.by_vertex  # read in place, never modified
-            self._reach, self._totals = table._sums
-        else:
-            limit = 1 << prefix  # a polymer lies in the region iff mask < limit
-            self._cands = [[c for c in row if c[0] < limit] for row in table.by_vertex[:prefix]]
-            self._reach, self._totals = _vertex_sums(self._cands)
-        self._active = [v for v in range(prefix) if self._cands[v]]
-        self._memo: dict[tuple[int, int], tuple[list, float]] = {}
-        self._memo_size = 0
-        self._memo_limit = MEMO_FACTOR * sum(map(len, self._cands))
+        self.region = self.table.region if prefix == num else _Region(self.table.by_vertex, prefix)
 
     def conditional(self, current, v: int):
         """The heat-bath conditional at vertex v, given the table indices of
@@ -246,13 +268,12 @@ class PolymerChain:
         (kept, options, total): the next state is kept plus nothing with
         probability 1/total, or kept plus polymer i with probability
         w/total for each (mask, w, i) triple in options, which is a
-        read-only list of the chain's own candidate triples in table order.
+        read-only list of the region's candidate triples in table order.
         They depend only on key = (the union of the kept blocks) & reach[v],
-        as every candidate through v lies in reach[v]: with key 0 they are
-        v's whole list and precomputed total, else the memo's or the scan's.
+        as every candidate through v lies in reach[v]; see _Region.options.
         """
-        masks = self._masks
-        blocks = self._blocks  # block zone already contains the vertex mask
+        masks = self.table.masks
+        blocks = self.table.blocks  # block zone already contains the vertex mask
         vbit = 1 << v
         kept = []
         blocked = 0
@@ -260,28 +281,8 @@ class PolymerChain:
             if not masks[i] & vbit:
                 kept.append(i)
                 blocked |= blocks[i]
-        key = blocked & self._reach[v]
-        if not key:
-            return kept, self._cands[v], self._totals[v]
-        hit = self._memo.get((v, key))
-        options, total = self._scan(v, key) if hit is None else hit
-        return kept, options, total
-
-    def _scan(self, v: int, key: int) -> tuple[list, float]:
-        """Filter v's candidates against key in table order, adding their
-        weights to 1.0 in that order, and memoise the result. A memo that
-        would pass its bound is emptied first."""
-        options = [c for c in self._cands[v] if not c[0] & key]
-        total = 1.0
-        for c in options:
-            total += c[1]
-        size = 1 + len(options)
-        if self._memo_size + size > self._memo_limit:
-            self._memo.clear()
-            self._memo_size = 0
-        hit = self._memo[v, key] = (options, total)
-        self._memo_size += size
-        return hit
+        region = self.region
+        return (kept, *region.options(v, blocked & region.reach[v]))
 
     def run(self, steps: int, probe: int | None = None) -> float | None:
         """Take `steps` heat-bath steps.
@@ -300,12 +301,13 @@ class PolymerChain:
             if probe >= self.prefix:
                 raise InvalidRangeError(f"probe must lie in [0, {self.prefix}), got {probe}")
         self.steps_taken += steps
-        active = self._active
+        region = self.region
+        active = region.active
         if not active:
             return None if probe is None else 0.0
-        masks, blocks = self._masks, self._blocks
-        cands, reach, totals = self._cands, self._reach, self._totals
-        memo, scan = self._memo, self._scan
+        masks, blocks = self.table.masks, self.table.blocks
+        cands, reach, totals = region.cands, region.reach, region.totals
+        memo, scan = region.memo, region.scan
         current, covered, blocked = self._current, self._covered, self._blocked
         rng = self._rng
         # steps to the next probe read; never reached without a probe
@@ -342,7 +344,7 @@ class PolymerChain:
                         blocked |= blocks[i]
                 if blocked & vbit:
                     continue  # nothing through v fits: total is 1, the state stays
-                key = blocked & reach[v]  # conditional's lookup, inlined
+                key = blocked & reach[v]  # _Region.options, inlined
                 if key:
                     hit = memo.get((v, key))
                     options, total = scan(v, key) if hit is None else hit
@@ -368,7 +370,7 @@ class PolymerChain:
                     for i in current:
                         if not masks[i] & pbit:
                             rest |= blocks[i]
-                key = rest & reach[probe]  # conditional's lookup, inlined
+                key = rest & reach[probe]  # _Region.options, inlined
                 if key:
                     hit = memo.get((probe, key))
                     total = (scan(probe, key) if hit is None else hit)[1]
@@ -383,7 +385,7 @@ class PolymerChain:
     @property
     def active_vertices(self) -> tuple[int, ...]:
         """Region vertices that admit at least one sampleable polymer."""
-        return tuple(self._active)
+        return tuple(self.region.active)
 
     def covered(self, v: int) -> bool:
         return bool(self._covered >> v & 1)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the one seed check and the
-one check of a number in (0, 1).
+"""Exception types shared across the package, the one seed check, the one
+count check and the one check of a number in (0, 1).
 
 The CLI maps these onto its exit-code contract (parse errors -> 1,
 infeasible inputs -> 2, unmet premises -> 3).
@@ -68,6 +68,13 @@ def check_seed(seed) -> None:
     # int and np.integer, not the slower numbers.Integral: every draw's stream checks
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 1 << 64:
         raise InvalidRangeError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Refuse a bool, a non-integral count or one below low with InvalidRangeError."""
+    # int and np.integer, not the slower numbers.Integral: run checks every call
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise InvalidRangeError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def check_fraction(name: str, value, error=InvalidRangeError) -> None:

@@ -37,7 +37,6 @@ from .dynamics import (
     CandidateTable,
     PolymerChain,
     candidate_table,
-    check_count,
     random_stream,
     sample_polymer_config,
 )
@@ -46,6 +45,7 @@ from .errors import (
     InvalidRangeError,
     PremisesUnmetError,
     ZeroNormalizerError,
+    check_count,
     check_fraction,
     check_seed,
 )
@@ -130,8 +130,15 @@ def _check_run(eps_star: float, mode: str, seed: int) -> None:
 
 
 def _sample_ceiling(n: int, eps_star: float) -> int:
-    """m = ceil(SAMPLE_FACTOR n / eps_star^2), strict's sweeps per ratio and lab's ceiling."""
-    return math.ceil(SAMPLE_FACTOR * n / eps_star**2)
+    """m = ceil(SAMPLE_FACTOR n / eps_star^2), strict's sweeps per ratio and
+    lab's ceiling; an eps_star for which m is not finite is refused."""
+    try:
+        return math.ceil(SAMPLE_FACTOR * n / eps_star**2)
+    except (ZeroDivisionError, OverflowError):  # eps_star^2 underflows or m overflows
+        raise InvalidAccuracyError(
+            f"eps_star={eps_star!r} is too small: m = ceil({SAMPLE_FACTOR:g} n / eps_star^2) "
+            "is not finite"
+        ) from None
 
 
 @dataclass(frozen=True)

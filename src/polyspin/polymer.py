@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRangeError, ResourceLimitError, check_fraction
+from .errors import InvalidRangeError, ResourceLimitError, check_count, check_fraction
 from .logspace import NEG_INF
 from .spin_model import Biclique, InteractionMatrix, enumerate_maximal_bicliques
 
@@ -182,7 +182,10 @@ class PolymerModel:
 
     def resolve_cap(self, size_cap: int | None = None) -> int:
         """The one size-cap rule: max_size for None, else min(size_cap, max_size);
-        0 when the model admits no polymers (max_size 0 or no active vertex)."""
+        0 when the model admits no polymers (max_size 0 or no active vertex).
+        Any request but None or an integer >= 0 raises InvalidRangeError."""
+        if size_cap is not None:
+            check_count("size_cap", size_cap, 0)
         cap = self.max_size if size_cap is None else min(size_cap, self.max_size)
         return cap if self.active_vertices else 0
 

@@ -157,6 +157,17 @@ def test_estimate_size_cap_zero_exit_1(tmp_path, capsys, hardcore_path):
     assert "error: size_cap" in err
 
 
+@pytest.mark.parametrize("eps_star", ["1e-200", "1e-160"])
+def test_estimate_accuracy_too_small_exit_1(tmp_path, capsys, hardcore_path, eps_star):
+    # ceil(8n / eps*^2) is not finite; both printed a traceback before
+    gpath = str(tmp_path / "k33.txt")
+    run(["gen", "-n", "3", "-d", "3", "--seed", "1", "-o", gpath], capsys)
+    argv = ["estimate", gpath, hardcore_path, "-e", eps_star, "--seed", "1", "--eps-model", "0.4"]
+    code, out, err = run(argv + ["--size-cap", "1", "--brute-force-budget", "0"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: eps_star=") and "is not finite" in err, err
+
+
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
 @pytest.mark.parametrize("command", ["gen", "estimate", "sample"])
 def test_seed_outside_64_bits_exit_1(tmp_path, capsys, hardcore_path, command, seed):

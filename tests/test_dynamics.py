@@ -324,14 +324,15 @@ def _reference_walk(ref, rng, current):
     Each step reads the next two doubles of rng: the first picks
     active[floor(u * len(active))], the second is the heat-bath uniform.
     They are drawn one step at a time, so a walk started on the same rng
-    after a grow continues the stream. The reference's memo is emptied
-    before every conditional, so each blocked read scans; yields
-    (current, ref) after each step.
+    after a grow continues the stream. The reference reads its own region,
+    never the table's, and empties its memo before every conditional, so
+    each blocked read scans; yields (current, ref) after each step.
     """
+    ref.region = dynamics._Region(ref.table.by_vertex, ref.prefix)
     active = ref.active_vertices
     while True:
         pick, u = rng.random(2).tolist()
-        ref._memo.clear()
+        ref.region.memo.clear()
         current, options, total = ref.conditional(current, active[math.floor(pick * len(active))])
         r = u * total
         if r >= 1.0:
@@ -364,7 +365,7 @@ def _check_lockstep(table, prefix, steps, probe_steps):
     reference = _reference_steps(table, prefix, key)
     clears = 0
     for step in range(steps):
-        size = chain._memo_size
+        size = chain.region.memo_size
         chain.run(1)
         current, _ = next(reference)
         assert sorted(chain._current) == sorted(current), (prefix, step)
@@ -374,9 +375,9 @@ def _check_lockstep(table, prefix, steps, probe_steps):
             blocked |= table.blocks[i]
         assert (chain._covered, chain._blocked) == (covered, blocked), (prefix, step)
         # the memo stays within its bound, and its size counts what it holds
-        assert chain._memo_size <= chain._memo_limit
-        assert chain._memo_size == sum(1 + len(o) for o, _ in chain._memo.values())
-        clears += chain._memo_size < size
+        assert chain.region.memo_size <= chain.region.memo_limit
+        assert chain.region.memo_size == sum(1 + len(o) for o, _ in chain.region.memo.values())
+        clears += chain.region.memo_size < size
     # the probe reads the conditional after every full sweep
     probe = chain.active_vertices[-1]
     sweep = len(chain.active_vertices)
@@ -387,7 +388,7 @@ def _check_lockstep(table, prefix, steps, probe_steps):
     for _ in range(sweeps):
         for _ in range(sweep):
             current, ref = next(reference)
-        ref._memo.clear()
+        ref.region.memo.clear()
         expected += 1.0 / ref.conditional(current, probe)[2]
     assert chain.run(sweeps * sweep + sweep - 1, probe=probe) == expected
     for _ in range(sweep - 1):
@@ -432,10 +433,10 @@ def _reference_probe_sums(table, prefix, key, probe, calls):
         for t in range(1, steps + 1):
             current, ref = next(reference)
             if t % sweep == 0:
-                ref._memo.clear()
+                ref.region.memo.clear()
                 _, options, total = ref.conditional(current, probe)
                 acc += 1.0 / total
-                cut += 0 < len(options) < len(ref._cands[probe])
+                cut += 0 < len(options) < len(ref.region.cands[probe])
         sums.append(acc)
     return sums, cut
 
@@ -576,13 +577,51 @@ def test_uncovered_ratio_matches_exact(k33_model):
 # -- region growth -----------------------------------------------------------------
 
 
+def test_whole_graph_chains_share_the_tables_region(k33_model, monkeypatch):
+    # a table builds its whole-graph region lazily, once: every whole-graph
+    # chain on it reads that one region and its memo, whichever routine
+    # made the chain, and a smaller region is a chain's own
+    table = candidate_table(k33_model, 2)
+    other = candidate_table(k33_model, 1)
+    regions = []
+    real_grow = PolymerChain.grow
+
+    def recording(chain, prefix):
+        real_grow(chain, prefix)
+        regions.append((chain.prefix, chain.region))
+
+    monkeypatch.setattr(PolymerChain, "grow", recording)
+    chain = PolymerChain(other, random_stream(0, RATIO, 0, 0), prefix=4)
+    chain.grow(5)
+    chain.run(20)
+    assert "region" not in vars(other) and "region" not in vars(table)
+    PolymerChain(table, random_stream(0, DRAW, 0, 0)).run(20)
+    sample_polymer_config(table, 20, random_stream(0, DRAW, 0, 1))
+    exact_chain_analysis(table)
+    # the telescope's last region, 6, is the whole graph
+    estimate_polymer_Z(k33_model, EstimatorConfig(size_cap=2), 0.5, 1)
+    whole = [region for prefix, region in regions if prefix == 6]
+    assert len(whole) == 4 and all(region is table.region for region in whole)
+    assert "region" not in vars(other)
+    parts = [region for prefix, region in regions if prefix < 6]
+    assert len({id(region) for region in parts}) == len(parts) >= 3
+    assert table.region.memo_limit == dynamics.MEMO_FACTOR * sum(map(len, table.by_vertex))
+
+
 def test_grow_refuses_shrinking_or_overflowing(k33_model):
-    chain = PolymerChain(candidate_table(k33_model, 2), random_stream(0, RATIO, 0, 0), prefix=4)
-    for prefix in (3, 7):
+    table = candidate_table(k33_model, 2)
+    # True was region {0}; 2.5 and "3" raised a bare TypeError
+    for prefix in (True, 2.5, "3", -1, 7):
+        with pytest.raises(InvalidRangeError):
+            PolymerChain(table, None, prefix=prefix)
+    chain = PolymerChain(table, random_stream(0, RATIO, 0, 0), prefix=4)
+    region = chain.region
+    # 6.0 was stored as the prefix before the region build raised
+    for prefix in (3, 7, True, 5.0, 6.0, "5"):
         with pytest.raises(InvalidRangeError):
             chain.grow(prefix)
-    assert chain.prefix == 4
-    chain.grow(6)
+    assert chain.prefix == 4 and chain.region is region
+    chain.grow(np.int64(6))
     assert chain.active_vertices == (3, 4, 5)
 
 
@@ -652,6 +691,30 @@ def test_one_table_per_resolved_cap(k33, hardcore):
     assert dynamics.candidate_table(model, model.max_size) is table
     assert dynamics.candidate_table(model, model.max_size + 5) is table
     assert len(table) == 7 and list(model._tables) == [3]
+
+
+@pytest.mark.parametrize("cap_request", [1.5, 2.5, -1, True, "2", None])
+def test_cap_requests_refuse_non_integers(k33, hardcore, cap_request):
+    # 1.5 built an uncapped table recorded as size_cap=1.5, -1 an empty one,
+    # True was cap 1 and "2" raised a bare TypeError; None is the default
+    model = PolymerModel(k33, hardcore, Biclique((0, 1), (1,)), 0.5)
+    routes = (
+        model.resolve_cap,
+        model.enumerate_allowed,
+        lambda cap: candidate_table(model, cap),
+        lambda cap: dynamics.CandidateTable(model, cap),
+        lambda cap: exact_polymer_distribution(model, cap),
+    )
+    for route in routes:
+        if cap_request is None:
+            route(cap_request)
+        else:
+            with pytest.raises(InvalidRangeError):
+                route(cap_request)
+    assert list(model._tables) == ([3] if cap_request is None else [])
+    # 0 and integer types are requests too: 0 is the empty table
+    assert model.resolve_cap(0) == 0 and not candidate_table(model, np.int64(0))
+    assert model.resolve_cap(np.int64(2)) == 2
 
 
 # sha1 of (masks, blocks, log weights as float.hex) over every maximal

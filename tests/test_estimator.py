@@ -75,6 +75,14 @@ def test_estimate_rejects_bad_accuracy(k33, hardcore):
         estimate_polymer_Z(model, EstimatorConfig(size_cap=1), 0.0, seed=1)
     with pytest.raises(InvalidAccuracyError):
         estimate_polymer_Z(model, EstimatorConfig(size_cap=1), 1.0, seed=1)
+    # m = ceil(8n / eps^2) is not finite: eps^2 underflows to 0 at 1e-200
+    # (a ZeroDivisionError before), and m overflows at 1e-160 (OverflowError)
+    config = EstimatorConfig(size_cap=1, brute_force_budget=0, eps_override=0.4)
+    for eps_star in (1e-200, 1e-160):
+        with pytest.raises(InvalidAccuracyError, match="is not finite"):
+            estimate_polymer_Z(model, config, eps_star, seed=1)
+        with pytest.raises(InvalidAccuracyError, match="is not finite"):
+            approximate_Z(k33, hardcore, eps_star, 1, config=config)
 
 
 def test_median_amplification_runs(k33, hardcore):
