@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     except PremisesUnmetError as exc:
         print(f"premises unmet: {exc}", file=sys.stderr)
         return EXIT_PREMISES
-    except (FileNotFoundError, PolyspinError) as exc:
+    except (OSError, PolyspinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -9,8 +9,8 @@ resample the v-slot from {no polymer} u {the table's polymers through v,
 inside the region, compatible with the rest} with probability
 proportional to 1 resp. the polymer weight. Each P_v is a conditional
 resampling, so the chain is reversible for the size-truncated polymer
-Gibbs distribution restricted to the region. The rule is written as
-PolymerChain.conditional, which oracle.exact_chain_analysis reads; its
+Gibbs distribution restricted to the region. _Region.conditional states
+the rule, and oracle.exact_chain_analysis reads it from table.region; its
 options are the table's own (mask, weight, index) candidate triples.
 
 PolymerChain.run takes the same steps incrementally. The chain holds two
@@ -20,8 +20,8 @@ picked vertex is covered and its polymer dropped. If v then lies in
 blocked, every candidate through v is blocked, the normaliser is 1 and
 the step changes nothing. Otherwise the options at v depend only on
 (v, key), key = blocked & reach[v], reach[v] being the union of v's
-candidate masks in the region, and _Region.options looks them up: with
-key 0 they are v's whole list and its precomputed normaliser, else an
+candidate masks in the region, and _Region.conditional looks them up:
+with key 0 they are v's whole list and its precomputed normaliser, else an
 entry of the region's memo, else a scan in table order that fills the
 memo. The memo holds only what (v, key) and the region's triples fix, so
 chains may share it: every whole-graph chain on a table reads the table's
@@ -156,9 +156,9 @@ class CandidateTable:
 
     @cached_property
     def region(self) -> _Region:
-        """The whole graph's region, built by the first whole-graph chain and
-        shared, memo included, by every later one."""
-        return _Region(self.by_vertex, len(self.by_vertex))
+        """The whole graph's region, built on first use and shared, memo
+        included, by every whole-graph chain and exact_chain_analysis."""
+        return _Region(self, len(self.by_vertex))
 
 
 class _Region:
@@ -168,7 +168,10 @@ class _Region:
     active, the vertices with a candidate, and the bounded memo of blocked
     options (see the module docstring)."""
 
-    def __init__(self, by_vertex: list[list[tuple[int, float, int]]], prefix: int):
+    def __init__(self, table: CandidateTable, prefix: int):
+        by_vertex = table.by_vertex
+        # the table's lists, not the table, which caches its whole-graph region
+        self.masks, self.blocks = table.masks, table.blocks
         if prefix == len(by_vertex):
             self.cands = by_vertex  # read in place, never modified
         else:
@@ -189,14 +192,34 @@ class _Region:
         self.memo_size = 0
         self.memo_limit = MEMO_FACTOR * sum(map(len, self.cands))
 
-    def options(self, v: int, key: int) -> tuple[list, float]:
-        """v's unblocked options and their normaliser, given key = (the union
-        of the kept blocks) & reach[v]: v's whole list for key 0, else the
-        memo's entry, else a scan."""
+    def conditional(self, current, v: int):
+        """The heat-bath conditional at vertex v, given the table indices of
+        the present polymers.
+
+        Drops the polymer covering v, lists the candidates through v
+        compatible with the polymers that stay, and returns
+        (kept, options, total): the next state is kept plus nothing with
+        probability 1/total, or kept plus polymer i with probability
+        w/total for each (mask, w, i) triple in options, which is a
+        read-only list of the region's candidate triples in table order.
+        They depend only on key = (the union of the kept blocks) & reach[v],
+        as every candidate through v lies in reach[v]: v's whole list and
+        its precomputed normaliser for key 0, else the memo's entry, else a
+        scan.
+        """
+        masks, blocks = self.masks, self.blocks  # a block contains its mask
+        vbit = 1 << v
+        kept = []
+        blocked = 0
+        for i in current:
+            if not masks[i] & vbit:
+                kept.append(i)
+                blocked |= blocks[i]
+        key = blocked & self.reach[v]
         if not key:
-            return self.cands[v], self.totals[v]
-        hit = self.memo.get((v, key))
-        return self.scan(v, key) if hit is None else hit
+            return kept, self.cands[v], self.totals[v]
+        options, total = self.memo.get((v, key)) or self.scan(v, key)
+        return kept, options, total
 
     def scan(self, v: int, key: int) -> tuple[list, float]:
         """Filter v's candidates against key in table order, adding their
@@ -230,14 +253,11 @@ class PolymerChain:
     """One heat-bath chain on a table's polymers in the region
     {0..prefix-1} (the whole graph when prefix is None), deterministic given
     its stream and the sequence of steps and grow calls. rng is the chain's
-    own random_stream; a chain that is only probed through conditional,
-    never run, may take None. The chain holds its state and its region's
-    view, the table's own for the whole graph.
+    own random_stream. The chain holds its state and its region's view, the
+    table's own for the whole graph, whose conditional states the rule.
     """
 
-    def __init__(
-        self, table: CandidateTable, rng: np.random.Generator | None, *, prefix: int | None = None
-    ):
+    def __init__(self, table: CandidateTable, rng: np.random.Generator, *, prefix: int | None = None):
         self.table = table
         self._current: list[int] = []  # table indices of present polymers
         self._covered = 0  # OR of their masks
@@ -257,39 +277,14 @@ class PolymerChain:
         if prefix > num:
             raise InvalidRangeError(f"prefix must lie in [{self.prefix}, {num}], got {prefix}")
         self.prefix = prefix
-        self.region = self.table.region if prefix == num else _Region(self.table.by_vertex, prefix)
-
-    def conditional(self, current, v: int):
-        """The heat-bath conditional at vertex v, given the table indices of
-        the present polymers.
-
-        Drops the polymer covering v, lists the candidates through v
-        compatible with the polymers that stay, and returns
-        (kept, options, total): the next state is kept plus nothing with
-        probability 1/total, or kept plus polymer i with probability
-        w/total for each (mask, w, i) triple in options, which is a
-        read-only list of the region's candidate triples in table order.
-        They depend only on key = (the union of the kept blocks) & reach[v],
-        as every candidate through v lies in reach[v]; see _Region.options.
-        """
-        masks = self.table.masks
-        blocks = self.table.blocks  # block zone already contains the vertex mask
-        vbit = 1 << v
-        kept = []
-        blocked = 0
-        for i in current:
-            if not masks[i] & vbit:
-                kept.append(i)
-                blocked |= blocks[i]
-        region = self.region
-        return (kept, *region.options(v, blocked & region.reach[v]))
+        self.region = self.table.region if prefix == num else _Region(self.table, prefix)
 
     def run(self, steps: int, probe: int | None = None) -> float | None:
         """Take `steps` heat-bath steps.
 
         With probe=v (a region vertex), also read P(v uncovered | the other
         polymers), 1/total of the conditional at v, after every full sweep
-        of len(active_vertices) steps, and return the sum of those reads,
+        of len(region.active) steps, and return the sum of those reads,
         added in order; the sweeps count from the start of the call, and a
         trailing part sweep is not read. Without a probe, return None. A
         negative, bool or non-integral count, or a probe outside the region,
@@ -344,7 +339,7 @@ class PolymerChain:
                         blocked |= blocks[i]
                 if blocked & vbit:
                     continue  # nothing through v fits: total is 1, the state stays
-                key = blocked & reach[v]  # _Region.options, inlined
+                key = blocked & reach[v]  # _Region.conditional, inlined
                 if key:
                     hit = memo.get((v, key))
                     options, total = scan(v, key) if hit is None else hit
@@ -370,7 +365,7 @@ class PolymerChain:
                     for i in current:
                         if not masks[i] & pbit:
                             rest |= blocks[i]
-                key = rest & reach[probe]  # _Region.options, inlined
+                key = rest & reach[probe]  # _Region.conditional, inlined
                 if key:
                     hit = memo.get((probe, key))
                     total = (scan(probe, key) if hit is None else hit)[1]
@@ -382,12 +377,11 @@ class PolymerChain:
 
     # -- state inspection ---------------------------------------------------
 
-    @property
-    def active_vertices(self) -> tuple[int, ...]:
-        """Region vertices that admit at least one sampleable polymer."""
-        return tuple(self.region.active)
-
     def covered(self, v: int) -> bool:
+        """Whether a present polymer covers v. No program path calls it: run
+        reads the covered union inline. The name stays because perfbench's
+        tracer patches it; the benchmark change that drops the patch
+        deletes it."""
         return bool(self._covered >> v & 1)
 
     def current_polymers(self) -> tuple[Polymer, ...]:

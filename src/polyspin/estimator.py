@@ -110,7 +110,11 @@ class EstimatorConfig:
 
     def chain_params(self, model: PolymerModel) -> EstimatorConfig:
         """This config with size_cap resolved by model.resolve_cap. A model
-        that admits no polymers resolves to cap 0, which is refused."""
+        that admits no polymers resolves to cap 0, which is refused.
+
+        No program path calls it: the chain layer reads candidate_table's
+        cap. The name stays because perfbench's build_tables calls it; the
+        benchmark change that stops that call deletes it."""
         return replace(self, size_cap=model.resolve_cap(self.size_cap))
 
 
@@ -253,7 +257,7 @@ def _ratio(
     nan; lab mode's pilot of batch means sizes the count of fresh sweeps,
     whose mean alone is the ratio."""
     v = chain.prefix - 1
-    sweep = len(chain.active_vertices)
+    sweep = len(chain.region.active)
     if mode == "strict":
         chain.run(default_mixing_steps(config, chain.prefix, 1e-3))
         samples, s2 = m, math.nan

@@ -367,7 +367,11 @@ def parse_graph(text: str, *, oracle_only: bool = False) -> BipartiteRegularGrap
 
 def load_graph(path, *, oracle_only: bool = False) -> BipartiteRegularGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read(), oracle_only=oracle_only)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"not UTF-8 text: {exc}") from exc
+    return parse_graph(text, oracle_only=oracle_only)
 
 
 def save_graph(graph: BipartiteRegularGraph, path) -> None:

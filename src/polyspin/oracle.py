@@ -8,9 +8,9 @@ it may share shortcuts with the estimators it verifies. All sums run in
 log-space through max-shifted accumulators in a fixed canonical order.
 
 One deliberate exception: exact_chain_analysis reads its transition rows
-from the chain's own heat-bath conditional, because the matrix it checks
-must be the implemented one. Its reference side, the Gibbs weights, is
-computed here from the polymer log-weights alone.
+from table.region.conditional, the heat-bath rule the chain runs, because
+the matrix it checks must be the implemented one. Its reference side, the
+Gibbs weights, is computed here from the polymer log-weights alone.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CandidateTable, PolymerChain
+from .dynamics import CandidateTable
 from .errors import ResourceLimitError
 from .logspace import NEG_INF, LogSumAccumulator
 from .polymer import PolymerModel
@@ -234,13 +234,13 @@ def exact_chain_analysis(table: CandidateTable) -> ChainAnalysis:
     """Build the full transition matrix of the implemented chain step on a
     candidate table, over the whole graph.
 
-    Each row comes from the chain's own heat-bath conditional, so the
-    matrix is the sampler's; its stationary behaviour is compared against
-    the truncated polymer Gibbs distribution, whose log-weights and
-    polymers are read from the same table.
+    Each row comes from table.region.conditional, the rule chains run, so
+    the matrix is the sampler's; its stationary behaviour is compared
+    against the truncated polymer Gibbs distribution, whose log-weights
+    and polymers are read from the same table.
     """
-    probe = PolymerChain(table, None)  # probed, never run
-    active = probe.active_vertices
+    region = table.region
+    active = region.active
 
     # reachable states, BFS from the empty configuration
     empty: frozenset[int] = frozenset()
@@ -250,7 +250,7 @@ def exact_chain_analysis(table: CandidateTable) -> ChainAnalysis:
     transitions: list[dict[int, float]] = []
 
     def outcomes(state: frozenset[int], v: int):
-        kept, options, total = probe.conditional(sorted(state), v)
+        kept, options, total = region.conditional(sorted(state), v)
         kept = frozenset(kept)
         yield kept, 1.0 / total
         for _, w, i in options:

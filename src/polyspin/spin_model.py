@@ -248,7 +248,11 @@ def parse_matrix(text: str) -> InteractionMatrix:
 
 def load_matrix(path) -> InteractionMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(f"not UTF-8 text: {exc}") from exc
+    return parse_matrix(text)
 
 
 def save_matrix(matrix: InteractionMatrix, path) -> None:

@@ -146,6 +146,31 @@ def test_estimate_parse_error_exit_1(tmp_path, capsys, hardcore_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "case", ["graph-dir", "graph-bytes", "matrix-bytes", "gen-out-dir", "sample-out-dir"]
+)
+def test_unreadable_files_exit_1(tmp_path, capsys, hardcore_path, case):
+    # each printed a traceback before: a directory where a file is read or
+    # written (IsADirectoryError), or a file that is not UTF-8 text
+    gpath = str(tmp_path / "k33.txt")
+    run(["gen", "-n", "3", "-d", "3", "--seed", "1", "-o", gpath], capsys)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"bipartite-regular n 3 delta 3\n\xff\n")
+    folder = str(tmp_path)
+    run_args = ["-e", "0.5", "--seed", "1"]
+    argv = {
+        "graph-dir": ["estimate", folder, hardcore_path, *run_args],
+        "graph-bytes": ["estimate", str(bad), hardcore_path, *run_args],
+        "matrix-bytes": ["estimate", gpath, str(bad), *run_args],
+        "gen-out-dir": ["gen", "-n", "3", "-d", "3", "--seed", "1", "-o", folder],
+        "sample-out-dir": ["sample", gpath, hardcore_path, *run_args, "-c", "2", "-o", folder],
+    }[case]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 def test_estimate_size_cap_zero_exit_1(tmp_path, capsys, hardcore_path):
     gpath = tmp_path / "k33.txt"
     run(["gen", "-n", "3", "-d", "3", "--seed", "1", "-o", str(gpath)], capsys)

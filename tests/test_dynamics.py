@@ -55,14 +55,14 @@ def test_left_vertices_admit_no_polymers(k33_model):
     # ground set on the left is the whole spin space, so only right
     # vertices are ever proposed
     chain = PolymerChain(candidate_table(k33_model, 1), random_stream(3, DRAW, 0, 0))
-    assert chain.active_vertices == (3, 4, 5)
-    assert 0 not in chain.active_vertices
+    assert chain.region.active == [3, 4, 5]
+    assert 0 not in chain.region.active
 
 
 def test_region_restricts_membership(k33_model):
     chain = PolymerChain(candidate_table(k33_model, 2), random_stream(0, DRAW, 0, 0), prefix=4)
     # only vertex 3 on the right is available; pairs exceed the region
-    assert chain.active_vertices == (3,)
+    assert chain.region.active == [3]
     chain.run(200)
     for poly in chain.current_polymers():
         assert set(poly.vertices) <= {3}
@@ -121,7 +121,7 @@ def test_run_rejects_probes_outside_the_region(k33_model, probe):
 # sha1 of current_polymers() after each of 5 000 single steps of a 3-Potts
 # cap-3 chain on g12 d4, where most steps scan a partly blocked candidate
 # list; pinned from the two-doubles step and checked against the same
-# walk through conditional
+# walk through _Region.conditional
 _TRAJECTORY_DIGESTS = {
     None: "5945cf2f58e797a10e4a30bf52f15a55ae1b2ed2",
     18: "03d05275947e265a413568b60efed21c6d10b693",
@@ -229,17 +229,38 @@ def test_analysis_reads_the_chain_kernel(k33_model, monkeypatch):
     # a normaliser taken before the covering polymer is dropped breaks
     # reversibility; the exact analysis must see it, because its rows come
     # from the same kernel the chain runs
-    real = PolymerChain.conditional
+    table = candidate_table(k33_model, 2)
+    real = dynamics._Region.conditional
 
-    def stale_normaliser(chain, current, v):
-        kept, options, total = real(chain, current, v)
-        log_weights = chain.table.log_weights
+    def stale_normaliser(region, current, v):
+        kept, options, total = real(region, current, v)
+        log_weights = table.log_weights
         dropped = sum(math.exp(log_weights[i]) for i in current if i not in kept)
         return kept, options, total + dropped
 
-    monkeypatch.setattr(PolymerChain, "conditional", stale_normaliser)
-    analysis = exact_chain_analysis(candidate_table(k33_model, 2))
+    monkeypatch.setattr(dynamics._Region, "conditional", stale_normaliser)
+    analysis = exact_chain_analysis(table)
     assert analysis.detailed_balance_violation > 1e-6
+
+
+# sha1 of the transition matrix's bytes, K33 hard-core, pinned from the
+# analysis that probed a stream-less chain for its rows
+_TRANSITION_DIGESTS = {
+    1: (4, "4f3556e480386347a4604483fd41a8a2d4eddeb2"),
+    2: (7, "8f8c5287bb67df6688b4cfa62e75393b250546e4"),
+}
+
+
+@pytest.mark.parametrize("cap", sorted(_TRANSITION_DIGESTS))
+def test_analysis_builds_no_chain(k33_model, monkeypatch, cap):
+    # the rule lives on the table's region, so the analysis needs no chain
+    def no_chain(*args, **kwargs):
+        raise AssertionError("exact_chain_analysis built a PolymerChain")
+
+    monkeypatch.setattr(PolymerChain, "__init__", no_chain)
+    analysis = exact_chain_analysis(candidate_table(k33_model, cap))
+    digest = hashlib.sha1(analysis.transition.tobytes()).hexdigest()
+    assert (analysis.num_states, digest) == _TRANSITION_DIGESTS[cap]
 
 
 def test_empty_model_analysis(empty_model):
@@ -293,18 +314,17 @@ def test_conditional_matches_naive_filter(k33, c8, hardcore, potts3, gname, mnam
             else:
                 visited = exact_chain_analysis(table).states
             states = {tuple(sorted(index[p] for p in s)) for s in visited}
-            prefix = num - graph.n // 2
-            region = PolymerChain(table, None, prefix=prefix)
-            for chain in (whole, region):
-                limit = 1 << chain.prefix
+            part = num - graph.n // 2
+            for prefix, region in ((num, whole.region), (part, dynamics._Region(table, part))):
+                limit = 1 << prefix
                 seen = {tuple(i for i in s if table.masks[i] < limit) for s in states}
                 for state in sorted(seen):
-                    for v in chain.active_vertices:
-                        naive = _naive_conditional(table, chain.prefix, state, v)
-                        assert chain.conditional(list(state), v) == naive, (
-                            biclique, cap, chain.prefix, state, v,
+                    for v in region.active:
+                        naive = _naive_conditional(table, prefix, state, v)
+                        assert region.conditional(list(state), v) == naive, (
+                            biclique, cap, prefix, state, v,
                         )
-                        free = _naive_conditional(table, chain.prefix, (), v)
+                        free = _naive_conditional(table, prefix, (), v)
                         blocked = len(naive[1]) < len(free[1])
                         paths["blocked" if blocked else "free"] += 1
     # both the no-scan and the scanning branch were compared
@@ -314,12 +334,17 @@ def test_conditional_matches_naive_filter(k33, c8, hardcore, potts3, gname, mnam
 def _reference_steps(table, prefix, key):
     """The states of a chain keyed `key`, stepped through conditional; see
     _reference_walk."""
-    ref = PolymerChain(table, None, prefix=prefix)
-    return _reference_walk(ref, random_stream(*key), [])
+    return _reference_walk(_own_region(table, prefix), random_stream(*key), [])
+
+
+def _own_region(table, prefix):
+    """A fresh view of the region {0..prefix-1}, the whole graph for None:
+    never the table's own, so its memo is the reference's alone."""
+    return dynamics._Region(table, len(table.by_vertex) if prefix is None else prefix)
 
 
 def _reference_walk(ref, rng, current):
-    """Step the state `current` through ref.conditional on ref's region.
+    """Step the state `current` through ref.conditional on the region ref.
 
     Each step reads the next two doubles of rng: the first picks
     active[floor(u * len(active))], the second is the heat-bath uniform.
@@ -328,11 +353,10 @@ def _reference_walk(ref, rng, current):
     never the table's, and empties its memo before every conditional, so
     each blocked read scans; yields (current, ref) after each step.
     """
-    ref.region = dynamics._Region(ref.table.by_vertex, ref.prefix)
-    active = ref.active_vertices
+    active = ref.active
     while True:
         pick, u = rng.random(2).tolist()
-        ref.region.memo.clear()
+        ref.memo.clear()
         current, options, total = ref.conditional(current, active[math.floor(pick * len(active))])
         r = u * total
         if r >= 1.0:
@@ -379,8 +403,8 @@ def _check_lockstep(table, prefix, steps, probe_steps):
         assert chain.region.memo_size == sum(1 + len(o) for o, _ in chain.region.memo.values())
         clears += chain.region.memo_size < size
     # the probe reads the conditional after every full sweep
-    probe = chain.active_vertices[-1]
-    sweep = len(chain.active_vertices)
+    probe = chain.region.active[-1]
+    sweep = len(chain.region.active)
     sweeps = probe_steps // sweep
     chain = PolymerChain(table, random_stream(*key), prefix=prefix)
     reference = _reference_steps(table, prefix, key)
@@ -388,7 +412,7 @@ def _check_lockstep(table, prefix, steps, probe_steps):
     for _ in range(sweeps):
         for _ in range(sweep):
             current, ref = next(reference)
-        ref.region.memo.clear()
+        ref.memo.clear()
         expected += 1.0 / ref.conditional(current, probe)[2]
     assert chain.run(sweeps * sweep + sweep - 1, probe=probe) == expected
     for _ in range(sweep - 1):
@@ -426,17 +450,17 @@ def _reference_probe_sums(table, prefix, key, probe, calls):
     conditional at probe after each full sweep counted from the call's
     start, and the reads whose options were cut by a blocked candidate."""
     reference = _reference_steps(table, prefix, key)
-    sweep = len(PolymerChain(table, None, prefix=prefix).active_vertices)
+    sweep = len(_own_region(table, prefix).active)
     sums, cut = [], 0
     for steps in calls:
         acc = 0.0
         for t in range(1, steps + 1):
             current, ref = next(reference)
             if t % sweep == 0:
-                ref.region.memo.clear()
+                ref.memo.clear()
                 _, options, total = ref.conditional(current, probe)
                 acc += 1.0 / total
-                cut += 0 < len(options) < len(ref.region.cands[probe])
+                cut += 0 < len(options) < len(ref.cands[probe])
         sums.append(acc)
     return sums, cut
 
@@ -462,12 +486,12 @@ def test_probe_sums_split_over_calls(k33, hardcore, case):
     prefix = 4 if case == "k33-one-active" else None
     key = (5, DRAW, 0, 0)
     chain = PolymerChain(table, random_stream(*key), prefix=prefix)
-    probe = chain.active_vertices[-1]
+    probe = chain.region.active[-1]
     sums, cut = _reference_probe_sums(table, prefix, key, probe, _PROBE_CALLS)
     assert [chain.run(steps, probe=probe) for steps in _PROBE_CALLS] == sums
     assert sums[2] == 0.0
     if case == "k33-one-active":
-        assert chain.active_vertices == (3,)
+        assert chain.region.active == [3]
         assert sums[3] > 0.0
     if case == "g12":
         assert cut > 0
@@ -549,11 +573,10 @@ def test_telescope_visits_exactly_the_covered_regions(
         for cap in (1, 2, 3):
             visited.clear()
             estimate_polymer_Z(model, EstimatorConfig(size_cap=cap), 0.5, 1)
-            chain = PolymerChain(candidate_table(model, cap), None, prefix=0)
+            table = candidate_table(model, cap)
             covered = []
             for i in range(1, graph.num_vertices + 1):
-                chain.grow(i)
-                if chain.active_vertices[-1:] == (i - 1,):
+                if dynamics._Region(table, i).active[-1:] == [i - 1]:
                     covered.append(i)
             assert visited and visited == covered, (biclique, cap)
 
@@ -597,11 +620,21 @@ def test_whole_graph_chains_share_the_tables_region(k33_model, monkeypatch):
     assert "region" not in vars(other) and "region" not in vars(table)
     PolymerChain(table, random_stream(0, DRAW, 0, 0)).run(20)
     sample_polymer_config(table, 20, random_stream(0, DRAW, 0, 1))
+    # the analysis reads the rule on the table's region, and builds no chain
+    read = []
+    real_conditional = dynamics._Region.conditional
+
+    def reading(region, current, v):
+        read.append(region)
+        return real_conditional(region, current, v)
+
+    monkeypatch.setattr(dynamics._Region, "conditional", reading)
     exact_chain_analysis(table)
+    assert read and all(region is table.region for region in read)
     # the telescope's last region, 6, is the whole graph
     estimate_polymer_Z(k33_model, EstimatorConfig(size_cap=2), 0.5, 1)
     whole = [region for prefix, region in regions if prefix == 6]
-    assert len(whole) == 4 and all(region is table.region for region in whole)
+    assert len(whole) == 3 and all(region is table.region for region in whole)
     assert "region" not in vars(other)
     parts = [region for prefix, region in regions if prefix < 6]
     assert len({id(region) for region in parts}) == len(parts) >= 3
@@ -613,7 +646,7 @@ def test_grow_refuses_shrinking_or_overflowing(k33_model):
     # True was region {0}; 2.5 and "3" raised a bare TypeError
     for prefix in (True, 2.5, "3", -1, 7):
         with pytest.raises(InvalidRangeError):
-            PolymerChain(table, None, prefix=prefix)
+            PolymerChain(table, random_stream(0, RATIO, 0, 0), prefix=prefix)
     chain = PolymerChain(table, random_stream(0, RATIO, 0, 0), prefix=4)
     region = chain.region
     # 6.0 was stored as the prefix before the region build raised
@@ -622,7 +655,7 @@ def test_grow_refuses_shrinking_or_overflowing(k33_model):
             chain.grow(prefix)
     assert chain.prefix == 4 and chain.region is region
     chain.grow(np.int64(6))
-    assert chain.active_vertices == (3, 4, 5)
+    assert chain.region.active == [3, 4, 5]
 
 
 # (prefix, run call lengths) per grow, all over the same 5 400 steps with
@@ -643,13 +676,11 @@ def test_any_split_over_runs_and_grows_gives_the_reference_chain(hardcore, plan)
     table = candidate_table(model, 2)
     key = (0, RATIO, 0, 0)
     chain = PolymerChain(table, random_stream(*key), prefix=13)
-    ref = PolymerChain(table, None, prefix=13)
     rng = random_stream(*key)
     current = []
     for prefix, calls in _GROW_PLANS[plan]:
         chain.grow(prefix)
-        ref.grow(prefix)
-        reference = _reference_walk(ref, rng, current)
+        reference = _reference_walk(_own_region(table, prefix), rng, current)
         for steps in calls:
             chain.run(steps)
             for _ in range(steps):

@@ -117,7 +117,7 @@ def test_lab_ratio_averages_only_the_fresh_sweeps(k33, hardcore, monkeypatch):
 
     def recording(self, steps, probe=None):
         out = real_run(self, steps, probe)
-        calls.append((len(self.active_vertices), steps, probe, out))
+        calls.append((len(self.region.active), steps, probe, out))
         return out
 
     monkeypatch.setattr(PolymerChain, "run", recording)
@@ -156,7 +156,7 @@ def _cold_schedule_steps(model, table, config, eps_star):
     m = math.ceil(estimator.SAMPLE_FACTOR * model.graph.n / eps_star**2)
     steps = 0
     for i in range(1, model.graph.num_vertices + 1):
-        active = PolymerChain(table, None, prefix=i).active_vertices
+        active = dynamics._Region(table, i).active
         if active and active[-1] == i - 1:
             steps += default_mixing_steps(config, i, 1e-3) + m * len(active)
     return steps
