@@ -38,7 +38,15 @@ def _emit(record: dict, fmt: str) -> None:
         print(" ".join(f"{k}={v}" for k, v in record.items()))
 
 
+def _check_out(path) -> None:
+    """Refuse an unwritable -o before the run does any work. Opening it for
+    append creates a missing file empty and leaves an existing one as it is."""
+    with open(path, "a", encoding="utf-8"):
+        pass
+
+
 def cmd_gen(args) -> int:
+    _check_out(args.out)
     graph = generate_random_regular_bipartite(args.n, args.degree, args.seed)
     save_graph(graph, args.out)
     cert = second_eigenvalue(graph)
@@ -112,6 +120,7 @@ def cmd_estimate(args) -> int:
 def cmd_sample(args) -> int:
     graph = load_graph(args.graph, oracle_only=args.relaxed)
     matrix = load_matrix(args.matrix)
+    _check_out(args.out)
     config = _config(args)
     exact_path = estimator.exact_fallback(graph, matrix, config.brute_force_budget)
     warnings = ()

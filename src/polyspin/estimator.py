@@ -429,25 +429,30 @@ def spin_fill(model: PolymerModel, polymers, rng) -> np.ndarray:
     sigma = np.full(graph.num_vertices, -1, dtype=np.int64)
     spin_map: dict[int, int] = {}
     for poly in polymers:
-        spin_map.update(poly.spin_map())
-    for v, s in spin_map.items():
-        sigma[v] = s
-    boundary = sorted(graph.boundary(spin_map.keys()))
-    for u in boundary:
-        side = graph.side(u)
+        spin_map.update(zip(poly.vertices, poly.spins))
+    # stream order: one read per boundary vertex in vertex order, then the
+    # free vertices of side 0, then of side 1
+    fixed = dict(spin_map)
+    for u in sorted(graph.boundary(spin_map.keys())):
+        side = int(u >= n)
         ground = biclique.side(side)
-        adjacent = tuple(spin_map[v] for v in graph.neighbors(u) if v in spin_map)
+        adjacent = tuple(spin_map[v] for v in graph.adjacency[u] if v in spin_map)
         total, _, cumulative = model.boundary_entry(side, adjacent)
         if total <= 0.0:
             raise ZeroNormalizerError(f"boundary vertex {u} has F_u = 0")
         pick = bisect.bisect_right(cumulative, rng.random() * total)
-        sigma[u] = ground[min(pick, len(ground) - 1)]
-    free = np.flatnonzero(sigma < 0)
-    for side in (0, 1):
-        side_free = free[(free >= n) == bool(side)]
-        if side_free.size:
-            ground = np.asarray(biclique.side(side), dtype=np.int64)
-            sigma[side_free] = ground[rng.integers(0, ground.size, size=side_free.size)]
+        fixed[u] = ground[min(pick, len(ground) - 1)]
+    if fixed:
+        sigma[list(fixed)] = list(fixed.values())
+    for side, part in enumerate((sigma[:n], sigma[n:])):
+        free = part < 0
+        count = int(np.count_nonzero(free))
+        if count:
+            ground = biclique.side(side)
+            if len(ground) == 1:
+                part[free] = ground[0]  # numpy draws nothing for a one-value range either
+            else:
+                part[free] = np.array(ground)[rng.integers(0, len(ground), size=count)]
     return sigma
 
 
@@ -504,11 +509,11 @@ def sample_mixture(result: ApproxResult, eps_star: float, seed: int, count: int)
     masses = result.biclique_log_masses()
     probs = np.exp(masses - masses.max())
     probs /= probs.sum()
-    cdf = np.cumsum(probs)
+    cdf = np.cumsum(probs).tolist()
     rng = random_stream(seed, FILL, 0, 0)
     out = np.empty((count, num), dtype=np.int64)
     for d in range(count):
-        b_idx = int(np.searchsorted(cdf, rng.random(), side="right"))
+        b_idx = bisect.bisect_right(cdf, rng.random())
         b_idx = min(b_idx, len(records) - 1)
         record = records[b_idx]
         polymers = ()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,8 @@ class Polymer:
             raise InvalidRangeError("polymer needs a nonempty vertex set")
         if len(self.vertices) != len(self.spins):
             raise InvalidRangeError("vertices and spins must be parallel")
-        if list(self.vertices) != sorted(set(self.vertices)):
+        vs = self.vertices
+        if not all(map(operator.lt, vs, vs[1:])):
             raise InvalidRangeError("vertices must be sorted and distinct")
 
     def spin_map(self) -> dict[int, int]:
@@ -110,8 +112,11 @@ class PolymerModel:
             v for v in range(graph.num_vertices) if self._allowed_by_side[graph.side(v)]
         )
         self._tables: dict[int, "object"] = {}
-        # (side, adjacent spins) -> (F_u, ln F_u, cumulative weights); see boundary_entry
-        self._boundary_memo: dict[tuple[int, tuple[int, ...]], tuple] = {}
+        # per side: adjacent spins -> (F_u, ln F_u, cumulative weights); see boundary_entry
+        self._boundary_memo: tuple[dict[tuple[int, ...], tuple], ...] = ({}, {})
+        # weight_log's constants: ln H as plain floats, and ln|B_0|, ln|B_1|
+        self._log_rows: list[list[float]] = matrix.log_entries.tolist()
+        self._log_ground = (math.log(len(biclique.b0)), math.log(len(biclique.b1)))
 
     # -- spins ------------------------------------------------------------
 
@@ -127,31 +132,52 @@ class PolymerModel:
         F_u over boundary vertices u, where for u on side i
             F_u = sum_{j in B_i} prod_{v in region adjacent to u} H[j, s_v].
         Denominator: |B_i| to the power |side-i part of region + boundary|.
+
+        The terms are added in one fixed order, which the pinned tables
+        hash and which any other weight path must keep bit for bit:
+        ln H of the internal edges (polymer-vertex order, then adjacency
+        order); ln F_u per boundary vertex, in the order first seen; then
+        -count0 ln|B_0| and -(the rest) ln|B_1|.
         """
-        graph = self.graph
-        n = graph.n
-        logh = self.matrix.log_entries
+        n = self.graph.n
+        adjacency = self.graph.adjacency
+        logh = self._log_rows
         spin = dict(zip(poly.vertices, poly.spins))
         acc = 0.0
-        boundary: dict[int, list[int]] = {}
+        count0 = 0
+        # per side: boundary vertex -> its region neighbors' spins. Sorted
+        # vertices visit side 0 first, and side-0 vertices meet only side-1
+        # neighbors, so every side-1 boundary vertex is seen before any side-0 one
+        boundary: tuple[dict[int, tuple[int, ...]], ...] = ({}, {})
         for v, sv in spin.items():
-            for u in graph.adjacency[v]:
+            if v < n:
+                count0 += 1
+                seen = boundary[1]
+            else:
+                seen = boundary[0]
+            for u in adjacency[v]:
                 su = spin.get(u)
                 if su is None:
-                    boundary.setdefault(u, []).append(sv)
+                    seen[u] = seen.get(u, ()) + (sv,)
                 elif u < v:
-                    term = float(logh[su, sv])
+                    term = logh[su][sv]
                     if term == NEG_INF:
                         return NEG_INF
                     acc += term
-        for u, adjacent_spins in boundary.items():
-            ln_f_u = self.boundary_entry(0 if u < n else 1, tuple(adjacent_spins))[1]
-            if ln_f_u == NEG_INF:
-                return NEG_INF
-            acc += ln_f_u
-        count0 = sum(v < n for v in spin) + sum(u < n for u in boundary)
-        acc -= count0 * math.log(len(self.biclique.b0))
-        acc -= (len(spin) + len(boundary) - count0) * math.log(len(self.biclique.b1))
+        for side in (1, 0):
+            memo = self._boundary_memo[side]
+            for adjacent in boundary[side].values():
+                entry = memo.get(adjacent)
+                if entry is None:
+                    entry = self.boundary_entry(side, adjacent)
+                ln_f_u = entry[1]
+                if ln_f_u == NEG_INF:
+                    return NEG_INF
+                acc += ln_f_u
+        count0 += len(boundary[0])
+        ln_b0, ln_b1 = self._log_ground
+        acc -= count0 * ln_b0
+        acc -= (len(spin) + len(boundary[0]) + len(boundary[1]) - count0) * ln_b1
         return acc
 
     def boundary_entry(
@@ -166,8 +192,8 @@ class PolymerModel:
         picks. Memoised per model: the key keeps the spin order, so the
         product multiplies exactly as an uncached evaluation would.
         """
-        key = (side, adjacent)
-        entry = self._boundary_memo.get(key)
+        memo = self._boundary_memo[side]
+        entry = memo.get(adjacent)
         if entry is None:
             h = self.matrix.entries
             rows = list(self.biclique.side(side))
@@ -175,7 +201,7 @@ class PolymerModel:
             f_u = float(weights.sum())
             cumulative = tuple(itertools.accumulate(weights.tolist()))
             entry = (f_u, math.log(f_u) if f_u > 0.0 else NEG_INF, cumulative)
-            self._boundary_memo[key] = entry
+            memo[adjacent] = entry
         return entry
 
     # -- enumeration --------------------------------------------------------
@@ -208,10 +234,12 @@ class PolymerModel:
             v: tuple(u for u in self.graph.host_adjacency[v] if u in active_set)
             for v in active
         }
+        n = self.graph.n
+        by_side = self._allowed_by_side
         out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for root in active:
             for vertex_set in connected_vertex_sets(host, root, cap):
-                options = [self.allowed_spins(v) for v in vertex_set]
+                options = [by_side[v >= n] for v in vertex_set]
                 if len(out) + math.prod(map(len, options)) > budget:
                     raise ResourceLimitError(
                         f"polymer enumeration exceeded budget {budget}"

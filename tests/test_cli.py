@@ -16,7 +16,7 @@ from polyspin import (
     save_matrix,
 )
 from polyspin.cli import build_parser, main
-from polyspin import estimator
+from polyspin import cli, estimator
 from polyspin import verify as verify_mod
 from polyspin.polymer import PolymerModel
 
@@ -166,6 +166,31 @@ def test_unreadable_files_exit_1(tmp_path, capsys, hardcore_path, case):
         "sample-out-dir": ["sample", gpath, hardcore_path, *run_args, "-c", "2", "-o", folder],
     }[case]
     code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("command", ["gen", "sample"])
+def test_unwritable_out_refused_before_any_work(
+    tmp_path, capsys, hardcore_path, monkeypatch, command
+):
+    # -o is checked before the generation or the estimate starts, so both
+    # stand-ins below must never run
+    gpath = str(tmp_path / "g8.txt")
+    run(["gen", "-n", "8", "-d", "3", "--seed", "1", "-o", gpath], capsys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started work before checking -o")
+
+    monkeypatch.setattr(estimator, "approximate_Z", refuse)
+    monkeypatch.setattr(cli, "generate_random_regular_bipartite", refuse)
+    argv = {
+        "gen": ["gen", "-n", "8", "-d", "3", "--seed", "1"],
+        "sample": ["sample", gpath, hardcore_path, "-e", "0.5", "--seed", "1", "-c", "5",
+                   "--brute-force-budget", "0"],
+    }[command]
+    code, out, err = run([*argv, "-o", str(tmp_path)], capsys)
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err

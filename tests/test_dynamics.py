@@ -772,3 +772,21 @@ def test_candidate_tables_pinned(k33, c8, hardcore, potts3):
                 lws = [float(lw).hex() for lw in table.log_weights]
                 digest.update(repr((table.masks, table.blocks, lws)).encode())
         assert digest.hexdigest() == expected, (gname, mname)
+
+
+
+def test_benchmark_tables_pinned(hardcore):
+    # the set-up benchmark's cap-3 tables at eps 0.1: degree 8 gives a polymer
+    # 8 to 24 boundary terms, where the fixtures above give at most 12
+    graph = generate_random_regular_bipartite(24, 8, 1)
+    expected = [
+        (2307, "af16c342723b2556b76e36b54b55a72dba953f9a"),
+        (2311, "2b65469d4362af8365afb241885e4421c37c7793"),
+    ]
+    found = []
+    for biclique in enumerate_maximal_bicliques(hardcore):
+        table = dynamics.CandidateTable(PolymerModel(graph, hardcore, biclique, 0.1), 3)
+        lws = [float(lw).hex() for lw in table.log_weights]
+        digest = hashlib.sha1(repr((table.masks, table.blocks, lws)).encode()).hexdigest()
+        found.append((len(table), digest))
+    assert found == expected

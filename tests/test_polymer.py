@@ -17,6 +17,7 @@ from polyspin import (
     are_compatible,
     enumerate_maximal_bicliques,
     even_cycle,
+    generate_random_regular_bipartite,
 )
 from polyspin.errors import InvalidRangeError, ResourceLimitError
 from polyspin.logspace import NEG_INF
@@ -120,6 +121,74 @@ def test_boundary_memo_is_per_model(c8):
         "f0a25880b6801ba62ff475968ca850abeaea085e",
         "9c095de73c9c6a332b776dee05f86646fc413ddf",
     ]
+
+
+def _reference_boundary_entry(model, memo, side, adjacent):
+    # the uncached F_u computation of boundary_entry, with a memo of its own
+    key = (side, adjacent)
+    entry = memo.get(key)
+    if entry is None:
+        h = model.matrix.entries
+        rows = list(model.biclique.side(side))
+        weights = np.prod(h[np.ix_(rows, list(adjacent))], axis=1)
+        f_u = float(weights.sum())
+        cumulative = tuple(itertools.accumulate(weights.tolist()))
+        entry = (f_u, math.log(f_u) if f_u > 0.0 else NEG_INF, cumulative)
+        memo[key] = entry
+    return entry
+
+
+def _reference_weight_log(model, poly, memo) -> float:
+    # weight_log as first written: numpy scalars, per-call constants and one
+    # boundary lookup per boundary vertex, in the contract's addition order
+    graph = model.graph
+    n = graph.n
+    logh = model.matrix.log_entries
+    spin = dict(zip(poly.vertices, poly.spins))
+    acc = 0.0
+    boundary: dict[int, list[int]] = {}
+    for v, sv in spin.items():
+        for u in graph.adjacency[v]:
+            su = spin.get(u)
+            if su is None:
+                boundary.setdefault(u, []).append(sv)
+            elif u < v:
+                term = float(logh[su, sv])
+                if term == NEG_INF:
+                    return NEG_INF
+                acc += term
+    for u, adjacent_spins in boundary.items():
+        ln_f_u = _reference_boundary_entry(model, memo, 0 if u < n else 1, tuple(adjacent_spins))[1]
+        if ln_f_u == NEG_INF:
+            return NEG_INF
+        acc += ln_f_u
+    count0 = sum(v < n for v in spin) + sum(u < n for u in boundary)
+    acc -= count0 * math.log(len(model.biclique.b0))
+    acc -= (len(spin) + len(boundary) - count0) * math.log(len(model.biclique.b1))
+    return acc
+
+
+def test_weight_log_matches_reference_bitwise(k33, k22, c8, edge_graph, rand43, hardcore, potts3):
+    # float.hex equality also tells -0.0 from 0.0; the zero-entry matrices
+    # give -inf internal edges (H[1,2] = 0) and vanishing F_u (spin 2)
+    rng = np.random.default_rng(29)
+    matrices = [hardcore, potts3, *(random_delta_matrix(rng, q) for q in (2, 3, 4))]
+    matrices.append(InteractionMatrix([[1.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]], 0.5))
+    matrices.append(InteractionMatrix([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 0.5))
+    graphs = [k33, k22, c8, edge_graph, rand43, generate_random_regular_bipartite(12, 4, 1)]
+    checked = neg_inf = 0
+    for graph in graphs:
+        for matrix in matrices:
+            for biclique in enumerate_maximal_bicliques(matrix):
+                model = PolymerModel(graph, matrix, biclique, 0.9)
+                # cap 3's list holds caps 1 and 2's, so one pass covers all three
+                polymers = model.enumerate_allowed(3)
+                memo = {}
+                expected = [_reference_weight_log(model, poly, memo).hex() for poly in polymers]
+                assert [model.weight_log(poly).hex() for poly in polymers] == expected, biclique
+                checked += len(polymers)
+                neg_inf += expected.count("-inf")
+    assert checked == 250_386 and neg_inf > 0
 
 
 def test_weight_log_is_a_float(k33, potts3):
