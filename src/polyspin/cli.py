@@ -9,8 +9,10 @@ numbers are reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -38,17 +40,27 @@ def _emit(record: dict, fmt: str) -> None:
         print(" ".join(f"{k}={v}" for k, v in record.items()))
 
 
-def _check_out(path) -> None:
+@contextlib.contextmanager
+def _writing(path):
     """Refuse an unwritable -o before the run does any work. Opening it for
-    append creates a missing file empty and leaves an existing one as it is."""
+    append leaves an existing file as it is; a file it creates is removed
+    again if the run fails, so a failed run leaves no new file behind."""
+    existed = os.path.lexists(path)
     with open(path, "a", encoding="utf-8"):
         pass
+    try:
+        yield
+    except BaseException:
+        if not existed:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def cmd_gen(args) -> int:
-    _check_out(args.out)
-    graph = generate_random_regular_bipartite(args.n, args.degree, args.seed)
-    save_graph(graph, args.out)
+    with _writing(args.out):
+        graph = generate_random_regular_bipartite(args.n, args.degree, args.seed)
+        save_graph(graph, args.out)
     cert = second_eigenvalue(graph)
     bound = 2.0 * math.sqrt(args.degree)
     verdict = "pass" if cert.lam <= bound else "fail"
@@ -120,25 +132,25 @@ def cmd_estimate(args) -> int:
 def cmd_sample(args) -> int:
     graph = load_graph(args.graph, oracle_only=args.relaxed)
     matrix = load_matrix(args.matrix)
-    _check_out(args.out)
-    config = _config(args)
-    exact_path = estimator.exact_fallback(graph, matrix, config.brute_force_budget)
-    warnings = ()
-    if exact_path or args.count < 1:  # a count below 1 needs no estimate: refused or empty
-        samples = estimator.spin_sample_many(
-            graph, matrix, args.eps, args.seed, args.count, mode=args.mode, config=config
-        )
-        fields = _run_fields((), 0.0 if exact_path else None)
-    else:
-        result = estimator.approximate_Z(
-            graph, matrix, args.eps, args.seed, mode=args.mode, config=config
-        )
-        samples = estimator.sample_mixture(result, args.eps, args.seed, args.count)
-        fields = _run_fields(result.records, result.ln_stderr)
-        warnings = result.warnings
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for row in samples:
-            fh.write(" ".join(str(int(s)) for s in row) + "\n")
+    with _writing(args.out):
+        config = _config(args)
+        exact_path = estimator.exact_fallback(graph, matrix, config.brute_force_budget)
+        warnings = ()
+        if exact_path or args.count < 1:  # a count below 1 needs no estimate: refused or empty
+            samples = estimator.spin_sample_many(
+                graph, matrix, args.eps, args.seed, args.count, mode=args.mode, config=config
+            )
+            fields = _run_fields((), 0.0 if exact_path else None)
+        else:
+            result = estimator.approximate_Z(
+                graph, matrix, args.eps, args.seed, mode=args.mode, config=config
+            )
+            samples = estimator.sample_mixture(result, args.eps, args.seed, args.count)
+            fields = _run_fields(result.records, result.ln_stderr)
+            warnings = result.warnings
+        with open(args.out, "w", encoding="utf-8") as fh:
+            for row in samples:
+                fh.write(" ".join(str(int(s)) for s in row) + "\n")
     record = {
         "count": args.count,
         "mode": "exact" if exact_path else args.mode,

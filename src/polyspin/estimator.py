@@ -449,10 +449,7 @@ def spin_fill(model: PolymerModel, polymers, rng) -> np.ndarray:
         count = int(np.count_nonzero(free))
         if count:
             ground = biclique.side(side)
-            if len(ground) == 1:
-                part[free] = ground[0]  # numpy draws nothing for a one-value range either
-            else:
-                part[free] = np.array(ground)[rng.integers(0, len(ground), size=count)]
+            part[free] = np.array(ground)[rng.integers(0, len(ground), size=count)]
     return sigma
 
 

@@ -196,6 +196,29 @@ def test_unwritable_out_refused_before_any_work(
     assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("command", ["gen", "sample"])
+def test_failed_run_leaves_no_new_out_file(tmp_path, capsys, hardcore_path, command):
+    # the early -o check creates a missing file; a run that fails after it
+    # removes that file again and leaves an existing one as it was
+    gpath = str(tmp_path / "g8.txt")
+    run(["gen", "-n", "8", "-d", "3", "--seed", "1", "-o", gpath], capsys)
+    argv, expected = {
+        "gen": (["gen", "-n", "8", "-d", "9", "--seed", "1"], (2, "infeasible: ")),
+        "sample": (
+            ["sample", gpath, hardcore_path, "-e", "0.5", "--seed", "1", "-c", "-1"],
+            (1, "error: "),
+        ),
+    }[command]
+    new = tmp_path / "new.txt"
+    code, out, err = run([*argv, "-o", str(new)], capsys)
+    assert (code, out) == (expected[0], "") and err.startswith(expected[1]), err
+    assert not new.exists()
+    kept = tmp_path / "kept.txt"
+    kept.write_text("old\n", encoding="utf-8")
+    code, _, _ = run([*argv, "-o", str(kept)], capsys)
+    assert code == expected[0] and kept.read_text(encoding="utf-8") == "old\n"
+
+
 def test_estimate_size_cap_zero_exit_1(tmp_path, capsys, hardcore_path):
     gpath = tmp_path / "k33.txt"
     run(["gen", "-n", "3", "-d", "3", "--seed", "1", "-o", str(gpath)], capsys)

@@ -774,7 +774,6 @@ def test_candidate_tables_pinned(k33, c8, hardcore, potts3):
         assert digest.hexdigest() == expected, (gname, mname)
 
 
-
 def test_benchmark_tables_pinned(hardcore):
     # the set-up benchmark's cap-3 tables at eps 0.1: degree 8 gives a polymer
     # 8 to 24 boundary terms, where the fixtures above give at most 12

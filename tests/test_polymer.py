@@ -175,20 +175,23 @@ def test_weight_log_matches_reference_bitwise(k33, k22, c8, edge_graph, rand43, 
     matrices = [hardcore, potts3, *(random_delta_matrix(rng, q) for q in (2, 3, 4))]
     matrices.append(InteractionMatrix([[1.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]], 0.5))
     matrices.append(InteractionMatrix([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 0.5))
-    graphs = [k33, k22, c8, edge_graph, rand43, generate_random_regular_bipartite(12, 4, 1)]
+    cases = [(g, m) for g in (k33, k22, c8, edge_graph, rand43) for m in matrices]
+    # q = 4 on g12 alone would be 108 612 polymers, 2 s; boundaries of degree 8
+    # are pinned by test_benchmark_tables_pinned
+    g12 = generate_random_regular_bipartite(12, 4, 1)
+    cases += [(g12, m) for m in matrices if m.q < 4]
     checked = neg_inf = 0
-    for graph in graphs:
-        for matrix in matrices:
-            for biclique in enumerate_maximal_bicliques(matrix):
-                model = PolymerModel(graph, matrix, biclique, 0.9)
-                # cap 3's list holds caps 1 and 2's, so one pass covers all three
-                polymers = model.enumerate_allowed(3)
-                memo = {}
-                expected = [_reference_weight_log(model, poly, memo).hex() for poly in polymers]
-                assert [model.weight_log(poly).hex() for poly in polymers] == expected, biclique
-                checked += len(polymers)
-                neg_inf += expected.count("-inf")
-    assert checked == 250_386 and neg_inf > 0
+    for graph, matrix in cases:
+        for biclique in enumerate_maximal_bicliques(matrix):
+            model = PolymerModel(graph, matrix, biclique, 0.9)
+            # cap 3's list holds caps 1 and 2's, so one pass covers all three
+            polymers = model.enumerate_allowed(3)
+            memo = {}
+            expected = [_reference_weight_log(model, poly, memo).hex() for poly in polymers]
+            assert [model.weight_log(poly).hex() for poly in polymers] == expected, biclique
+            checked += len(polymers)
+            neg_inf += expected.count("-inf")
+    assert checked == 141_774 and neg_inf > 0
 
 
 def test_weight_log_is_a_float(k33, potts3):
