@@ -45,12 +45,22 @@ sum_v p_v P_v with every p_v > 0 is pi-reversible. A double u is a
 multiple of 2^-53 in [0, 1 - 2^-53], so the pick lies in the active list
 and each p_v differs from 1/len(active) by less than 2^-52.
 
-run turns each chunk into one iterator of (pick, uniform) pairs. Without
-a probe it walks the chunk in one loop. With a probe, a countdown from
-the call's start cuts that walk at every full sweep, with islice on the
-same iterator, and reads the probe through the same key, memo and scan as
-a step. So a sweep costs its steps, one islice and one read, and a step
-pays nothing for the countdown, which moves once per cut.
+run flags each chunk's steps in numpy before Python visits them. A
+region's bound holds totals[v] over active, v's unblocked normaliser, and
+a step's flag has bit 0 set when u * bound[pick] >= 1 and, with a probe,
+bit 1 at every full-sweep end counted from the call's start. Python walks
+the (pick, uniform, flag) triples: a covered v drops its polymer whatever
+the flag, a step without bit 0 never draws, and a step with flag 0 and
+nothing to drop costs two tests. Skipping the draw is exact: a blocked
+normaliser adds a subset of the weights totals[v] adds, in the same order
+(see above), and rounded addition and multiplication are monotone, so
+total <= totals[v] and u * total <= u * totals[v], bit for bit (numpy's
+float64 product is Python's). A step with u * bound < 1 therefore draws
+nothing under _Region.conditional too. At bit 1 run reads the probe
+through the same key, memo and scan as a step, and keeps 1/total until
+the next drop or add: the read is a function of the state, so the kept
+value is exact. The memo is a pure cache, so it fills only on steps that
+may draw and on probe reads.
 
 The region is a prefix {0..i-1} of the vertices (the whole graph by
 default); PolymerChain.grow extends it, keeping the state. Polymer
@@ -63,7 +73,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -165,7 +174,8 @@ class _Region:
     """A table's heat-bath view of the region {0..prefix-1}. Per vertex:
     cands, its in-region candidate triples in table order; reach, the OR of
     their masks; totals, 1.0 plus their weights added left to right. Then
-    active, the vertices with a candidate, and the bounded memo of blocked
+    active, the vertices with a candidate, with bits (1 << v) and bound
+    (totals[v], a numpy array) over it, and the bounded memo of blocked
     options (see the module docstring)."""
 
     def __init__(self, table: CandidateTable, prefix: int):
@@ -188,6 +198,8 @@ class _Region:
             self.reach.append(r)
             self.totals.append(total)
         self.active = [v for v in range(prefix) if self.cands[v]]
+        self.bits = [1 << v for v in self.active]
+        self.bound = np.array([self.totals[v] for v in self.active])
         self.memo: dict[tuple[int, int], tuple[list, float]] = {}
         self.memo_size = 0
         self.memo_limit = MEMO_FACTOR * sum(map(len, self.cands))
@@ -289,6 +301,10 @@ class PolymerChain:
         trailing part sweep is not read. Without a probe, return None. A
         negative, bool or non-integral count, or a probe outside the region,
         raises InvalidRangeError before any state changes.
+
+        Each chunk's flags (see the module docstring) mark the steps that
+        may add a polymer and the sweep ends; one loop serves runs with and
+        without a probe, and steps that can change nothing cost two tests.
         """
         check_count("steps", steps, 0)
         if probe is not None:
@@ -301,77 +317,80 @@ class PolymerChain:
         if not active:
             return None if probe is None else 0.0
         masks, blocks = self.table.masks, self.table.blocks
+        bits, bound = region.bits, region.bound
         cands, reach, totals = region.cands, region.reach, region.totals
         memo, scan = region.memo, region.scan
         current, covered, blocked = self._current, self._covered, self._blocked
         rng = self._rng
-        # steps to the next probe read; never reached without a probe
-        sweep = until = steps + 1 if probe is None else len(active)
+        sweep = len(active)
         pbit = 0 if probe is None else 1 << probe
         acc = 0.0
-        left = steps
-        held = 0  # steps left in the current chunk
-        while left:
-            if not held:
-                held = min(left, _RNG_BUFFER)
-                draws = rng.random(2 * held)
-                # Python scalars step faster than numpy ones and give the same
-                # floats; the cast truncates u * len(active) as floor does
-                picks = (draws[::2] * len(active)).astype(np.intp)
-                chunk = zip(picks.tolist(), draws[1::2].tolist())
-            # the steps up to the next read, or the rest of the chunk
-            seg = until if until < held else held
-            held -= seg
-            left -= seg
-            until -= seg
-            for k, u in islice(chunk, seg) if held else chunk:
-                v = active[k]
-                vbit = 1 << v
+        read = None  # the probe's 1/total in the present state, once computed
+        done = 0  # steps of this call already drawn
+        while done < steps:
+            held = min(steps - done, _RNG_BUFFER)
+            draws = rng.random(2 * held)
+            # the cast truncates u * len(active) as floor does
+            picks = (draws[::2] * sweep).astype(np.intp)
+            us = draws[1::2]
+            # bit 0: the step may add a polymer (u * total >= 1 needs this)
+            flags = (us * bound[picks] >= 1.0).view(np.int8)
+            if probe is not None:
+                flags[sweep - 1 - done % sweep :: sweep] |= 2  # bit 1: a sweep ends
+            done += held
+            # Python scalars step faster than numpy ones and give the same floats
+            for k, u, flag in zip(picks.tolist(), us.tolist(), flags.tolist()):
+                vbit = bits[k]
                 if covered & vbit:
                     # drop the polymer covering v; present polymers are disjoint
-                    for j, i in enumerate(current):
+                    for i in current:
                         if masks[i] & vbit:
-                            del current[j]
+                            current.remove(i)
                             break
                     covered = blocked = 0
                     for i in current:
                         covered |= masks[i]
                         blocked |= blocks[i]
-                if blocked & vbit:
-                    continue  # nothing through v fits: total is 1, the state stays
-                key = blocked & reach[v]  # _Region.conditional, inlined
-                if key:
-                    hit = memo.get((v, key))
-                    options, total = scan(v, key) if hit is None else hit
-                else:
-                    options, total = cands[v], totals[v]
-                r = u * total
-                if r >= 1.0:
-                    r -= 1.0
-                    chosen = options[-1][2]
-                    for _, w, i in options:
-                        if r < w:
-                            chosen = i
-                            break
-                        r -= w
-                    current.append(chosen)
-                    covered |= masks[chosen]
-                    blocked |= blocks[chosen]
-            if not until:
-                until = sweep
-                rest = blocked  # the blocks of the polymers not covering probe
-                if covered & pbit:
-                    rest = 0
-                    for i in current:
-                        if not masks[i] & pbit:
-                            rest |= blocks[i]
-                key = rest & reach[probe]  # _Region.conditional, inlined
-                if key:
-                    hit = memo.get((probe, key))
-                    total = (scan(probe, key) if hit is None else hit)[1]
-                else:
-                    total = totals[probe]
-                acc += 1.0 / total
+                    read = None
+                elif not flag:
+                    continue  # nothing to drop, nothing to add, nothing to read
+                if flag & 1 and not blocked & vbit:  # if blocked, nothing through v fits
+                    v = active[k]
+                    key = blocked & reach[v]  # _Region.conditional, inlined
+                    if key:
+                        hit = memo.get((v, key))
+                        options, total = scan(v, key) if hit is None else hit
+                    else:
+                        options, total = cands[v], totals[v]
+                    r = u * total
+                    if r >= 1.0:
+                        r -= 1.0
+                        chosen = options[-1][2]
+                        for _, w, i in options:
+                            if r < w:
+                                chosen = i
+                                break
+                            r -= w
+                        current.append(chosen)
+                        covered |= masks[chosen]
+                        blocked |= blocks[chosen]
+                        read = None
+                if flag & 2:
+                    if read is None:
+                        rest = blocked  # the blocks of the polymers not covering probe
+                        if covered & pbit:
+                            rest = 0
+                            for i in current:
+                                if not masks[i] & pbit:
+                                    rest |= blocks[i]
+                        key = rest & reach[probe]  # _Region.conditional, inlined
+                        if key:
+                            hit = memo.get((probe, key))
+                            total = (scan(probe, key) if hit is None else hit)[1]
+                        else:
+                            total = totals[probe]
+                        read = 1.0 / total
+                    acc += read
         self._covered, self._blocked = covered, blocked
         return None if probe is None else acc
 

@@ -426,13 +426,14 @@ def spin_fill(model: PolymerModel, polymers, rng) -> np.ndarray:
     graph = model.graph
     biclique = model.biclique
     n = graph.n
-    sigma = np.full(graph.num_vertices, -1, dtype=np.int64)
+    row = [-1] * graph.num_vertices
     spin_map: dict[int, int] = {}
     for poly in polymers:
         spin_map.update(zip(poly.vertices, poly.spins))
+    for v, s in spin_map.items():
+        row[v] = s
     # stream order: one read per boundary vertex in vertex order, then the
     # free vertices of side 0, then of side 1
-    fixed = dict(spin_map)
     for u in sorted(graph.boundary(spin_map.keys())):
         side = int(u >= n)
         ground = biclique.side(side)
@@ -441,16 +442,18 @@ def spin_fill(model: PolymerModel, polymers, rng) -> np.ndarray:
         if total <= 0.0:
             raise ZeroNormalizerError(f"boundary vertex {u} has F_u = 0")
         pick = bisect.bisect_right(cumulative, rng.random() * total)
-        fixed[u] = ground[min(pick, len(ground) - 1)]
-    if fixed:
-        sigma[list(fixed)] = list(fixed.values())
-    for side, part in enumerate((sigma[:n], sigma[n:])):
-        free = part < 0
-        count = int(np.count_nonzero(free))
-        if count:
-            ground = biclique.side(side)
-            part[free] = np.array(ground)[rng.integers(0, len(ground), size=count)]
-    return sigma
+        row[u] = ground[min(pick, len(ground) - 1)]
+    for side in (0, 1):
+        free = [v for v in range(side * n, side * n + n) if row[v] < 0]
+        ground = biclique.side(side)
+        if len(ground) == 1:
+            # integers(0, 1) reads no stream, so a one-spin side skips it
+            for v in free:
+                row[v] = ground[0]
+        elif free:
+            for v, j in zip(free, rng.integers(0, len(ground), size=len(free)).tolist()):
+                row[v] = ground[j]
+    return np.array(row, dtype=np.int64)
 
 
 def spin_sample_many(

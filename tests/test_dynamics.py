@@ -358,17 +358,119 @@ def _reference_walk(ref, rng, current):
         pick, u = rng.random(2).tolist()
         ref.memo.clear()
         current, options, total = ref.conditional(current, active[math.floor(pick * len(active))])
-        r = u * total
-        if r >= 1.0:
-            r -= 1.0
-            chosen = options[-1][2]
-            for _, w, i in options:
-                if r < w:
-                    chosen = i
-                    break
-                r -= w
+        chosen = _heat_bath_draw(options, total, u)
+        if chosen is not None:
             current = current + [chosen]
         yield current, ref
+
+
+def _heat_bath_draw(options, total, u):
+    """The reference's draw from a conditional's (options, total) at the
+    uniform u: None (no polymer) when u * total < 1, else the table index
+    of the option whose weight interval holds u * total - 1."""
+    r = u * total
+    if r < 1.0:
+        return None
+    r -= 1.0
+    for _, w, i in options:
+        if r < w:
+            return i
+        r -= w
+    return options[-1][2]
+
+
+def _random_states(table, limit, count, rng):
+    """`count` random states of polymers lying below `limit`: each adds
+    the region's polymers, in a random order, that fit the ones before."""
+    inside = [i for i, m in enumerate(table.masks) if m < limit]
+    states = []
+    for _ in range(count):
+        state, blocked = [], 0
+        for i in rng.permutation(inside).tolist():
+            if rng.random() < 0.5 and not table.masks[i] & blocked:
+                state.append(i)
+                blocked |= table.blocks[i]
+        states.append(state)
+    return states
+
+
+@pytest.mark.parametrize("mname", ["hardcore", "potts3"])
+@pytest.mark.parametrize("gname", ["k33", "c8", "g12"])
+def test_bound_makes_skipped_steps_draw_nothing(k33, c8, hardcore, potts3, gname, mname):
+    # run skips the heat-bath draw of every step with u * bound < 1, bound
+    # being v's unblocked normaliser. That is exact when every conditional
+    # total at v is at most bound (a blocked total adds a subset of the same
+    # weights in the same order), and then u * total < 1 draws nothing
+    graph = {"k33": k33, "c8": c8, "g12": generate_random_regular_bipartite(12, 4, 1)}[gname]
+    matrix = {"hardcore": hardcore, "potts3": potts3}[mname]
+    rng = np.random.default_rng(3)
+    checked = {"cut": 0, "tight": 0}
+    for biclique in enumerate_maximal_bicliques(matrix)[: 1 if mname == "potts3" else None]:
+        model = PolymerModel(graph, matrix, biclique, 0.5)
+        for cap in (1, 2, 3):
+            table = candidate_table(model, cap)
+            for prefix in (graph.num_vertices, graph.num_vertices - graph.n // 2):
+                region = dynamics._Region(table, prefix)
+                assert region.bound.tolist() == [region.totals[v] for v in region.active]
+                for state in _random_states(table, 1 << prefix, 20, rng):
+                    for idx, v in enumerate(region.active):
+                        _, options, total = region.conditional(state, v)
+                        bound = float(region.bound[idx])
+                        assert total <= bound, (biclique, cap, prefix, state, v)
+                        # the largest u with u * bound < 1, then random ones below
+                        top = 1.0 / bound
+                        while top * bound >= 1.0:
+                            top = float(np.nextafter(top, 0.0))
+                        below = [top, *(rng.random(8) * top).tolist()]
+                        # run's numpy products, bound gathered as run gathers it, are Python's
+                        gathered = region.bound[np.full(len(below), idx)]
+                        assert (np.array(below) * gathered).tolist() == [u * bound for u in below]
+                        for u in below:
+                            assert _heat_bath_draw(options, total, u) is None, (v, u)
+                        # past that u, a v whose candidates all fit draws a polymer
+                        live = float(np.nextafter(top, 1.0))
+                        assert live * bound >= 1.0
+                        if len(options) == len(region.cands[v]) and live < 1.0:
+                            assert total == bound
+                            assert _heat_bath_draw(options, total, live) is not None
+                            checked["tight"] += 1
+                        checked["cut"] += total < bound
+    # both a blocked total below the bound and a tight one were seen
+    assert checked["cut"] and checked["tight"], checked
+
+
+class _Doubles:
+    """A stand-in stream that returns the given doubles in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size):
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
+def test_flag_keeps_steps_at_exactly_one(k33_model):
+    # a step with u * bound == 1 exactly adds a polymer (r = 1 >= 1), so
+    # run's flag must count it as one that may add; just below, nothing
+    table = candidate_table(k33_model, None)
+    region = table.region
+    tight = 0
+    for k, bound in enumerate(region.bound.tolist()):
+        u = 1.0 / bound
+        if u * bound != 1.0:
+            continue
+        pick = (k + 0.5) / len(region.active)
+        below = float(np.nextafter(u, 0.0))
+        assert below * bound < 1.0
+        for uniform, adds in ((u, True), (below, False)):
+            chain = PolymerChain(table, _Doubles([pick, uniform]))
+            chain.run(1)
+            drawn = _heat_bath_draw(region.cands[region.active[k]], bound, uniform)
+            assert chain._current == ([] if drawn is None else [drawn])
+            assert bool(chain._current) is adds
+        tight += 1
+    assert tight
 
 
 def test_picks_stay_in_the_active_list():
@@ -438,11 +540,13 @@ def test_run_matches_conditional_steps(k33, c8, hardcore, potts3, gname, mname):
 
 
 def test_memo_fills_and_clears_within_its_bound(hardcore):
-    # g32 d4, the benchmark's telescope instance: its memo fills within a
-    # few thousand steps, where the small graphs' memos never do
+    # g32 d4, the benchmark's telescope instance: its memo first clears
+    # after about 19 500 single steps, where the small graphs' memos never
+    # do. run fills the memo only on steps that may add a polymer, so the
+    # walk must be that long to reach a clear
     graph = generate_random_regular_bipartite(32, 4, 1)
     model = PolymerModel(graph, hardcore, enumerate_maximal_bicliques(hardcore)[0], 0.1)
-    assert _check_lockstep(candidate_table(model, 2), None, 6000, 640) >= 1
+    assert _check_lockstep(candidate_table(model, 2), None, 24000, 640) >= 1
 
 
 def _reference_probe_sums(table, prefix, key, probe, calls):

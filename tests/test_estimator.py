@@ -522,6 +522,20 @@ def test_spin_fill_zero_normalizer_raises(c8):
         spin_fill(model, (poly,), rng)
 
 
+@pytest.mark.parametrize("k", [1, 3, 64])
+def test_one_value_integers_read_no_stream(k):
+    # spin_fill fills a one-spin side without calling integers. That keeps
+    # its draws only because integers(0, 1) reads nothing from the stream;
+    # if numpy ever reads there, this fails instead of the draws moving
+    rng, twin = (dynamics.random_stream(7, dynamics.FILL, 0, 0) for _ in range(2))
+    rng.random(3)
+    twin.random(3)
+    before = repr(rng.bit_generator.state)
+    assert rng.integers(0, 1, size=k).tolist() == [0] * k
+    assert repr(rng.bit_generator.state) == before
+    assert rng.random(4).tolist() == twin.random(4).tolist()
+
+
 # antiferromagnetic 3-state Potts: its biclique ({0}, {1, 2}) leaves two
 # ground spins on the right, so the fill law there is not a point mass (the
 # ferromagnetic potts3 has singleton ground sets and a one-point fill law)
