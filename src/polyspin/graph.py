@@ -166,6 +166,7 @@ def even_cycle(num_vertices: int) -> BipartiteRegularGraph:
 
 _MAX_RESTARTS = 200  # whole-graph constructions per generated graph
 _MAX_MATCHING_TRIES = 200_000  # matching draws within one construction
+_BLOCK_CELLS = 1 << 13  # bounds the entries of one block of matching draws
 
 
 def generate_random_regular_bipartite(n: int, degree: int, seed: int) -> BipartiteRegularGraph:
@@ -174,33 +175,54 @@ def generate_random_regular_bipartite(n: int, degree: int, seed: int) -> Biparti
     Union of `degree` random perfect matchings; a matching colliding with
     an already-placed edge is resampled (whole-graph rejection is hopeless
     here: its acceptance probability decays like e^{-Delta(Delta-1)/2}).
-    Disconnected results restart the whole construction. A seed outside
-    [0, 2^64) raises InvalidRangeError (see errors.check_seed).
+    Disconnected results restart the whole construction. degree = n gives
+    K_{n,n}, the only such graph. A seed outside [0, 2^64) raises
+    InvalidRangeError (see errors.check_seed).
+
+    Draws come in blocks: Generator.permuted over k rows of arange(n)
+    gives the rows and the stream state of k permutation(n) calls, so a
+    block is one call and one vectorised test. At the first row that
+    avoids the placed edges the stream is reset and exactly the rows up
+    to it are drawn again, so every matching, count of tries and the
+    stream stand where one permutation per try leaves them. Each matching
+    starts with a block of one row and doubles it on every miss, up to
+    _BLOCK_CELLS entries.
     """
     check_seed(seed)
     if degree < 3:
         raise InvalidRangeError(f"degree must be >= 3, got {degree}")
     if n < degree:
         raise InfeasibleError(f"no simple {degree}-regular bipartite graph on {n}+{n}")
+    if n == degree:
+        return complete_bipartite(n)
     rng = np.random.default_rng(seed)
+    left = np.arange(n)
     for _ in range(_MAX_RESTARTS):
-        taken = [set() for _ in range(n)]  # right partners per left vertex
+        taken = np.zeros((n, n), dtype=bool)  # taken[v, u]: edge {v, n + u} placed
         tries = 0
         for _ in range(degree):
+            block = 1
             while True:
-                tries += 1
-                if tries > _MAX_MATCHING_TRIES:
+                rows = min(block, _MAX_MATCHING_TRIES - tries)
+                if rows == 0:
                     raise ResourceLimitError(f"exceeded {_MAX_MATCHING_TRIES} matching draws")
-                perm = rng.permutation(n)
-                if all(int(perm[v]) not in taken[v] for v in range(n)):
+                state = rng.bit_generator.state
+                perms = rng.permuted(np.tile(left, (rows, 1)), axis=1)
+                clear = ~taken[left, perms].any(axis=1)
+                hit = int(clear.argmax())
+                if clear[hit]:
                     break
-            for v in range(n):
-                taken[v].add(int(perm[v]))
+                tries += rows
+                block = min(2 * block, max(1, _BLOCK_CELLS // n))
+            tries += hit + 1
+            if hit + 1 < rows:
+                rng.bit_generator.state = state
+                rng.permuted(np.tile(left, (hit + 1, 1)), axis=1)
+            taken[left, perms[hit]] = True
         adj = [[] for _ in range(2 * n)]
-        for v in range(n):
-            for u in taken[v]:
-                adj[v].append(n + u)
-                adj[n + u].append(v)
+        for v, u in zip(*(side.tolist() for side in np.nonzero(taken))):
+            adj[v].append(n + u)
+            adj[n + u].append(v)
         if _is_connected([tuple(a) for a in adj]):
             return BipartiteRegularGraph(n, adj)
     raise ResourceLimitError(f"exceeded {_MAX_RESTARTS} whole-graph restarts")

@@ -4,7 +4,9 @@ Fix a maximal biclique (B_0, B_1). A polymer is a G^3-connected vertex set
 together with a non-ground spin per vertex (ground spins on side i are
 B_i). Its weight combines the internal edge factors, one boundary factor
 F_u per neighbor of the region, and a ground-state count in the
-denominator; see `PolymerModel.weight_log`.
+denominator; see `PolymerModel.weight_log`, which weighs one polymer, and
+`PolymerModel._class_weight_logs`, which weighs a size class in numpy
+with the same additions in the same order, so both give the same floats.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .logspace import NEG_INF
 from .spin_model import Biclique, InteractionMatrix, enumerate_maximal_bicliques
 
 SIZE_FUZZ = 1e-9  # 2*eps*n can land one ulp under an integer; bound is inclusive
+_BATCH_BLOCK = 256  # rows per block of _class_weight_logs; bounds its temporaries
+_CODE_LIMIT = 1 << 14  # entries of _class_weight_logs' ln F_u table, indexed by code
 
 
 @dataclass(frozen=True, order=True)
@@ -117,6 +121,9 @@ class PolymerModel:
         # weight_log's constants: ln H as plain floats, and ln|B_0|, ln|B_1|
         self._log_rows: list[list[float]] = matrix.log_entries.tolist()
         self._log_ground = (math.log(len(biclique.b0)), math.log(len(biclique.b1)))
+        # the largest polymer size whose boundary codes in _class_weight_logs
+        # (base-(q+1) spin digits, then a side bit) stay below _CODE_LIMIT
+        self._batch_size_limit = max(s for s in range(64) if 2 * (q + 1) ** s <= _CODE_LIMIT)
 
     # -- spins ------------------------------------------------------------
 
@@ -134,10 +141,11 @@ class PolymerModel:
         Denominator: |B_i| to the power |side-i part of region + boundary|.
 
         The terms are added in one fixed order, which the pinned tables
-        hash and which any other weight path must keep bit for bit:
-        ln H of the internal edges (polymer-vertex order, then adjacency
-        order); ln F_u per boundary vertex, in the order first seen; then
-        -count0 ln|B_0| and -(the rest) ln|B_1|.
+        hash and which _class_weight_logs keeps bit for bit: ln H of the
+        internal edges (polymer-vertex order, then adjacency order); ln F_u
+        per boundary vertex, in the order first seen, its key being its
+        polymer neighbours' spins in visit order; then -count0 ln|B_0| and
+        -(the rest) ln|B_1|.
         """
         n = self.graph.n
         adjacency = self.graph.adjacency
@@ -179,6 +187,80 @@ class PolymerModel:
         acc -= count0 * ln_b0
         acc -= (len(spin) + len(boundary[0]) + len(boundary[1]) - count0) * ln_b1
         return acc
+
+    def _class_weight_logs(self, vertices: np.ndarray, spins: np.ndarray) -> list[float]:
+        """weight_log of each row of one size class, as plain floats.
+
+        vertices and spins are (rows, s) int arrays, a polymer per row, with
+        s at most _batch_size_limit. Each of weight_log's terms is a column,
+        added in its order, and a visit that adds nothing adds 0.0 there,
+        which leaves the sum exact (it is never -0.0); a -inf term keeps the
+        row at -inf, as weight_log's early return does. Visit slot (i, k)
+        is the k-th neighbour u of the i-th vertex: u's key lists the spins
+        of its polymer neighbours in row order, coded as base-(q+1) digits
+        and a side bit, and u adds ln F_u, read through boundary_entry and
+        its memo, at the first slot that sees it. Rows go in blocks of
+        _BATCH_BLOCK, so the temporaries stay small.
+        """
+        graph = self.graph
+        n, total = graph.n, graph.num_vertices
+        # per vertex its neighbours, padded with `total`, a vertex next to none
+        width = max(map(len, graph.adjacency))
+        nbr = np.full((total, width), total, dtype=np.int32)
+        for v, row in enumerate(graph.adjacency):
+            nbr[v, : len(row)] = row
+        # flat (u, v) -> u ~ v, (2n+1)^2 bytes (1 MB at n = 512); an intp
+        # stride keeps u * stride + v from wrapping in int32
+        stride = np.intp(total + 1)
+        adjacent = np.zeros(stride * stride, dtype=bool)
+        edges = graph.edge_array
+        adjacent[edges[:, 0] * stride + edges[:, 1]] = True
+        adjacent[edges[:, 1] * stride + edges[:, 0]] = True
+        logh = self.matrix.log_entries
+        base = self.matrix.q + 1
+        size = vertices.shape[1]
+        owner = np.repeat(np.arange(size), width)  # the row position each slot visits from
+        ln_f = np.zeros(2 * base**size)  # ln F_u by code
+        ln_b0, ln_b1 = self._log_ground
+        out: list[float] = []
+        for start in range(0, len(vertices), _BATCH_BLOCK):
+            vs = vertices[start : start + _BATCH_BLOCK]
+            ss = spins[start : start + _BATCH_BLOCK]
+            acc = np.zeros(len(vs))
+            for i in range(size):
+                for j in range(i):
+                    edge = adjacent.take(vs[:, j] * stride + vs[:, i])
+                    acc += np.where(edge, logh[ss[:, j], ss[:, i]], 0.0)
+            us = nbr[vs].reshape(len(vs), -1)
+            inside = np.zeros(us.shape, dtype=bool)
+            seen = inside.copy()  # u is next to a vertex before the slot's own
+            key = np.zeros(us.shape, dtype=np.int32)
+            for j in range(size):
+                near = adjacent.take(vs[:, j, None] * stride + us)
+                inside |= us == vs[:, j, None]
+                seen |= near & (j < owner)
+                key = np.where(near, key * base + (ss[:, j, None] + 1), key)
+            first = ~(inside | seen) & (us < total)
+            far = us >= n
+            codes = (key * 2 + far)[first]
+            present = np.zeros(len(ln_f), dtype=bool)
+            present[codes] = True
+            for code in np.flatnonzero(present).tolist():
+                side, rest = code & 1, code >> 1
+                digits = []
+                while rest:
+                    rest, digit = divmod(rest, base)
+                    digits.append(digit - 1)
+                ln_f[code] = self.boundary_entry(side, tuple(digits[::-1]))[1]
+            terms = np.zeros(us.shape)
+            terms[first] = ln_f[codes]
+            for column in terms.T:
+                acc += column
+            count0 = (vs < n).sum(axis=1) + (first & ~far).sum(axis=1)
+            acc -= count0 * ln_b0
+            acc -= (size + first.sum(axis=1) - count0) * ln_b1
+            out.extend(acc.tolist())
+        return out
 
     def boundary_entry(
         self, side: int, adjacent: tuple[int, ...]

@@ -864,7 +864,10 @@ _TABLE_DIGESTS = {
 }
 
 
-def test_candidate_tables_pinned(k33, c8, hardcore, potts3):
+@pytest.mark.parametrize("route", ["scalar", "batch"])
+def test_candidate_tables_pinned(k33, c8, hardcore, potts3, route, monkeypatch):
+    # every size class through weight_log, or every one through the batch route
+    monkeypatch.setattr(dynamics, "BATCH_MIN_ROWS", 1 << 62 if route == "scalar" else 1)
     graphs = {"k33": k33, "c8": c8, "g12": generate_random_regular_bipartite(12, 4, 1)}
     matrices = {"hardcore": hardcore, "potts3": potts3}
     for (gname, mname), expected in _TABLE_DIGESTS.items():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from polyspin import (
     parse_graph,
     second_eigenvalue,
 )
-from polyspin.errors import GraphFormatError, InfeasibleError, InvalidRangeError
+from polyspin.errors import GraphFormatError, InfeasibleError, InvalidRangeError, ResourceLimitError
 from polyspin import graph as graph_module
 from polyspin.graph import BipartiteRegularGraph, _is_connected, format_graph
 
@@ -37,6 +38,76 @@ def test_n3_d3_is_forced_to_k33():
         graph = generate_random_regular_bipartite(3, 3, seed=seed)
         expected = complete_bipartite(3)
         assert np.array_equal(graph.edge_array, expected.edge_array)
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_degree_n_gives_complete_bipartite(n):
+    # K_{n,n} is the only n-regular bipartite graph on n + n vertices; matching
+    # draws used to run out of tries on it from n = 9
+    for seed in (0, 1):
+        graph = generate_random_regular_bipartite(n, n, seed=seed)
+        assert np.array_equal(graph.edge_array, complete_bipartite(n).edge_array)
+
+
+# sha1 of repr(edge_array.tolist()), computed with one permutation(n) call
+# and one Python membership test per matching draw
+_GRAPH_DIGESTS = {
+    (8, 3, 1): "99e2fc13f71530409a3bde20db5eee2f291ff36a",
+    (16, 3, 1): "42403afd7fa4df14393427d8d23e45931ce63436",
+    (16, 4, 99): "772d94ce70fcc87d34d29d794746b576fb149abf",
+    (24, 8, 1): "45ddadc9a03198fd1d0f3f61e5c0fdb9d61f4f4c",
+    (32, 4, 1): "bbc26039b740b6c3cd4af0d4fa444c17a51de48c",
+    (64, 8, 1): "aaa755583509ba491ac37dcb983775ef5b9af00b",
+    (128, 8, 1): "8474556dc9b5c1052e919f8d42cb4f6ed8edf4b2",
+    (7, 3, 182): "774a16f381accaa5d848f470dae2b78ae9a86025",  # restarts once
+}
+
+
+def _graph_digest(graph) -> str:
+    return hashlib.sha1(repr(graph.edge_array.tolist()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args", list(_GRAPH_DIGESTS))
+def test_generated_graphs_pinned(args):
+    assert _graph_digest(generate_random_regular_bipartite(*args)) == _GRAPH_DIGESTS[args]
+
+
+def test_generation_counts_restarts_and_tries_pinned(monkeypatch):
+    # (7, 3, 182): the first construction (5 draws) is disconnected, the
+    # second takes 10 draws, and the count starts again at each restart
+    monkeypatch.setattr(graph_module, "_MAX_RESTARTS", 1)
+    with pytest.raises(ResourceLimitError, match="exceeded 1 whole-graph restarts"):
+        generate_random_regular_bipartite(7, 3, 182)
+    monkeypatch.setattr(graph_module, "_MAX_RESTARTS", 2)
+    monkeypatch.setattr(graph_module, "_MAX_MATCHING_TRIES", 9)
+    with pytest.raises(ResourceLimitError, match="exceeded 9 matching draws"):
+        generate_random_regular_bipartite(7, 3, 182)
+    monkeypatch.setattr(graph_module, "_MAX_MATCHING_TRIES", 10)
+    assert _graph_digest(generate_random_regular_bipartite(7, 3, 182)) == _GRAPH_DIGESTS[7, 3, 182]
+    # (24, 8, 1) takes 2 376 draws in its one construction
+    monkeypatch.setattr(graph_module, "_MAX_MATCHING_TRIES", 2375)
+    with pytest.raises(ResourceLimitError, match="exceeded 2375 matching draws"):
+        generate_random_regular_bipartite(24, 8, 1)
+    monkeypatch.setattr(graph_module, "_MAX_MATCHING_TRIES", 2376)
+    assert _graph_digest(generate_random_regular_bipartite(24, 8, 1)) == _GRAPH_DIGESTS[24, 8, 1]
+
+
+def test_dense_degree_runs_out_of_matching_draws():
+    # n = 12, d = 10 exists (the complement of a 2-regular graph), but
+    # random matchings almost never complete it
+    with pytest.raises(ResourceLimitError, match="^exceeded 200000 matching draws$"):
+        generate_random_regular_bipartite(12, 10, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 24, 300])
+def test_block_draw_matches_sequential_permutations(n):
+    # generation draws k matchings as one Generator.permuted call; it must
+    # give the rows and the stream state of k permutation(n) calls
+    block, sequential = np.random.default_rng(7), np.random.default_rng(7)
+    rows = block.permuted(np.tile(np.arange(n), (9, 1)), axis=1)
+    expected = np.array([sequential.permutation(n) for _ in range(9)])
+    assert np.array_equal(rows, expected)
+    assert block.bit_generator.state == sequential.bit_generator.state
 
 
 def test_generation_infeasible_below_degree():

@@ -168,9 +168,22 @@ def _reference_weight_log(model, poly, memo) -> float:
     return acc
 
 
+def _class_route_weight_logs(model, polymers) -> list[float]:
+    # every size class through the batch route, in table order
+    out = [0.0] * len(polymers)
+    for size in sorted({len(poly.vertices) for poly in polymers}):
+        rows = [k for k, poly in enumerate(polymers) if len(poly.vertices) == size]
+        vertices = np.array([polymers[k].vertices for k in rows], dtype=np.int32)
+        spins = np.array([polymers[k].spins for k in rows], dtype=np.int32)
+        for k, lw in zip(rows, model._class_weight_logs(vertices, spins)):
+            out[k] = lw
+    return out
+
+
 def test_weight_log_matches_reference_bitwise(k33, k22, c8, edge_graph, rand43, hardcore, potts3):
-    # float.hex equality also tells -0.0 from 0.0; the zero-entry matrices
-    # give -inf internal edges (H[1,2] = 0) and vanishing F_u (spin 2)
+    # both weight routes, weight_log and the batch route of large size
+    # classes; float.hex equality also tells -0.0 from 0.0; the zero-entry
+    # matrices give -inf internal edges (H[1,2] = 0) and vanishing F_u (spin 2)
     rng = np.random.default_rng(29)
     matrices = [hardcore, potts3, *(random_delta_matrix(rng, q) for q in (2, 3, 4))]
     matrices.append(InteractionMatrix([[1.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]], 0.5))
@@ -189,6 +202,11 @@ def test_weight_log_matches_reference_bitwise(k33, k22, c8, edge_graph, rand43, 
             memo = {}
             expected = [_reference_weight_log(model, poly, memo).hex() for poly in polymers]
             assert [model.weight_log(poly).hex() for poly in polymers] == expected, biclique
+            # a model of its own, so that the batch route fills its F_u memo
+            batch = PolymerModel(graph, matrix, biclique, 0.9)
+            weights = _class_route_weight_logs(batch, polymers)
+            assert [lw.hex() for lw in weights] == expected, biclique
+            assert all(type(lw) is float for lw in weights)
             checked += len(polymers)
             neg_inf += expected.count("-inf")
     assert checked == 141_774 and neg_inf > 0
