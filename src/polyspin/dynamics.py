@@ -1,10 +1,8 @@
 """Reversible heat-bath dynamics on polymer configurations.
 
 Every chain runs on a CandidateTable: one biclique's polymers up to the
-size cap the table resolved when built (none if the model admits none).
-The table weighs a size class of at least BATCH_MIN_ROWS polymers in one
-numpy pass (PolymerModel._class_weight_logs) and a smaller one polymer
-by polymer (weight_log); both routes give the same floats.
+size cap the table resolved when built (none if the model admits none),
+weighed by PolymerModel.weight_logs.
 
 One step: pick a vertex v of the region uniformly (among vertices that
 admit any polymer), drop the polymer covering v if there is one, then
@@ -80,17 +78,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidRangeError, check_count, check_seed
-from .logspace import NEG_INF
 from .polymer import Polymer, PolymerModel
 
 _RNG_BUFFER = 4096  # steps drawn per chunk: bounds memory, not the stream
 MEMO_FACTOR = 16  # a region memo's bound per candidate triple; see above
-# A size class of this many polymers is weighed in numpy (_log_weights). The
-# batch route costs about 0.1-0.2 ms per call plus 1-2 us per row, and
-# weight_log 4.5-8 us per polymer, so batching wins from about 32-64 rows
-# (g24d8 and g32d4 hard-core, g12 3-Potts; 2-core host). Below 256 rows it
-# saves about 1 ms a class or less, so small tables keep the per-polymer path.
-BATCH_MIN_ROWS = 256
 
 # Stream domains, the first spawn-key slot of every random stream.
 RATIO = 0  # telescope chains: chain = median run
@@ -148,11 +139,9 @@ class CandidateTable:
         self.by_vertex: list[list[tuple[int, float, int]]] = [
             [] for _ in range(model.graph.num_vertices)
         ]
-        for poly, lw in zip(polymers, _log_weights(model, polymers)):
-            if lw == NEG_INF:
-                continue
+        for poly, lw in zip(polymers, model.weight_logs(polymers)):
             w = math.exp(lw)
-            if w <= 0.0:
+            if w <= 0.0:  # exp(-inf) is 0.0 too
                 continue
             mask = 0
             block = 0
@@ -176,26 +165,6 @@ class CandidateTable:
         """The whole graph's region, built on first use and shared, memo
         included, by every whole-graph chain and exact_chain_analysis."""
         return _Region(self, len(self.by_vertex))
-
-
-def _log_weights(model: PolymerModel, polymers: list[Polymer]) -> list[float]:
-    """model.weight_log of each polymer, bit for bit. A size class of at
-    least BATCH_MIN_ROWS polymers is weighed at once by
-    model._class_weight_logs; a smaller one, polymer by polymer."""
-    classes: dict[int, list[int]] = {}
-    for k, poly in enumerate(polymers):
-        classes.setdefault(len(poly.vertices), []).append(k)
-    out = [0.0] * len(polymers)
-    for size, rows in classes.items():
-        if len(rows) >= BATCH_MIN_ROWS and size <= model._batch_size_limit:
-            vertices = np.array([polymers[k].vertices for k in rows], dtype=np.int32)
-            spins = np.array([polymers[k].spins for k in rows], dtype=np.int32)
-            weights = model._class_weight_logs(vertices, spins)
-        else:
-            weights = [model.weight_log(polymers[k]) for k in rows]
-        for k, lw in zip(rows, weights):
-            out[k] = lw
-    return out
 
 
 class _Region:

@@ -169,6 +169,34 @@ _MAX_MATCHING_TRIES = 200_000  # matching draws within one construction
 _BLOCK_CELLS = 1 << 13  # bounds the entries of one block of matching draws
 
 
+def _matching_union(rng, n: int, degree: int) -> np.ndarray | None:
+    """taken[v, u] (edge {v, n + u}) of `degree` matchings, drawn as the next
+    function states; None once they have taken _MAX_MATCHING_TRIES draws."""
+    left = np.arange(n)
+    taken = np.zeros((n, n), dtype=bool)
+    tries = 0
+    for _ in range(degree):
+        block = 1
+        while True:
+            rows = min(block, _MAX_MATCHING_TRIES - tries)
+            if rows == 0:
+                return None
+            state = rng.bit_generator.state
+            perms = rng.permuted(np.tile(left, (rows, 1)), axis=1)
+            clear = ~taken[left, perms].any(axis=1)
+            hit = int(clear.argmax())
+            if clear[hit]:
+                break
+            tries += rows
+            block = min(2 * block, max(1, _BLOCK_CELLS // n))
+        tries += hit + 1
+        if hit + 1 < rows:
+            rng.bit_generator.state = state
+            rng.permuted(np.tile(left, (hit + 1, 1)), axis=1)
+        taken[left, perms[hit]] = True
+    return taken
+
+
 def generate_random_regular_bipartite(n: int, degree: int, seed: int) -> BipartiteRegularGraph:
     """Uniform-ish random simple Delta-regular bipartite graph, seeded.
 
@@ -176,8 +204,10 @@ def generate_random_regular_bipartite(n: int, degree: int, seed: int) -> Biparti
     an already-placed edge is resampled (whole-graph rejection is hopeless
     here: its acceptance probability decays like e^{-Delta(Delta-1)/2}).
     Disconnected results restart the whole construction. degree = n gives
-    K_{n,n}, the only such graph. A seed outside [0, 2^64) raises
-    InvalidRangeError (see errors.check_seed).
+    K_{n,n}, the only such graph. If the draws run out and 2 * degree > n,
+    the complement of a random (n - degree)-regular union is connected (two
+    left vertices share a neighbour) and is returned instead. A seed
+    outside [0, 2^64) raises InvalidRangeError (see errors.check_seed).
 
     Draws come in blocks: Generator.permuted over k rows of arange(n)
     gives the rows and the stream state of k permutation(n) calls, so a
@@ -196,29 +226,13 @@ def generate_random_regular_bipartite(n: int, degree: int, seed: int) -> Biparti
     if n == degree:
         return complete_bipartite(n)
     rng = np.random.default_rng(seed)
-    left = np.arange(n)
     for _ in range(_MAX_RESTARTS):
-        taken = np.zeros((n, n), dtype=bool)  # taken[v, u]: edge {v, n + u} placed
-        tries = 0
-        for _ in range(degree):
-            block = 1
-            while True:
-                rows = min(block, _MAX_MATCHING_TRIES - tries)
-                if rows == 0:
-                    raise ResourceLimitError(f"exceeded {_MAX_MATCHING_TRIES} matching draws")
-                state = rng.bit_generator.state
-                perms = rng.permuted(np.tile(left, (rows, 1)), axis=1)
-                clear = ~taken[left, perms].any(axis=1)
-                hit = int(clear.argmax())
-                if clear[hit]:
-                    break
-                tries += rows
-                block = min(2 * block, max(1, _BLOCK_CELLS // n))
-            tries += hit + 1
-            if hit + 1 < rows:
-                rng.bit_generator.state = state
-                rng.permuted(np.tile(left, (hit + 1, 1)), axis=1)
-            taken[left, perms[hit]] = True
+        taken = _matching_union(rng, n, degree)
+        if taken is None and 2 * degree > n:
+            sparse = _matching_union(rng, n, n - degree)
+            taken = None if sparse is None else ~sparse
+        if taken is None:
+            raise ResourceLimitError(f"exceeded {_MAX_MATCHING_TRIES} matching draws")
         adj = [[] for _ in range(2 * n)]
         for v, u in zip(*(side.tolist() for side in np.nonzero(taken))):
             adj[v].append(n + u)

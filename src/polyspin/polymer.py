@@ -5,8 +5,9 @@ together with a non-ground spin per vertex (ground spins on side i are
 B_i). Its weight combines the internal edge factors, one boundary factor
 F_u per neighbor of the region, and a ground-state count in the
 denominator; see `PolymerModel.weight_log`, which weighs one polymer, and
-`PolymerModel._class_weight_logs`, which weighs a size class in numpy
-with the same additions in the same order, so both give the same floats.
+`PolymerModel.weight_logs`, which weighs a list, each size class in one
+numpy pass with the same additions in the same order, so both give the
+same floats.
 """
 
 from __future__ import annotations
@@ -105,7 +106,6 @@ class PolymerModel:
         self.graph = graph
         self.matrix = matrix
         self.biclique = biclique
-        self.eps = eps
         self.max_size = int(math.floor(2.0 * eps * graph.n + SIZE_FUZZ))
         q = matrix.q
         self._allowed_by_side = (
@@ -124,11 +124,6 @@ class PolymerModel:
         # the largest polymer size whose boundary codes in _class_weight_logs
         # (base-(q+1) spin digits, then a side bit) stay below _CODE_LIMIT
         self._batch_size_limit = max(s for s in range(64) if 2 * (q + 1) ** s <= _CODE_LIMIT)
-
-    # -- spins ------------------------------------------------------------
-
-    def allowed_spins(self, v: int) -> tuple[int, ...]:
-        return self._allowed_by_side[self.graph.side(v)]
 
     # -- weight -----------------------------------------------------------
 
@@ -187,6 +182,25 @@ class PolymerModel:
         acc -= count0 * ln_b0
         acc -= (len(spin) + len(boundary[0]) + len(boundary[1]) - count0) * ln_b1
         return acc
+
+    def weight_logs(self, polymers: list[Polymer]) -> list[float]:
+        """weight_log of each polymer, in order, bit for bit. Each size class
+        up to _batch_size_limit is weighed in one _class_weight_logs pass; a
+        larger one goes polymer by polymer through weight_log."""
+        classes: dict[int, list[int]] = {}
+        for k, poly in enumerate(polymers):
+            classes.setdefault(len(poly.vertices), []).append(k)
+        out = [0.0] * len(polymers)
+        for size, rows in classes.items():
+            if size <= self._batch_size_limit:
+                vertices = np.array([polymers[k].vertices for k in rows], dtype=np.int32)
+                spins = np.array([polymers[k].spins for k in rows], dtype=np.int32)
+                weights = self._class_weight_logs(vertices, spins)
+            else:
+                weights = [self.weight_log(polymers[k]) for k in rows]
+            for k, lw in zip(rows, weights):
+                out[k] = lw
+        return out
 
     def _class_weight_logs(self, vertices: np.ndarray, spins: np.ndarray) -> list[float]:
         """weight_log of each row of one size class, as plain floats.

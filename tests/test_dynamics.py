@@ -22,6 +22,7 @@ from polyspin import (
     random_stream,
     sample_polymer_config,
 )
+from polyspin import polymer as polymer_module
 from polyspin.dynamics import DRAW, EXACT, FILL, RATIO, candidate_table
 from polyspin.errors import InvalidRangeError
 from polyspin.estimator import _ratio
@@ -866,8 +867,10 @@ _TABLE_DIGESTS = {
 
 @pytest.mark.parametrize("route", ["scalar", "batch"])
 def test_candidate_tables_pinned(k33, c8, hardcore, potts3, route, monkeypatch):
-    # every size class through weight_log, or every one through the batch route
-    monkeypatch.setattr(dynamics, "BATCH_MIN_ROWS", 1 << 62 if route == "scalar" else 1)
+    # every size class through the batch route, or (no boundary code fits
+    # the code table, so _batch_size_limit is 0) every one through weight_log
+    if route == "scalar":
+        monkeypatch.setattr(polymer_module, "_CODE_LIMIT", 2)
     graphs = {"k33": k33, "c8": c8, "g12": generate_random_regular_bipartite(12, 4, 1)}
     matrices = {"hardcore": hardcore, "potts3": potts3}
     for (gname, mname), expected in _TABLE_DIGESTS.items():

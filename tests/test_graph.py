@@ -92,11 +92,17 @@ def test_generation_counts_restarts_and_tries_pinned(monkeypatch):
     assert _graph_digest(generate_random_regular_bipartite(24, 8, 1)) == _GRAPH_DIGESTS[24, 8, 1]
 
 
-def test_dense_degree_runs_out_of_matching_draws():
-    # n = 12, d = 10 exists (the complement of a 2-regular graph), but
-    # random matchings almost never complete it
-    with pytest.raises(ResourceLimitError, match="^exceeded 200000 matching draws$"):
-        generate_random_regular_bipartite(12, 10, 1)
+def test_dense_degree_falls_back_to_a_complement():
+    # random matchings almost never complete n = 12, d = 10; once the draws
+    # run out, the graph is the complement of a random 2-regular one
+    graph = generate_random_regular_bipartite(12, 10, 1)
+    assert graph.degree == 10 and graph.is_regular and graph.num_edges == 120
+    assert _is_connected(graph.adjacency)
+    again = generate_random_regular_bipartite(12, 10, 1)
+    assert np.array_equal(graph.edge_array, again.edge_array)
+    other = generate_random_regular_bipartite(12, 10, 2)
+    assert not np.array_equal(graph.edge_array, other.edge_array)
+    assert _graph_digest(graph) == "e3d7019007a36dcc2d38485ed1680640ee9428a1"
 
 
 @pytest.mark.parametrize("n", [1, 2, 24, 300])

@@ -168,22 +168,11 @@ def _reference_weight_log(model, poly, memo) -> float:
     return acc
 
 
-def _class_route_weight_logs(model, polymers) -> list[float]:
-    # every size class through the batch route, in table order
-    out = [0.0] * len(polymers)
-    for size in sorted({len(poly.vertices) for poly in polymers}):
-        rows = [k for k, poly in enumerate(polymers) if len(poly.vertices) == size]
-        vertices = np.array([polymers[k].vertices for k in rows], dtype=np.int32)
-        spins = np.array([polymers[k].spins for k in rows], dtype=np.int32)
-        for k, lw in zip(rows, model._class_weight_logs(vertices, spins)):
-            out[k] = lw
-    return out
-
-
 def test_weight_log_matches_reference_bitwise(k33, k22, c8, edge_graph, rand43, hardcore, potts3):
-    # both weight routes, weight_log and the batch route of large size
-    # classes; float.hex equality also tells -0.0 from 0.0; the zero-entry
-    # matrices give -inf internal edges (H[1,2] = 0) and vanishing F_u (spin 2)
+    # both weight routes, weight_log and weight_logs, whose size classes up
+    # to cap 3 all take the batch route; float.hex equality also tells -0.0
+    # from 0.0; the zero-entry matrices give -inf internal edges (H[1,2] = 0)
+    # and vanishing F_u (spin 2)
     rng = np.random.default_rng(29)
     matrices = [hardcore, potts3, *(random_delta_matrix(rng, q) for q in (2, 3, 4))]
     matrices.append(InteractionMatrix([[1.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]], 0.5))
@@ -204,12 +193,28 @@ def test_weight_log_matches_reference_bitwise(k33, k22, c8, edge_graph, rand43, 
             assert [model.weight_log(poly).hex() for poly in polymers] == expected, biclique
             # a model of its own, so that the batch route fills its F_u memo
             batch = PolymerModel(graph, matrix, biclique, 0.9)
-            weights = _class_route_weight_logs(batch, polymers)
+            weights = batch.weight_logs(polymers)
             assert [lw.hex() for lw in weights] == expected, biclique
             assert all(type(lw) is float for lw in weights)
             checked += len(polymers)
             neg_inf += expected.count("-inf")
     assert checked == 141_774 and neg_inf > 0
+
+
+def test_weight_logs_keeps_input_order_across_routes(c8, potts3):
+    # sizes 1-7 on C8 with q = 3: classes up to _batch_size_limit = 6 take
+    # the batch route and size 7 goes through weight_log; shuffled, so the
+    # classes interleave and each route's rows must land in input order
+    biclique = enumerate_maximal_bicliques(potts3)[0]
+    model = PolymerModel(c8, potts3, biclique, 0.9)
+    assert model._batch_size_limit == 6
+    polymers = model.enumerate_allowed(7)
+    np.random.default_rng(3).shuffle(polymers)
+    assert {len(p.vertices) for p in polymers} == set(range(1, 8))
+    expected = [model.weight_log(p).hex() for p in polymers]
+    weights = PolymerModel(c8, potts3, biclique, 0.9).weight_logs(polymers)
+    assert [lw.hex() for lw in weights] == expected
+    assert all(type(lw) is float for lw in weights)
 
 
 def test_weight_log_is_a_float(k33, potts3):
@@ -299,7 +304,8 @@ def test_enumerate_counts_at_size_one(k33, rand43, potts3, hardcore):
                     continue
                 singles = model.enumerate_allowed(1)
                 expected = sum(
-                    len(model.allowed_spins(v)) for v in range(graph.num_vertices)
+                    matrix.q - len(biclique.side(graph.side(v)))
+                    for v in range(graph.num_vertices)
                 )
                 assert len(singles) == expected
 
